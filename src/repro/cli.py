@@ -358,16 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes (results are identical for any value)",
     )
-    smp.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "serve each sharded cell's shards from this many"
-            " shared-memory worker processes (repro.smp.shm);"
-            " decision-identical, so artifacts match --workers 0"
-        ),
-    )
     smp.add_argument("--utilization", type=float, default=0.6)
     smp.add_argument(
         "--out",
@@ -408,16 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
             "million-connection tier: chained incumbent vs the O(1)"
             " fast-cuckoo table at N=10^4-10^5 (override with --users,"
             " up to 10^6)"
-        ),
-    )
-    gate.add_argument(
-        "--shm",
-        action="store_true",
-        help=(
-            "shared-memory worker tier: replay one sharded cell with"
-            " workers=1/2/8 processes (repro.smp.shm), compare measured"
-            " packets/sec against the ContentionModel prediction, and"
-            " append a tier=smp-shm entry (reported, never gated)"
         ),
     )
     gate.add_argument(
@@ -1301,7 +1281,6 @@ def _cmd_smp_sweep(args) -> int:
         "duration": args.duration,
         "seeds": tuple(args.seeds),
         "jobs": args.jobs,
-        "workers": args.workers,
         "utilization": args.utilization,
     }
     if args.algorithms:
@@ -1503,40 +1482,6 @@ def _cmd_bench_gate(args) -> int:
             file=sys.stderr,
         )
         return 2
-
-    if args.shm:
-        from .smp.shm_bench import (
-            QUICK_SHM_CONFIG,
-            ShmBenchConfig,
-            run_shm_bench,
-        )
-
-        shm_config = QUICK_SHM_CONFIG if args.quick else ShmBenchConfig()
-        shm_overrides = {}
-        if args.seed is not None:
-            shm_overrides["seed"] = args.seed
-        if args.duration is not None:
-            shm_overrides["duration"] = args.duration
-        if args.users is not None:
-            shm_overrides["n_users"] = args.users[0]
-        if args.repeats is not None:
-            shm_overrides["repeats"] = args.repeats
-        if shm_overrides:
-            try:
-                shm_config = dataclasses.replace(shm_config, **shm_overrides)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        shm_report = run_shm_bench(
-            shm_config,
-            args.trajectory,
-            append=not args.no_append,
-            progress=lambda msg: print(f"  ... {msg}", file=sys.stderr),
-        )
-        print(shm_report.render_text())
-        # Model-vs-measured is a report, not a gate: the documented
-        # result may well be "dispatcher-bound, target not met".
-        return 0
 
     if args.scale and args.quick:
         # --quick shrinks the scale tier too: the smallest interesting

@@ -241,9 +241,22 @@ def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
     params = _parse_params(param_text)
     nshards = int(params.pop("shards", "8"))
     steering = make_steering(params.pop("steer", "hash"))
-    # ``workers=N`` serves the shards from N worker processes over
-    # shared memory (repro.smp.shm); 0 (the default) stays in-process.
-    workers = int(params.pop("workers", "0"))
+    # Reject unknown options against the spec the caller wrote, which
+    # also accepts the sharded layer's own options.
+    reference = inner_name
+    if reference.startswith("fast-"):
+        reference = reference[len("fast-"):]
+    if reference in ACCEPTED_OPTIONS:
+        _reject_leftovers(
+            reference,
+            {
+                key: value
+                for key, value in params.items()
+                if key not in ACCEPTED_OPTIONS[reference]
+            },
+            display=f"sharded-{inner_name}",
+            extra=("shards", "steer"),
+        )
     inner_params = ",".join(f"{key}={value}" for key, value in params.items())
     inner_spec = f"{inner_name}:{inner_params}" if inner_params else inner_name
     # Build one inner instance eagerly so a bad inner spec fails here,
@@ -254,16 +267,19 @@ def _make_sharded(inner_name: str, param_text: str) -> DemuxAlgorithm:
         nshards,
         steering,
         inner_spec=inner_spec,
-        workers=workers or None,
     )
 
 
 def _reject_leftovers(
-    name: str, params: Dict[str, str], *, display: str = ""
+    name: str,
+    params: Dict[str, str],
+    *,
+    display: str = "",
+    extra: tuple = (),
 ) -> None:
     if params:
         display = display or name
-        accepted = ACCEPTED_OPTIONS.get(name, ())
+        accepted = extra + ACCEPTED_OPTIONS.get(name, ())
         accepted_text = ", ".join(accepted) if accepted else "none"
         unknown = ", ".join(sorted(params))
         raise ValueError(

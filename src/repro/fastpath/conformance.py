@@ -86,13 +86,10 @@ def decision_trace(
     from ..core.pcb import PCB  # local: keep module import light
 
     algorithm = make_algorithm(spec)
-    try:
-        for tup in stream.tuples:
-            algorithm.insert(PCB(tup))
-        packets = _packets_with_strays(stream, stray_every)
-        return _replay(algorithm, packets, use_batch, batch_size)
-    finally:
-        _close(algorithm)
+    for tup in stream.tuples:
+        algorithm.insert(PCB(tup))
+    packets = _packets_with_strays(stream, stray_every)
+    return _replay(algorithm, packets, use_batch, batch_size)
 
 
 def resumed_decision_trace(
@@ -123,20 +120,13 @@ def resumed_decision_trace(
     if not 0.0 <= split <= 1.0:
         raise ValueError(f"split must be in [0, 1], got {split}")
     algorithm = make_algorithm(spec)
-    try:
-        for tup in stream.tuples:
-            algorithm.insert(PCB(tup))
-        packets = _packets_with_strays(stream, stray_every)
-        cut = int(len(packets) * split)
-        head = _replay(algorithm, packets[:cut], use_batch, batch_size)
-        blob = snapshot_bytes(algorithm)
-    finally:
-        _close(algorithm)
-    algorithm = restore_bytes(blob)
-    try:
-        return head + _replay(algorithm, packets[cut:], use_batch, batch_size)
-    finally:
-        _close(algorithm)
+    for tup in stream.tuples:
+        algorithm.insert(PCB(tup))
+    packets = _packets_with_strays(stream, stray_every)
+    cut = int(len(packets) * split)
+    head = _replay(algorithm, packets[:cut], use_batch, batch_size)
+    algorithm = restore_bytes(snapshot_bytes(algorithm))
+    return head + _replay(algorithm, packets[cut:], use_batch, batch_size)
 
 
 def _packets_with_strays(
@@ -154,19 +144,6 @@ def _packets_with_strays(
             )
             packets.append((stray_tuple(position), stray_kind))
     return packets
-
-
-def _close(algorithm) -> None:
-    """Tear down worker processes behind shm-backed facades.
-
-    In-process structures have no ``close`` (or a no-op one); a
-    ``workers=`` facade holds a :class:`repro.smp.shm.ShmWorkerPool`
-    that must not outlive the trace, or conformance sweeps over many
-    specs would accumulate orphaned processes.
-    """
-    close = getattr(algorithm, "close", None)
-    if close is not None:
-        close()
 
 
 def _replay(

@@ -48,8 +48,7 @@ snapshot round-trip tests.
 from __future__ import annotations
 
 import dataclasses
-import struct
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.base import DuplicateConnectionError, LookupResult
 from ..core.pcb import PCB
@@ -58,22 +57,6 @@ from ..packet.addresses import FourTuple
 from .algorithms import _FastDemuxBase
 
 __all__ = ["CuckooCounters", "FastCuckooDemux"]
-
-#: 48-bit half-key split for the shared-memory wire format (the same
-#: split :mod:`repro.fastpath.tables` uses for its numpy mirrors).
-_HALF_BITS = 48
-_HALF_MASK = (1 << _HALF_BITS) - 1
-
-
-def _pack_key_pairs(buffer, offset: int, keys: List[int]) -> int:
-    """Pack keys as little-endian ``(lo48, hi48)`` uint64 pairs."""
-    if keys:
-        flat: List[int] = []
-        for key in keys:
-            flat.append(key & _HALF_MASK)
-            flat.append(key >> _HALF_BITS)
-        struct.pack_into(f"<{2 * len(keys)}Q", buffer, offset, *flat)
-    return offset + 16 * len(keys)
 
 _MASK64 = (1 << 64) - 1
 
@@ -516,107 +499,6 @@ class FastCuckooDemux(_FastDemuxBase):
         """Bucket-major slot order, then stash order (deterministic)."""
         for _key, pcb in self._iter_items():
             yield pcb
-
-    # -- shared-memory export/attach ------------------------------------
-
-    #: Export header: nbuckets, bucket_size, stash_bound, max_kicks,
-    #: kick_cursor, stash length -- six little-endian uint64s.
-    _SHARED_HEADER = struct.Struct("<6Q")
-
-    def shared_size(self) -> int:
-        """Bytes :meth:`export_shared` writes for the current layout."""
-        return (
-            self._SHARED_HEADER.size
-            + self.capacity  # per-slot occupancy fingerprints
-            + 16 * self.capacity  # (lo48, hi48) key pairs
-            + 16 * len(self._stash)
-        )
-
-    def export_shared(self, buffer, offset: int = 0) -> int:
-        """Pack the physical slot layout into ``buffer`` at ``offset``.
-
-        The layout -- not an insert stream -- is what crosses the
-        process boundary: kickout history cannot be replayed, so the
-        attaching side re-imposes each slot verbatim (the same
-        contract as the snapshot restore hooks).  PCBs stay
-        process-local; keys are the 96-bit bijection.  Returns the
-        offset past the written block.
-        """
-        capacity = self.capacity
-        offset = self._pack_header(buffer, offset)
-        struct.pack_into(
-            f"<{capacity}B", buffer, offset, *self._slot_fps
-        )
-        offset += capacity
-        offset = _pack_key_pairs(
-            buffer,
-            offset,
-            [key if key is not None else 0 for key in self._slot_keys],
-        )
-        return _pack_key_pairs(
-            buffer, offset, [key for key, _pcb, _fp in self._stash]
-        )
-
-    def _pack_header(self, buffer, offset: int) -> int:
-        self._SHARED_HEADER.pack_into(
-            buffer,
-            offset,
-            self._nbuckets,
-            self._bucket_size,
-            self._stash_bound,
-            self._max_kicks,
-            self._kick_cursor,
-            len(self._stash),
-        )
-        return offset + self._SHARED_HEADER.size
-
-    @classmethod
-    def attach_shared(
-        cls,
-        buffer,
-        offset: int,
-        pcb_for: Callable[[int], "PCB"],
-    ) -> Tuple["FastCuckooDemux", int]:
-        """Rebuild a structure from an :meth:`export_shared` block.
-
-        ``pcb_for(key)`` supplies the attaching process's own PCB for
-        each live key.  Placement is re-imposed slot by slot through
-        :meth:`restore_slot`/:meth:`restore_stash`, which re-derive
-        the pre-filters and validate home buckets, so a corrupt block
-        raises instead of silently mis-homing a flow.  Returns
-        ``(structure, offset_past_block)``.
-        """
-        (
-            nbuckets,
-            bucket_size,
-            stash_bound,
-            max_kicks,
-            kick_cursor,
-            stash_len,
-        ) = cls._SHARED_HEADER.unpack_from(buffer, offset)
-        offset += cls._SHARED_HEADER.size
-        structure = cls(
-            buckets=nbuckets,
-            slots=bucket_size,
-            stash=stash_bound,
-            kick=max_kicks,
-        )
-        capacity = structure.capacity
-        fps = struct.unpack_from(f"<{capacity}B", buffer, offset)
-        offset += capacity
-        for index in range(capacity):
-            lo, hi = struct.unpack_from("<2Q", buffer, offset)
-            offset += 16
-            if fps[index]:
-                structure.restore_slot(
-                    index, pcb_for((hi << 48) | lo)
-                )
-        for _ in range(stash_len):
-            lo, hi = struct.unpack_from("<2Q", buffer, offset)
-            offset += 16
-            structure.restore_stash(pcb_for((hi << 48) | lo))
-        structure._kick_cursor = kick_cursor
-        return structure, offset
 
     # -- snapshot restore hooks (see repro.recovery.snapshot) -----------
 

@@ -12,7 +12,9 @@ against the most recent comparable entry.
 
 Baselines are matched on the full measurement key -- algorithm spec,
 connection count, stream duration, and seed -- so a ``--quick`` run
-never gates against a full run's numbers.  Timing uses best-of-R
+never gates against a full run's numbers, and only against entries
+stamped with the same host fingerprint, so one machine's best run never
+gates another machine.  Timing uses best-of-R
 replays of a pre-recorded stream with the structure rebuilt per repeat,
 which removes workload generation and warm-cache luck from the clock.
 
@@ -42,6 +44,7 @@ __all__ = [
     "GateReport",
     "MAX_SWEEP_USERS",
     "Measurement",
+    "host_fingerprint",
     "measure_replay",
     "run_canary",
     "run_gate",
@@ -302,10 +305,25 @@ def _load_trajectory(path: str) -> Dict[str, object]:
     return data
 
 
+def host_fingerprint() -> Dict[str, object]:
+    """The host a measurement ran on: nproc, python, numpy, platform."""
+    import numpy
+
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "platform": platform.platform(),
+    }
+
+
 def _baselines(
-    trajectory: Dict[str, object]
+    trajectory: Dict[str, object], host: Dict[str, object]
 ) -> Dict[str, float]:
-    """Best recorded packets/sec per measurement key.
+    """Best recorded packets/sec per measurement key on ``host``.
+
+    Entries stamped with another host, or with none, are skipped:
+    wall-clock numbers only compare on the machine that made them.
 
     The gate must compare against each key's trajectory *maximum*, not
     its latest entry: last-write-wins would let a sequence of
@@ -316,6 +334,8 @@ def _baselines(
     """
     baselines: Dict[str, float] = {}
     for entry in trajectory["entries"]:
+        if entry.get("host") != host:
+            continue
         for result in entry.get("results", []):
             config = entry.get("config", {})
             key = (
@@ -346,7 +366,8 @@ def run_gate(
     """
     say = progress if progress is not None else (lambda message: None)
     trajectory = _load_trajectory(trajectory_path)
-    baselines = _baselines(trajectory)
+    host = host_fingerprint()
+    baselines = _baselines(trajectory, host)
 
     results: List[Measurement] = []
     speedups: List[Dict[str, object]] = []
@@ -398,6 +419,7 @@ def run_gate(
     entry: Dict[str, object] = {
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
+        "host": host,
         "config": {
             "n_sweep": list(config.n_sweep),
             "duration": config.duration,

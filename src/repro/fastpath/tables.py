@@ -17,8 +17,7 @@ with a single integer comparison.
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.pcb import PCB
 
@@ -140,68 +139,6 @@ class SlotTable:
             )
             self._mirror_version = self._version
         return self._mirror_lo, self._mirror_hi
-
-    # -- shared-memory export/attach ------------------------------------
-
-    def shared_size(self) -> int:
-        """Bytes :meth:`export_shared` writes for this table."""
-        return 16 * len(self.keys)
-
-    def export_shared(self, buffer, offset: int = 0) -> int:
-        """Pack the key array into ``buffer`` at ``offset``.
-
-        Wire format: one little-endian ``(lo48, hi48)`` uint64 pair
-        per entry, in table order -- the same half-key split the numpy
-        mirrors use, so an attaching process can serve vectorized
-        scans as views straight over the shared buffer.  Returns the
-        offset past the written block.  PCB references are *not*
-        exported (they are process-local); the attaching side rebuilds
-        them from the keys, which are a bijection of the four-tuple.
-        """
-        n = len(self.keys)
-        if n:
-            flat: List[int] = []
-            for key in self.keys:
-                flat.append(key & _HALF_MASK)
-                flat.append(key >> _HALF_BITS)
-            struct.pack_into(f"<{2 * n}Q", buffer, offset, *flat)
-        return offset + 16 * n
-
-    @classmethod
-    def attach_shared(
-        cls,
-        buffer,
-        offset: int,
-        count: int,
-        pcb_for: Callable[[int], PCB],
-    ) -> Tuple["SlotTable", int]:
-        """Rebuild a table from an :meth:`export_shared` block.
-
-        ``pcb_for(key)`` supplies the PCB for each rebuilt entry (the
-        attaching process owns its own PCB objects).  When numpy is
-        available the vectorized-scan mirrors are installed as views
-        *over the shared buffer itself* -- the attached table's first
-        batched scans read key halves directly out of shared memory
-        with zero copies; the first mutation bumps the version and the
-        mirrors rebuild privately, exactly like any stale mirror.
-        Returns ``(table, offset_past_block)``.
-        """
-        table = cls()
-        if count:
-            flat = struct.unpack_from(f"<{2 * count}Q", buffer, offset)
-            table.keys = [
-                (flat[2 * i + 1] << _HALF_BITS) | flat[2 * i]
-                for i in range(count)
-            ]
-            table.pcbs = [pcb_for(key) for key in table.keys]
-            if _np is not None:
-                pairs = _np.frombuffer(
-                    buffer, dtype=_np.uint64, count=2 * count, offset=offset
-                )
-                table._mirror_lo = pairs[0::2]
-                table._mirror_hi = pairs[1::2]
-                table._mirror_version = table._version
-        return table, offset + 16 * count
 
     def push_front(self, key: int, pcb: PCB) -> None:
         """Insert at the head (historical BSD insert position)."""

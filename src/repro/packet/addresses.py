@@ -256,24 +256,6 @@ class FourTuple(_FourTupleBase):
             | self.remote_port
         )
 
-    @classmethod
-    def from_key_bits(cls, bits: int) -> "FourTuple":
-        """Rebuild the tuple from its packed 96-bit key.
-
-        The inverse of :meth:`key_bits` (the packing is a bijection).
-        Shared-memory attach constructors use it to rebuild four-tuples
-        from the flat key arrays without shipping tuple objects across
-        the process boundary.
-        """
-        if not 0 <= bits < (1 << 96):
-            raise AddressError(f"key bits out of range: {bits:#x}")
-        return cls(
-            IPv4Address((bits >> 64) & 0xFFFFFFFF),
-            (bits >> 48) & 0xFFFF,
-            IPv4Address((bits >> 16) & 0xFFFFFFFF),
-            bits & 0xFFFF,
-        )
-
     def words16(self) -> Iterator[int]:
         """Yield the key as six 16-bit words (for folding hash functions)."""
         bits = self.key_bits()

@@ -324,15 +324,13 @@ def _steering_spec(steering: Any) -> str:
 def _capture_sharded(algorithm: ShardedDemux, spec: str) -> Dict[str, Any]:
     inner_spec = algorithm.inner_spec
     shards = []
-    for index, shard in enumerate(algorithm.shards):
+    for shard in algorithm.shards:
         if not (shard.spec or inner_spec):
             raise SnapshotError(
                 "sharded structure's shards carry no registry spec;"
                 " build it through make_algorithm or pass inner_spec"
             )
-        # Route through the facade so worker-resident shards (the
-        # shared-memory workers mode) are captured by their workers.
-        shards.append(algorithm.capture_shard_payload(index))
+        shards.append(capture_state(shard, spec=shard.spec or inner_spec))
     steering = algorithm.steering
     steering_state: Dict[str, Any] = {"spec": _steering_spec(steering)}
     if isinstance(steering, RoundRobinSteering):

@@ -53,6 +53,7 @@ from ..smp.sharded import ShardedDemux
 from ..smp.steering import StickyFlowSteering
 from .snapshot import (
     SnapshotError,
+    capture_state,
     open_envelope,
     restore_state,
     to_envelope,
@@ -229,10 +230,10 @@ class ShardSupervisor(DemuxAlgorithm):
         return written
 
     def _checkpoint_shard(self, index: int) -> None:
-        # Via the facade, not the shard object: in the shared-memory
-        # workers mode the shard lives in a worker process and the
-        # facade fetches its payload over the control pipe.
-        blob = to_envelope(self._sharded.capture_shard_payload(index))
+        shard = self._sharded.shards[index]
+        blob = to_envelope(
+            capture_state(shard, spec=shard.spec or self._sharded.inner_spec)
+        )
         if self.snapshot_fault is not None:
             blob = self.snapshot_fault.mangle(blob)
         self._checkpoints[index] = blob

@@ -17,14 +17,6 @@ when a symmetric multiprocessor runs one structure per CPU:
   lacks.
 * :mod:`~repro.smp.parallel` -- the deterministic process-parallel
   task runner every sweep fans out over.
-* :mod:`~repro.smp.shm` -- shared-memory shard workers: per-shard
-  processes serving packets from the flat fast-path arrays behind
-  bounded SPSC rings, with the steering layer as dispatcher
-  (``ShardedDemux(workers=N)`` / the ``workers=`` spec option).
-* :mod:`~repro.smp.shm_bench` -- the ``bench-gate --shm`` tier:
-  wall-clock aggregate packets/sec of the worker pool against the
-  :class:`ContentionModel` prediction (model-vs-measured, reported,
-  never gated).
 * :mod:`~repro.smp.sweep` -- the ``smp-sweep`` experiment (shard count
   x steering x batch size) and its artifacts.
 * :mod:`~repro.smp.metrics` -- shard-level observability published
@@ -49,14 +41,6 @@ from .parallel import (
     task_seed,
 )
 from .sharded import ShardedDemux
-from .shm import ShardMirror, ShmWorkerError, ShmWorkerPool, SpscRing
-from .shm_bench import (
-    QUICK_SHM_CONFIG,
-    ShmBenchConfig,
-    ShmBenchReport,
-    ShmMeasurement,
-    run_shm_bench,
-)
 from .steering import (
     HashSteering,
     RoundRobinSteering,
@@ -79,20 +63,12 @@ __all__ = [
     "DEFAULT_CONTENTION",
     "HashSteering",
     "ParallelTaskError",
-    "QUICK_SHM_CONFIG",
     "RetryLog",
     "RoundRobinSteering",
     "SMPCostReport",
     "SMPSweepConfig",
     "ShardCost",
-    "ShardMirror",
     "ShardedDemux",
-    "ShmBenchConfig",
-    "ShmBenchReport",
-    "ShmMeasurement",
-    "ShmWorkerError",
-    "ShmWorkerPool",
-    "SpscRing",
     "SteeringFunction",
     "StickyFlowSteering",
     "SweepResult",
@@ -103,7 +79,6 @@ __all__ = [
     "make_steering",
     "measure_coalescing",
     "publish_sharded",
-    "run_shm_bench",
     "run_smp_sweep",
     "run_tasks",
     "task_seed",

@@ -53,13 +53,10 @@ class ShardedDemux(DemuxAlgorithm):
         steering: Optional[SteeringFunction] = None,
         *,
         inner_spec: Optional[str] = None,
-        workers: Optional[int] = None,
     ):
         super().__init__()
         if nshards <= 0:
             raise ValueError(f"nshards must be positive, got {nshards}")
-        if workers is not None and workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
         self._shard_factory = shard_factory
         self._shards: List[DemuxAlgorithm] = [
             shard_factory() for _ in range(nshards)
@@ -79,68 +76,8 @@ class ShardedDemux(DemuxAlgorithm):
         #: Registry spec of one shard, when built through the registry.
         #: Checkpoint/restore needs it to rebuild a crashed shard.
         self.inner_spec = inner_spec
-        #: Requested worker-process count (``workers=`` spec option);
-        #: ``None`` keeps every shard in-process.  The pool spins up
-        #: lazily on the first lookup -- see :meth:`_activate_workers`.
-        self._requested_workers = workers
-        self._pool = None
 
     # -- structure facade --------------------------------------------------
-
-    @property
-    def workers(self) -> int:
-        """Active worker processes (0 until the pool spins up)."""
-        return self._pool.nworkers if self._pool is not None else 0
-
-    def _activate_workers(self) -> None:
-        """Move every shard into a shared-memory worker process.
-
-        Deferred to the first lookup so the whole insert phase runs
-        in-process (one export instead of per-op ring traffic) and so
-        the fast twins' single-entry caches -- which the flat-array
-        export does not carry -- are still provably empty whenever the
-        flat path is taken (:func:`repro.smp.shm._export_shards` falls
-        back to snapshot payloads otherwise, e.g. after a warm
-        restore).  Each local shard is replaced by a
-        :class:`~repro.smp.shm.ShardMirror` carrying the shard's PCB
-        directory and its live ``DemuxStats`` object.
-        """
-        from .shm import ShardMirror, ShmWorkerPool
-
-        specs = []
-        for shard in self._shards:
-            spec = shard.spec or self.inner_spec
-            if not spec:
-                raise ValueError(
-                    "workers mode needs each shard's registry spec to"
-                    " bootstrap the worker processes; build the facade"
-                    " through make_algorithm or pass inner_spec"
-                )
-            specs.append(spec)
-        pool = ShmWorkerPool(min(self._requested_workers, self.nshards))
-        pool.start(self._shards, specs)
-        self._shards = [
-            ShardMirror(
-                pool,
-                index,
-                specs[index],
-                shard.name,
-                {pcb.four_tuple: pcb for pcb in shard},
-                shard.stats,
-            )
-            for index, shard in enumerate(self._shards)
-        ]
-        self._pool = pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when none is active).
-
-        The mirrors stay in place but any further operation on them
-        fails fast; ``close`` is for end-of-run teardown, not pausing.
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     @property
     def nshards(self) -> int:
@@ -176,49 +113,10 @@ class ShardedDemux(DemuxAlgorithm):
         exactly the PCBs whose home is ``index`` (warm restore) or for
         re-homing the orphans first (re-steer/cold paths, see
         :class:`repro.recovery.ShardSupervisor`).
-
-        With an active worker pool the replacement is a *local* shard
-        object (recovery builds and replays it in-process); its full
-        snapshot payload is shipped to the owning worker over the
-        control pipe and a fresh mirror takes its seat in the facade.
         """
         if not 0 <= index < len(self._shards):
             raise IndexError(f"no shard {index} (nshards={self.nshards})")
-        if self._pool is None:
-            self._shards[index] = shard
-            return
-        from ..recovery.snapshot import capture_state  # lazy: layering
-        from .shm import ShardMirror
-
-        spec = shard.spec or self.inner_spec
-        self._pool.restore_shard(index, capture_state(shard, spec=spec))
-        self._shards[index] = ShardMirror(
-            self._pool,
-            index,
-            spec,
-            shard.name,
-            {pcb.four_tuple: pcb for pcb in shard},
-            shard.stats,
-        )
-
-    def capture_shard_payload(self, index: int) -> Dict[str, object]:
-        """One shard's snapshot payload (see :mod:`repro.recovery`).
-
-        The single entry point that works in both execution modes: an
-        in-process shard is captured directly; a worker-resident shard
-        is captured *by its worker* and the payload returned over the
-        control pipe.  Supervised checkpointing and whole-structure
-        snapshots both route through here.
-        """
-        if not 0 <= index < len(self._shards):
-            raise IndexError(f"no shard {index} (nshards={self.nshards})")
-        shard = self._shards[index]
-        spec = shard.spec or self.inner_spec
-        if self._pool is not None:
-            return self._pool.snapshot_shard(index, spec)
-        from ..recovery.snapshot import capture_state  # lazy: layering
-
-        return capture_state(shard, spec=spec)
+        self._shards[index] = shard
 
     def forget_flow(self, tup: FourTuple) -> None:
         """Drop a flow from the director table without touching shards.
@@ -252,8 +150,6 @@ class ShardedDemux(DemuxAlgorithm):
             self._shards[shard].note_send(pcb)
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        if self._pool is None and self._requested_workers:
-            self._activate_workers()
         spans = self.spans
         if spans is not None:
             spans.open_packet(tup, kind, owner="demux")
@@ -294,13 +190,6 @@ class ShardedDemux(DemuxAlgorithm):
         (round-robin) migrates PCBs mid-batch, so it keeps the
         per-packet path.  Hooks (tracer/profiler/spans) are per-lookup
         by contract and also take the per-packet path.
-
-        With an active worker pool the dispatch is two-phase: every
-        shard's sub-batch is *sent* before any result is collected, so
-        the workers overlap -- this loop is where the parallel speedup
-        actually happens.  Each shard still sees exactly its sequential
-        subsequence (rings are FIFO, collection follows send order per
-        worker), so decisions are unchanged.
         """
         tracer = self.tracer
         if (
@@ -310,8 +199,6 @@ class ShardedDemux(DemuxAlgorithm):
             or (tracer is not None and tracer.enabled)
         ):
             return super().lookup_batch(packets)
-        if self._pool is None and self._requested_workers:
-            self._activate_workers()
         nshards = self.nshards
         shard_of = self.steering.shard_of
         # Steer in input order: sticky steering assigns new flows as it
@@ -320,29 +207,11 @@ class ShardedDemux(DemuxAlgorithm):
         for position, (tup, _) in enumerate(packets):
             groups.setdefault(shard_of(tup, nshards), []).append(position)
         results: List[Optional[LookupResult]] = [None] * len(packets)
-        if self._pool is not None:
-            sub_batches = {
-                shard_index: [packets[position] for position in positions]
-                for shard_index, positions in groups.items()
-            }
-            for shard_index, sub_batch in sub_batches.items():
-                self._shards[shard_index].send_batch(sub_batch)
-            for shard_index, sub_batch in sub_batches.items():
-                sub_results = self._shards[shard_index].collect_batch(
-                    sub_batch
-                )
-                for position, result in zip(
-                    groups[shard_index], sub_results
-                ):
-                    results[position] = result
-        else:
-            for shard_index, positions in groups.items():
-                sub_batch = [packets[position] for position in positions]
-                sub_results = self._shards[shard_index].lookup_batch(
-                    sub_batch
-                )
-                for position, result in zip(positions, sub_results):
-                    results[position] = result
+        for shard_index, positions in groups.items():
+            sub_batch = [packets[position] for position in positions]
+            sub_results = self._shards[shard_index].lookup_batch(sub_batch)
+            for position, result in zip(positions, sub_results):
+                results[position] = result
         for (tup, _), result in zip(packets, results):
             self._finish_lookup(tup, result)
         return results
@@ -415,8 +284,6 @@ class ShardedDemux(DemuxAlgorithm):
         self.stats.reset()
         for shard in self._shards:
             shard.stats.reset()
-        if self._pool is not None:
-            self._pool.reset_stats()
         self.flow_migrations = 0
         self._migration_relookups = [0] * self.nshards
 

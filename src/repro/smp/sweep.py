@@ -64,13 +64,6 @@ class SMPSweepConfig:
     batch_sizes: Tuple[int, ...] = (1, 64)
     seeds: Tuple[int, ...] = (7,)
     jobs: int = 1
-    #: Serve every sharded cell's shards from this many shared-memory
-    #: worker processes (:mod:`repro.smp.shm`); 0 stays in-process.
-    #: Deliberately *not* recorded in the artifacts: workers are an
-    #: execution engine, not an experiment parameter, and the shm mode
-    #: is decision-identical -- ``--workers 2`` artifacts must be
-    #: byte-identical to an in-process run.
-    workers: int = 0
     utilization: float = 0.6
     #: Extra attempts a failed/crashed cell gets before the sweep fails.
     #: Cells are pure and attempt-independent, so retried results are
@@ -94,8 +87,6 @@ class SMPSweepConfig:
             raise ValueError("need at least one seed")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.retry_backoff < 0:
@@ -125,7 +116,6 @@ def _run_cell(params: Dict[str, object]) -> Dict[str, object]:
     nshards = params["nshards"]
     steering = params["steering"]
     batch_size = params["batch_size"]
-    workers = int(params.get("workers", 0))
     stream = record_tpca_stream(
         params["n_connections"], params["duration"], params["seed"]
     )
@@ -139,41 +129,35 @@ def _run_cell(params: Dict[str, object]) -> Dict[str, object]:
             nshards,
             make_steering(steering),
             inner_spec=spec,
-            workers=workers or None,
         )
-    try:
-        for tup in stream.tuples:
-            algorithm.insert(PCB(tup))
+    for tup in stream.tuples:
+        algorithm.insert(PCB(tup))
 
-        train_followers = 0
-        if batch_size > 1:
-            coalescer = BatchCoalescer(algorithm, batch_size, sort=True)
-            coalescer.replay(stream.packets)
-            train_followers = coalescer.train_followers
-        else:
-            for tup, kind in stream.packets:
-                algorithm.lookup(tup, kind)
+    train_followers = 0
+    if batch_size > 1:
+        coalescer = BatchCoalescer(algorithm, batch_size, sort=True)
+        coalescer.replay(stream.packets)
+        train_followers = coalescer.train_followers
+    else:
+        for tup, kind in stream.packets:
+            algorithm.lookup(tup, kind)
 
-        stats = algorithm.stats
-        combined = stats.combined()
-        if isinstance(algorithm, ShardedDemux):
-            report = algorithm.cost_report(model)
-        else:
-            report = build_report(
-                nshards=1,
-                steering=BASELINE,
-                steer_ops=0.0,
-                migrations=0,
-                per_shard_lookups=[stats.lookups],
-                per_shard_occupancy=[len(algorithm)],
-                per_shard_mean_examined=[stats.mean_examined],
-                per_shard_p99=[combined.percentile(0.99)],
-                model=model,
-            )
-    finally:
-        close = getattr(algorithm, "close", None)
-        if close is not None:
-            close()
+    stats = algorithm.stats
+    combined = stats.combined()
+    if isinstance(algorithm, ShardedDemux):
+        report = algorithm.cost_report(model)
+    else:
+        report = build_report(
+            nshards=1,
+            steering=BASELINE,
+            steer_ops=0.0,
+            migrations=0,
+            per_shard_lookups=[stats.lookups],
+            per_shard_occupancy=[len(algorithm)],
+            per_shard_mean_examined=[stats.mean_examined],
+            per_shard_p99=[combined.percentile(0.99)],
+            model=model,
+        )
     return {
         "algorithm": spec,
         "nshards": nshards,
@@ -209,7 +193,6 @@ def _cell_grid(config: SMPSweepConfig) -> List[Dict[str, object]]:
                 "n_connections": config.n_connections,
                 "duration": config.duration,
                 "utilization": config.utilization,
-                "workers": config.workers,
             }
         )
 

@@ -15,6 +15,7 @@ from repro.fastpath.gate import (
     _baselines,
     GateConfig,
     QUICK_CONFIG,
+    host_fingerprint,
     measure_replay,
     run_gate,
 )
@@ -155,9 +156,11 @@ def test_baseline_is_trajectory_maximum_not_latest_entry():
     # Regression test for the ratchet bug: _baselines used
     # last-write-wins, so a run could gate against an already-degraded
     # recent entry instead of the best the machine ever did.
+    host = host_fingerprint()
     trajectory = {
         "entries": [
             {
+                "host": host,
                 "config": {"duration": 5.0, "seed": 7},
                 "results": [
                     {
@@ -170,8 +173,25 @@ def test_baseline_is_trajectory_maximum_not_latest_entry():
             for rate in (1000.0, 930.0, 870.0, 810.0)  # each drop < 10%
         ]
     }
-    baselines = _baselines(trajectory)
+    baselines = _baselines(trajectory, host)
     assert baselines == {"sequent:h=7@n=30;d=5;seed=7": 1000.0}
+
+
+def test_other_hosts_never_gate(tmp_path):
+    # A forged 1000x entry from another machine -- or from before
+    # entries were stamped -- is not a baseline for this one.
+    path = tmp_path / "BENCH_trajectory.json"
+    run_gate(TINY, str(path))
+    data = json.loads(path.read_text())
+    assert data["entries"][0]["host"] == host_fingerprint()
+    other = _forged_entry(data["entries"][0], 1000.0)
+    other["host"] = dict(other["host"], nproc=-1)
+    unstamped = _forged_entry(data["entries"][0], 1000.0)
+    del unstamped["host"]
+    data["entries"] = [other, unstamped]
+    path.write_text(json.dumps(data))
+
+    assert run_gate(TINY, str(path)).ok
 
 
 def test_compounding_subthreshold_drops_cannot_ratchet_the_gate(tmp_path):

@@ -118,6 +118,14 @@ class TestRejectionMessages:
         ):
             make_algorithm("fast-sequent:chains=19")
 
+    def test_sharded_spec_errors_name_the_sharded_spec(self):
+        with pytest.raises(
+            ValueError,
+            match="'sharded-fast-sequent': workers;"
+            ".*accepts: shards, steer, h, hash, overload",
+        ):
+            make_algorithm("sharded-fast-sequent:shards=2,workers=2")
+
 
 class TestFastVariants:
     @pytest.mark.parametrize(

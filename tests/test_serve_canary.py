@@ -3,6 +3,7 @@ recorded traffic, and its CLI entry points (``canary``,
 ``bench-gate --canary``)."""
 
 import asyncio
+import itertools
 import json
 
 import pytest
@@ -13,6 +14,26 @@ from repro.fastpath.gate import CanaryConfig, CanaryReport, run_canary
 from repro.serve.loadgen import LoadConfig
 from repro.serve.server import ServeConfig, run_self_drive
 from repro.workload.record import record_tpca_stream
+
+
+@pytest.fixture(autouse=True)
+def counter_clock(monkeypatch):
+    """Time both sides of every canary identically.
+
+    Each ``perf_counter`` read advances one fixed tick, so every timed
+    replay lasts one tick and the throughput axis always ties; verdicts
+    then depend only on decisions and p99 examined, never on CPU load.
+    """
+    from repro.fastpath import gate
+
+    ticks = itertools.count()
+
+    class CounterClock:
+        @staticmethod
+        def perf_counter():
+            return next(ticks) * 1e-3
+
+    monkeypatch.setattr(gate, "time", CounterClock)
 
 
 @pytest.fixture(scope="module")
