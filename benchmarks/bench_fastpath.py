@@ -125,3 +125,56 @@ def test_batch_amortization_never_hurts_fast_sequent(once):
         f" ({per_call / batched:.2f}x)",
     )
     assert batched < per_call * 1.10
+
+
+def test_vectorized_scan_beats_list_scan_at_1e3(once):
+    """At N >= 10^3 the numpy ``scan_batch`` beats the ``list.index`` loop.
+
+    The mirror is built before timing: its rebuild is amortized over
+    the batches that follow, not paid per batch.  Decision equality at
+    this size is pinned in tier-1 (``tests/test_fastpath_vector.py``).
+    """
+    import random
+    import time
+
+    from repro.core.pcb import PCB
+    from repro.fastpath.tables import SlotTable, _np
+    from repro.packet.addresses import FourTuple, IPv4Address
+
+    if _np is None:
+        pytest.skip("numpy not installed")
+    table = SlotTable()
+    for index in range(2000):
+        tup = FourTuple(
+            IPv4Address("10.0.0.1"), 1521,
+            IPv4Address("10.4.0.0") + index, 40000 + index,
+        )
+        table.push_front(tup.key_bits(), PCB(tup))
+    rng = random.Random(3)
+    queries = [rng.choice(table.keys) for _ in range(2000)]
+    queries += [(1 << 95) + index for index in range(666)]
+    rng.shuffle(queries)
+    table.scan_batch(queries)  # builds the mirror
+
+    def timed(fn) -> float:
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    def measure():
+        vector = min(timed(lambda: table.scan_batch(queries)) for _ in range(3))
+        loop = min(
+            timed(lambda: [table.scan(key) for key in queries])
+            for _ in range(3)
+        )
+        return vector, loop
+
+    vector, loop = once(measure)
+    emit(
+        "fastpath: vectorized scan at N=2000",
+        f"scan_batch {vector * 1e3:.2f} ms, list.index loop"
+        f" {loop * 1e3:.2f} ms ({loop / vector:.1f}x)",
+    )
+    assert vector < loop, (
+        f"vectorized {vector:.4f}s not faster than loop {loop:.4f}s at N=2000"
+    )

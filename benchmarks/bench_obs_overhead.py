@@ -8,9 +8,10 @@ operation, and with the profiler at its default sampling rate
 wall-clock per lookup, bare vs. instrumented -- and asserts the 5%
 budget on the heavy path (BSD at N=512, uniform targets, ~N/2 PCBs
 examined per lookup).  The fast path (Sequent hashing, a few PCBs per
-lookup) and full tracing (enabled tracer, every event buffered) are
-measured and reported but not asserted: constant per-call costs are a
-much larger fraction of a ~1 us lookup, and full tracing is an opt-in
+lookup; per call, and spans plus sketch on batched ``fast-sequent``)
+and full tracing (enabled tracer, every event buffered) are measured
+and reported but not asserted: constant per-call costs are a much
+larger fraction of a ~1 us lookup, and full tracing is an opt-in
 debugging mode, not the default configuration.
 
 Results are also written to ``BENCH_obs.json`` at the repository root
@@ -35,14 +36,16 @@ from repro.packet.addresses import FourTuple, IPv4Address
 
 from conftest import emit
 
-#: BENCH_OBS_QUICK=1 shrinks the sweep for CI smoke jobs: the budget
-#: assertions still run, just over fewer, shorter rounds.
+#: BENCH_OBS_QUICK=1 shrinks the sweep for a quick local check: the
+#: budget assertions still run, just over fewer, shorter rounds.
 QUICK = os.environ.get("BENCH_OBS_QUICK", "") not in ("", "0")
 
 N = 512
 LOOKUPS_PER_ROUND = 512 if QUICK else 2048
 ROUNDS = 5 if QUICK else 15
 LIMIT_PCT = 5.0
+#: ``lookup_batch`` chunk of the batched case (the bench's tpca-* chunk).
+BATCH = 256
 
 _RESULTS = {}  # case name -> measurement dict, dumped by the last test
 
@@ -76,7 +79,21 @@ def _timed_round(algorithm, targets):
     return time.perf_counter_ns() - start
 
 
-def _measure(spec, instrument, case, asserted):
+def _timed_batched_round(algorithm, targets):
+    """Like :func:`_timed_round`, in ``lookup_batch`` chunks of ``BATCH``."""
+    lookup_batch = algorithm.lookup_batch
+    chunks = [
+        [(tup, PacketKind.DATA) for tup in targets[start:start + BATCH]]
+        for start in range(0, len(targets), BATCH)
+    ]
+    start = time.perf_counter_ns()
+    for chunk in chunks:
+        lookup_batch(chunk)
+    return time.perf_counter_ns() - start
+
+
+def _measure(spec, instrument, case, asserted, *, batched=False,
+             target_pct=None):
     """Measure bare vs. instrumented per-lookup cost for one case.
 
     ``instrument`` receives the freshly populated algorithm and applies
@@ -86,16 +103,19 @@ def _measure(spec, instrument, case, asserted):
     contributes one instrumented/bare ratio; the reported overhead is
     the *median* ratio, so a scheduler or throttling hiccup that lands
     on a single round cannot swing the result the way a min-of-rounds
-    comparison can on shared hardware.
+    comparison can on shared hardware.  ``batched`` times
+    ``lookup_batch`` chunks instead of per-call lookups; ``target_pct``
+    is a budget reported next to the result without asserting it.
     """
+    timed_round = _timed_batched_round if batched else _timed_round
     bare_alg, bare_tuples = _populated(spec)
     inst_alg, inst_tuples = _populated(spec)
     instrument(inst_alg)
     order = _visit_order()
     bare_targets = [bare_tuples[i] for i in order]
     inst_targets = [inst_tuples[i] for i in order]
-    _timed_round(bare_alg, bare_targets)  # warm-up, untimed
-    _timed_round(inst_alg, inst_targets)
+    timed_round(bare_alg, bare_targets)  # warm-up, untimed
+    timed_round(inst_alg, inst_targets)
     ratios = []
     bare_best = inst_best = None
     gc_was_enabled = gc.isenabled()
@@ -103,11 +123,11 @@ def _measure(spec, instrument, case, asserted):
     try:
         for round_index in range(ROUNDS):
             if round_index % 2 == 0:
-                bare_elapsed = _timed_round(bare_alg, bare_targets)
-                inst_elapsed = _timed_round(inst_alg, inst_targets)
+                bare_elapsed = timed_round(bare_alg, bare_targets)
+                inst_elapsed = timed_round(inst_alg, inst_targets)
             else:
-                inst_elapsed = _timed_round(inst_alg, inst_targets)
-                bare_elapsed = _timed_round(bare_alg, bare_targets)
+                inst_elapsed = timed_round(inst_alg, inst_targets)
+                bare_elapsed = timed_round(bare_alg, bare_targets)
             ratios.append(inst_elapsed / bare_elapsed)
             if bare_best is None or bare_elapsed < bare_best:
                 bare_best = bare_elapsed
@@ -121,18 +141,25 @@ def _measure(spec, instrument, case, asserted):
     overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
     _RESULTS[case] = {
         "spec": spec,
+        "batched": batched,
         "bare_ns_per_lookup": round(bare_ns, 1),
         "instrumented_ns_per_lookup": round(inst_ns, 1),
         "overhead_pct": round(overhead_pct, 2),
         "asserted": asserted,
         "limit_pct": LIMIT_PCT if asserted else None,
+        "target_pct": target_pct,
     }
+    if asserted:
+        verdict = f"  (budget {LIMIT_PCT:.0f}%)"
+    elif target_pct is not None:
+        verdict = f"  (target {target_pct:.0f}%, reported only)"
+    else:
+        verdict = "  (reported only)"
     emit(
         f"obs overhead: {case}",
         f"  bare:         {bare_ns:9.1f} ns/lookup\n"
         f"  instrumented: {inst_ns:9.1f} ns/lookup\n"
-        f"  overhead:     {overhead_pct:+9.2f}%"
-        + (f"  (budget {LIMIT_PCT:.0f}%)" if asserted else "  (reported only)"),
+        f"  overhead:     {overhead_pct:+9.2f}%" + verdict,
     )
     return overhead_pct, inst_alg
 
@@ -214,6 +241,35 @@ def test_spans_and_sketches_overhead_under_budget():
     assert overhead_pct < LIMIT_PCT
 
 
+def test_batched_fast_path_spans_sketch_reported():
+    """Spans (1/64) plus the sketch pipeline on batched fast-sequent.
+
+    The ROADMAP states the telemetry budget against the batched fast
+    path, where a lookup costs about a microsecond and fixed per-packet
+    hook costs loom largest: spans plus sketch should stay under 5%
+    there.  Reported against that target, not asserted -- the
+    per-packet train-detector observer alone is a large share of a
+    batched lookup today (see docs/observability.md)."""
+    characterizers = []
+
+    def spans_and_sketches(algorithm):
+        collector = SpanCollector(
+            sample_every=DEFAULT_SPAN_SAMPLE_EVERY
+        ).attach(algorithm)
+        characterizers.append(TrafficCharacterizer().attach(collector))
+
+    _, inst_alg = _measure(
+        "fast-sequent:h=19", spans_and_sketches,
+        "fast_sequent_h19_batched_spans_sketch", asserted=False,
+        batched=True, target_pct=LIMIT_PCT,
+    )
+    # The batched path really took the batches, hooks attached.
+    total = (ROUNDS + 1) * LOOKUPS_PER_ROUND
+    assert inst_alg.fastpath_counters.batched_lookups == total
+    assert inst_alg.spans.packets_seen == total
+    assert characterizers[0].trains.packets == total
+
+
 def test_write_bench_json():
     """Dump the collected measurements next to the other artifacts."""
     assert set(_RESULTS) == {
@@ -221,6 +277,7 @@ def test_write_bench_json():
         "sequent_h19_default_sampling",
         "bsd_n512_full_tracing",
         "bsd_n512_spans_sketch",
+        "fast_sequent_h19_batched_spans_sketch",
     }
     payload = {
         "benchmark": "bench_obs_overhead",

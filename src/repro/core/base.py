@@ -22,34 +22,47 @@ Under this convention BSD's expected miss cost is the paper's
 ``1 + (N/H+1)/2``, exactly as in Sections 3.1-3.4.
 
 Observability hooks (see :mod:`repro.obs` and docs/observability.md):
-the public ``lookup``/``insert``/``remove``/``note_send`` methods are
-template methods wrapping the subclass primitives ``_lookup`` /
-``_insert`` / ``_remove`` / ``_note_send``, so statistics recording,
-event tracing (``self.tracer``), sampled wall-clock profiling
-(attached via ``repro.obs.LookupProfiler``), and causal packet spans
-(``self.spans``, a :class:`repro.obs.SpanCollector`) live in exactly
-one place.  With no tracer, profiler, or span collector attached,
-each operation pays a single ``is None`` check -- none of them ever
-change results, statistics, or RNG state.
+the public ``lookup``/``lookup_batch``/``insert``/``remove``/
+``note_send`` methods are template methods wrapping the subclass
+primitives ``_lookup`` / ``_lookup_batch`` / ``_insert`` / ``_remove``
+/ ``_note_send``, so statistics recording, event tracing
+(``self.tracer``), sampled wall-clock profiling (attached via
+``repro.obs.LookupProfiler``), and causal packet spans (``self.spans``,
+a :class:`repro.obs.SpanCollector`) live in exactly one place.  With
+no tracer, profiler, or span collector attached, each operation pays a
+single ``is None`` check -- none of them ever change results,
+statistics, or RNG state.  A batch is a unit of bookkeeping too: every
+hook has a batch entry that :meth:`DemuxAlgorithm._finish_batch` calls
+once per ``lookup_batch``, with the same effect as the per-lookup
+entries called packet by packet.
 
 Lifecycle hooks (see :mod:`repro.lifecycle` and docs/lifecycle.md):
 ``self.lifecycle`` may hold a reaper observing the population --
 ``note_insert``/``note_remove`` on mutation, ``note_touch`` on found
-lookups and outbound sends.  Like the tracer, it is ``None`` by
-default and costs one check per operation; unlike the tracer, it may
-*remove* connections (via the public ``remove``), never alter a
-lookup's decision.
+lookups and outbound sends, ``note_touches`` on a batch's found
+lookups.  Like the tracer, it is ``None`` by default and costs one
+check per operation; unlike the tracer, it may *remove* connections
+(via the public ``remove``), never alter a lookup's decision.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..packet.addresses import FourTuple
 from .pcb import PCB
-from .stats import DemuxStats, LookupRecord, PacketKind
+from .stats import DemuxStats, PacketKind
 
 if TYPE_CHECKING:  # obs never imports core; this edge is type-only
     from ..obs.profile import LookupProfiler
@@ -148,14 +161,19 @@ class DemuxAlgorithm(abc.ABC):
 
         The batched entry point the interrupt-coalescing path uses
         (:class:`repro.smp.coalesce.BatchCoalescer`, the sharded
-        facade, the bench-gate replays).  Semantics are pinned to a
-        plain loop over :meth:`lookup` -- same results, same statistics,
-        same hook behaviour -- and that loop *is* the default
-        implementation.  Fast structures override it
-        (:class:`repro.fastpath.batch.BatchLookupMixin`) to amortize
-        the per-call template toll without changing one decision.
+        facade, the bench-gate replays).  Results, statistics and hook
+        effects equal a loop over :meth:`lookup`, but the bookkeeping
+        runs once per batch: the profiler times the whole batch and
+        :meth:`_finish_batch` records statistics and feeds every hook.
+        Structures resolve the batch in :meth:`_lookup_batch`.
         """
-        return [self.lookup(tup, kind) for tup, kind in packets]
+        profiler = self._profiler
+        if profiler is None:
+            results = self._lookup_batch(packets)
+        else:
+            results = profiler.call_batch(self._lookup_batch, packets)
+        self._finish_batch(packets, results)
+        return results
 
     def note_send(self, pcb: PCB) -> None:
         """Tell the structure a packet was *sent* on ``pcb``.
@@ -216,6 +234,17 @@ class DemuxAlgorithm(abc.ABC):
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         """Subclass lookup; must fill ``examined`` per the convention."""
 
+    def _lookup_batch(
+        self, packets: Sequence[Tuple[FourTuple, PacketKind]]
+    ) -> List[LookupResult]:
+        """Subclass batch lookup: a loop over :meth:`_lookup` by default.
+
+        Overrides (vectorized scans, per-shard sub-batches) must return
+        exactly what the loop returns, side effects included.
+        """
+        lookup = self._lookup
+        return [lookup(tup, kind) for tup, kind in packets]
+
     def _finish_lookup(
         self, tup: Optional[FourTuple], result: LookupResult
     ) -> None:
@@ -225,14 +254,7 @@ class DemuxAlgorithm(abc.ABC):
         points (e.g. ``ConnectionIdDemux.lookup_by_id``, where ``tup``
         is unknown and passed as ``None``).
         """
-        self.stats.record(
-            LookupRecord(
-                examined=result.examined,
-                cache_hit=result.cache_hit,
-                found=result.found,
-                kind=result.kind,
-            )
-        )
+        self.stats.accumulate((result,))
         if self.lifecycle is not None and tup is not None and result.found:
             self.lifecycle.note_touch(tup)
         tracer = self.tracer
@@ -241,6 +263,44 @@ class DemuxAlgorithm(abc.ABC):
         spans = self.spans
         if spans is not None:
             spans.note_lookup(self.name, tup, result)
+
+    def _finish_batch(
+        self,
+        packets: Sequence[Tuple[FourTuple, PacketKind]],
+        results: Sequence[LookupResult],
+    ) -> None:
+        """Record statistics and run every hook once for a whole batch.
+
+        The batch twin of :meth:`_finish_lookup`: same statistics, same
+        reaper touches, same trace events and spans as calling it for
+        each ``(packet, result)`` in order, with one call per hook.
+        """
+        self.stats.accumulate(results)
+        lifecycle = self.lifecycle
+        if lifecycle is not None:
+            lifecycle.note_touches([
+                tup for (tup, _), result in zip(packets, results)
+                if result.pcb is not None
+            ])
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.emit_lookups(self.name, packets, results)
+        spans = self.spans
+        if spans is not None:
+            spans.note_batch(
+                self.name, packets, results, self._span_lead(packets)
+            )
+
+    def _span_lead(
+        self, packets: Sequence[Tuple[FourTuple, PacketKind]]
+    ) -> Optional[Callable[[int], Tuple[str, Dict[str, object]]]]:
+        """Stage a sampled batch span records before its lookup stage.
+
+        ``None`` (the default) or a function of the packet's position
+        in ``packets`` returning ``(stage name, data)``; the sharded
+        facade uses it to keep its ``steer`` stage.
+        """
+        return None
 
     @abc.abstractmethod
     def __len__(self) -> int:

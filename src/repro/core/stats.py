@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
+
+if TYPE_CHECKING:  # base imports stats; this edge is type-only
+    from .base import LookupResult
 
 __all__ = ["PacketKind", "LookupRecord", "KindStats", "DemuxStats"]
 
@@ -169,6 +172,58 @@ class DemuxStats:
 
     def record(self, rec: LookupRecord) -> None:
         self.by_kind[rec.kind].record(rec)
+
+    def accumulate(self, results: Iterable["LookupResult"]) -> None:
+        """Fold lookup results into the counters in one pass.
+
+        The accounting routine both lookup paths share: ``lookup``
+        passes a one-result tuple, ``lookup_batch`` a whole batch.
+        Equivalent to calling :meth:`record` with one
+        :class:`LookupRecord` per result, in order (the histograms even
+        gain their buckets in the same order), but without building the
+        records: counts collect in locals and land once per kind.
+        """
+        ack_kind = PacketKind.ACK
+        data = self.by_kind[PacketKind.DATA]
+        ack = self.by_kind[ack_kind]
+        data_histogram = data.histogram
+        ack_histogram = ack.histogram
+        data_lookups = data_examined = data_hits = data_misses = 0
+        ack_lookups = ack_examined = ack_hits = ack_misses = 0
+        data_max = data.max_examined
+        ack_max = ack.max_examined
+        for result in results:
+            examined = result.examined
+            if result.kind is ack_kind:
+                ack_lookups += 1
+                ack_examined += examined
+                if result.cache_hit:
+                    ack_hits += 1
+                if result.pcb is None:
+                    ack_misses += 1
+                if examined > ack_max:
+                    ack_max = examined
+                ack_histogram[examined] = ack_histogram.get(examined, 0) + 1
+            else:
+                data_lookups += 1
+                data_examined += examined
+                if result.cache_hit:
+                    data_hits += 1
+                if result.pcb is None:
+                    data_misses += 1
+                if examined > data_max:
+                    data_max = examined
+                data_histogram[examined] = data_histogram.get(examined, 0) + 1
+        data.lookups += data_lookups
+        data.examined_total += data_examined
+        data.cache_hits += data_hits
+        data.not_found += data_misses
+        data.max_examined = data_max
+        ack.lookups += ack_lookups
+        ack.examined_total += ack_examined
+        ack.cache_hits += ack_hits
+        ack.not_found += ack_misses
+        ack.max_examined = ack_max
 
     def reset(self) -> None:
         """Zero all counters (e.g. after a warm-up phase)."""

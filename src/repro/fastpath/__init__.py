@@ -16,7 +16,7 @@ million-connection tier:
 * :mod:`~repro.fastpath.algorithms` -- the five ``fast-*`` structures;
 * :mod:`~repro.fastpath.cuckoo` -- the two-choice cuckoo table with
   per-bucket pre-filters (``fast-cuckoo``, no reference twin);
-* :mod:`~repro.fastpath.batch` -- the amortized ``lookup_batch`` loop;
+* :mod:`~repro.fastpath.batch` -- the fast structures' batch counters;
 * :mod:`~repro.fastpath.conformance` -- golden decision traces;
 * :mod:`~repro.fastpath.gate` -- the cross-PR ``bench-gate`` harness;
 * :mod:`~repro.fastpath.metrics` -- observability export of fast-path

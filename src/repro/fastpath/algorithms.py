@@ -50,6 +50,12 @@ __all__ = [
 ]
 
 
+#: Smallest batch :class:`FastSequentDemux` groups by chain.  Grouping
+#: pays only through vectorized chain scans, and below about seven
+#: packets per chain (at H=19) the plain ``_lookup`` loop is faster.
+_GROUP_MIN_BATCH = 128
+
+
 class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
     """Fast-path plumbing every backend shares: key cache, membership.
 
@@ -66,17 +72,6 @@ class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
         self.fastpath_counters = FastpathCounters()
         self._keycache = KeyCache(chain_fn, self.fastpath_counters)
         self._present: Set[int] = set()
-
-    def _lookup_batch(
-        self, packets: Sequence[Packet]
-    ) -> Optional[List[LookupResult]]:
-        """Hook for vectorized whole-batch lookups.
-
-        Return the results (decision-identical to looping ``_lookup``,
-        side effects included) or ``None`` to take the generic tight
-        loop.  Statistics are recorded by the mixin either way.
-        """
-        return None
 
     @property
     def interned_entries(self) -> int:
@@ -146,7 +141,7 @@ class FastLinearDemux(_FastDemux):
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
-    ) -> Optional[List[LookupResult]]:
+    ) -> List[LookupResult]:
         # Lookups never mutate this table, so the whole batch resolves
         # against one vectorized scan (decision-identical by the
         # scan_batch contract).
@@ -204,7 +199,7 @@ class FastBSDDemux(_FastDemux):
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
-    ) -> Optional[List[LookupResult]]:
+    ) -> List[LookupResult]:
         # The one-entry cache mutates per lookup but never the table,
         # so scans vectorize up front and the cache logic replays
         # sequentially over the precomputed results.
@@ -364,7 +359,9 @@ class FastSequentDemux(_FastChained):
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
-    ) -> Optional[List[LookupResult]]:
+    ) -> List[LookupResult]:
+        if len(packets) < _GROUP_MIN_BATCH:
+            return super()._lookup_batch(packets)
         # Chains never mutate during lookups; group the batch by chain,
         # vectorize one scan per chain, then replay the per-chain cache
         # logic sequentially in packet order.

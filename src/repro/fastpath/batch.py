@@ -1,27 +1,24 @@
-"""Amortized batched lookups.
+"""Batched lookups on the fast path.
 
 Every public ``lookup`` pays the template-method toll: an attribute
-load for the profiler, one for the tracer, and a ``LookupRecord``
-round-trip into the statistics.  Those costs are per *call*, not per
-packet, so a NIC-style coalesced batch can amortize them:
-:class:`BatchLookupMixin` overrides the
-:meth:`~repro.core.base.DemuxAlgorithm.lookup_batch` entry point (whose
-base implementation simply loops ``lookup``) with a tight loop that
-hoists the hook checks out of the per-packet path while recording
-statistics *identically* -- same records, same order, same histogram.
+load for the profiler, one for the tracer, and one statistics update.
+Those costs are per *call*, not per packet, so a NIC-style coalesced
+batch amortizes them: :meth:`~repro.core.base.DemuxAlgorithm.
+lookup_batch` resolves the whole batch in ``_lookup_batch`` (the fast
+structures vectorize their scans there) and then records statistics
+and feeds every attached hook once per batch -- with the same results
+as the per-call path, hooks attached or not.
 
-When a tracer, profiler, or lifecycle reaper is attached the mixin
-falls back to the per-call path, because those hooks are defined per
-lookup; batching never changes what observability (or reaping)
-observes, only how fast the bare hot path runs.
+:class:`BatchLookupMixin` adds the fast path's own bookkeeping: how
+many batches it served (``fastpath_counters``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.base import LookupResult
-from ..core.stats import LookupRecord, PacketKind
+from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
 
 __all__ = ["BatchLookupMixin", "as_packets"]
@@ -49,45 +46,16 @@ def as_packets(
 
 
 class BatchLookupMixin:
-    """Tight-loop ``lookup_batch`` for the fast structures.
+    """Counts the batches a fast structure serves.
 
     Mixed in *before* :class:`~repro.core.base.DemuxAlgorithm`; relies
-    only on the template-method contract (``_lookup`` + ``stats`` +
-    optional ``tracer``/``_profiler``) plus the fast path's
-    ``fastpath_counters``.
+    on the fast path's ``fastpath_counters``.
     """
 
     def lookup_batch(
         self, packets: Sequence[Packet]
     ) -> List[LookupResult]:
-        tracer = self.tracer
-        if (
-            self._profiler is not None
-            or self.lifecycle is not None
-            or self.spans is not None
-            or (tracer is not None and tracer.enabled)
-        ):
-            # Hooks are per-lookup by contract; take the exact path.
-            return [self.lookup(tup, kind) for tup, kind in packets]
-        # A structure may resolve the whole batch at once (the numpy
-        # scan path); it returns None to take the generic tight loop.
-        batch_impl = getattr(self, "_lookup_batch", None)
-        results: Optional[List[LookupResult]] = (
-            batch_impl(packets) if batch_impl is not None else None
-        )
-        if results is None:
-            lookup = self._lookup
-            results = [lookup(tup, kind) for tup, kind in packets]
-        record = self.stats.record
-        for result in results:
-            record(
-                LookupRecord(
-                    examined=result.examined,
-                    cache_hit=result.cache_hit,
-                    found=result.pcb is not None,
-                    kind=result.kind,
-                )
-            )
+        results = super().lookup_batch(packets)
         counters = self.fastpath_counters
         counters.batch_calls += 1
         counters.batched_lookups += len(results)

@@ -203,9 +203,9 @@ def measure_replay(
     across the replay (``stream.duration`` spread over the chunks) and
     flows idle longer than ``reap_idle`` simulated seconds are removed
     mid-replay, bounding the structure's live population the way a real
-    stack's timers would.  Lifecycle hooks are per-lookup by contract,
-    so reaped replays time the per-call path; the reaped/unreaped split
-    in :meth:`Measurement.key` keeps their baselines separate.
+    stack's timers would.  The reaper rides the batched path (one touch
+    call per chunk); the reaped/unreaped split in
+    :meth:`Measurement.key` keeps their baselines separate.
     """
     from ..lifecycle.reaper import ConnectionReaper  # lazy: layering
 

@@ -51,9 +51,10 @@ class FastpathCounters:
     #: Probes of never-interned tuples whose key was computed on the
     #: fly and *not* stored (miss lookups on absent connections).
     transient_probes: int = 0
-    #: ``lookup_batch`` invocations that took the amortized loop.
+    #: ``lookup_batch`` calls.  Every call is served as one batch,
+    #: with or without hooks attached (no per-call fallback).
     batch_calls: int = 0
-    #: Individual lookups served through the amortized loop.
+    #: Individual lookups served through ``lookup_batch``.
     batched_lookups: int = 0
 
     def as_dict(self) -> Dict[str, int]:

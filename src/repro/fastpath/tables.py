@@ -37,6 +37,14 @@ _HALF_MASK = (1 << _HALF_BITS) - 1
 #: Below this table size ``list.index`` beats the mirror upkeep.
 _VECTOR_MIN_TABLE = 16
 
+#: Queries a stale mirror needs before :meth:`SlotTable.scan_batch`
+#: rebuilds it.  A rebuild walks every key in Python, about twenty
+#: ``list.index`` scans' worth; a group this big repays it within a
+#: few batches while the table holds still (a lookup-only replay),
+#: and smaller ones -- a churn mix, where the table mutates every few
+#: lookups, sends groups of one or two -- scan directly.
+_REBUILD_MIN_QUERIES = 8
+
 #: Comparison-matrix budget (query rows x table columns) per block, so
 #: a huge batch against a huge table stays cache- and memory-friendly.
 _VECTOR_BLOCK = 1 << 22
@@ -96,12 +104,17 @@ class SlotTable:
         first-match index (or -1) and the pinned examined count -- so
         callers may substitute it freely anywhere the table is not
         mutated between the scans.  Uses the numpy mirror when numpy is
-        available and the table is big enough to profit; otherwise (or
-        when numpy is absent) falls back to the loop, decision-
-        identically.
+        available, the table is big enough to profit and the mirror is
+        fresh -- or the query group is big enough to pay for rebuilding
+        it; otherwise (or when numpy is absent) falls back to the loop,
+        decision-identically.
         """
         n = len(self.keys)
-        if _np is None or n < _VECTOR_MIN_TABLE or len(keys) < 2:
+        min_group = (
+            2 if self._mirror_version == self._version
+            else _REBUILD_MIN_QUERIES
+        )
+        if _np is None or n < _VECTOR_MIN_TABLE or len(keys) < min_group:
             return [self.scan(key) for key in keys]
         mirror_lo, mirror_hi = self._mirrors()
         nqueries = len(keys)

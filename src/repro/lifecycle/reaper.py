@@ -34,7 +34,7 @@ deterministic and replayable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Iterable, Optional
 
 from ..core.base import DemuxAlgorithm
 from ..core.pcb import PCB
@@ -196,6 +196,14 @@ class ConnectionReaper:
         """O(1) activity mark; the wheel is *not* rearranged."""
         if tup in self._last_touch:
             self._last_touch[tup] = self.now
+
+    def note_touches(self, tuples: Iterable[FourTuple]) -> None:
+        """:meth:`note_touch` for a batch, at the batch's virtual time."""
+        last_touch = self._last_touch
+        now = self.now
+        for tup in tuples:
+            if tup in last_touch:
+                last_touch[tup] = now
 
     def note_state(self, pcb: PCB) -> None:
         """A tracked connection changed TCP state (e.g. to TIME-WAIT).

@@ -12,8 +12,11 @@ records the measurement in ``BENCH_obs.json``).
 A :class:`LookupProfiler` attaches to a ``DemuxAlgorithm``; the base
 class routes ``_lookup`` calls through :meth:`LookupProfiler.call`,
 which times every ``sample_every``-th call and passes the rest straight
-through.  Profiling never changes results, statistics, or RNG state --
-it only reads the clock.
+through, and whole ``_lookup_batch`` calls through
+:meth:`LookupProfiler.call_batch`, which times a batch holding a
+sample point and attributes its time evenly to its packets.  Profiling
+never changes results, statistics, or RNG state -- it only reads the
+clock.
 
 :class:`MemoryProbe` is the matching space probe: a ``tracemalloc``
 context manager measuring the Python-heap footprint of whatever is
@@ -127,6 +130,29 @@ class LookupProfiler:
         else:
             self.overflowed += 1
         return result
+
+    def call_batch(self, fn: Callable, packets):
+        """Invoke ``fn(packets)`` for a whole batch of lookups.
+
+        The batch counts as ``len(packets)`` lookups and holds the same
+        sample points as that many calls to :meth:`call`.  A batch
+        holding any is timed once, and each of its samples is the
+        batch's mean per-packet time; the others pass straight through.
+        """
+        count = len(packets)
+        before = self._count
+        self._count = before + count
+        every = self.sample_every
+        sampled = (before + count) // every - before // every
+        if not sampled:
+            return fn(packets)
+        start = time.perf_counter_ns()
+        results = fn(packets)
+        per_packet = (time.perf_counter_ns() - start) // count
+        kept = max(0, min(sampled, self.max_samples - len(self._durations)))
+        self._durations.extend([per_packet] * kept)
+        self.overflowed += sampled - kept
+        return results
 
     # -- reporting -------------------------------------------------------
 

@@ -220,7 +220,7 @@ class SpanCollector:
     / :class:`repro.smp.coalesce.BatchCoalescer`; those layers call
     :meth:`open_packet` / :meth:`stage` / :meth:`close_packet`, and
     :meth:`repro.core.base.DemuxAlgorithm._finish_lookup` calls
-    :meth:`note_lookup`.
+    :meth:`note_lookup` (``_finish_batch``, :meth:`note_batch`).
     """
 
     def __init__(
@@ -302,25 +302,14 @@ class SpanCollector:
         if (self.packets_seen - 1) % self.sample_every:
             self._current = None
             return None
-        span = PacketSpan(
-            span_id=next(self._next_id),
-            four_tuple=four_tuple,
-            kind=_kind_name(kind),
-            start=self.now(),
-        )
-        self._current = span
-        self.spans_started += 1
+        span = self._current = self._start_span(four_tuple, kind)
         return span
 
     def stage(self, name: str, **data: Any) -> None:
         """Append a stage to the current span (no-op when unsampled)."""
         span = self._current
-        if span is None:
-            return
-        span.stages.append(SpanStage(name, self.now(), data))
-        outcome = _TERMINAL_STAGES.get(name)
-        if outcome is not None:
-            span.outcome = outcome
+        if span is not None:
+            self._append_stage(span, name, data)
 
     def close_packet(self, owner: str = "packet") -> Optional[PacketSpan]:
         """Finish the packet context -- only honoured for its opener."""
@@ -330,14 +319,33 @@ class SpanCollector:
         self._open = False
         self._owner = ""
         self._current = None
-        if span is None:
-            return None
+        if span is not None:
+            self._finish_span(span)
+        return span
+
+    def _start_span(self, four_tuple: object, kind: object) -> PacketSpan:
+        self.spans_started += 1
+        return PacketSpan(
+            span_id=next(self._next_id),
+            four_tuple=four_tuple,
+            kind=_kind_name(kind),
+            start=self.now(),
+        )
+
+    def _append_stage(
+        self, span: PacketSpan, name: str, data: Dict[str, Any]
+    ) -> None:
+        span.stages.append(SpanStage(name, self.now(), data))
+        outcome = _TERMINAL_STAGES.get(name)
+        if outcome is not None:
+            span.outcome = outcome
+
+    def _finish_span(self, span: PacketSpan) -> None:
         span.end = self.now()
         self.spans_finished += 1
         self.recorder.record(span)
         for observer in self._span_observers:
             observer(span)
-        return span
 
     # -- layer hooks ---------------------------------------------------
 
@@ -355,16 +363,69 @@ class SpanCollector:
             self.open_packet(four_tuple, result.kind, owner="demux")
         span = self._current
         if span is not None:
-            found = result.found
-            span.stages.append(SpanStage("lookup", self.now(), {
-                "algorithm": algorithm,
-                "examined": result.examined,
-                "cache_hit": result.cache_hit,
-                "found": found,
-            }))
-            if span.outcome == "open":
-                span.outcome = "found" if found else "miss"
+            self._lookup_stage(span, algorithm, result)
         self.close_packet("demux")
+
+    def note_batch(
+        self,
+        algorithm: str,
+        packets: Sequence[Tuple[Any, Any]],
+        results: Sequence[Any],
+        lead: Optional[Callable[[int], Tuple[str, Dict[str, Any]]]] = None,
+    ) -> None:
+        """Record a batch of demux lookups; the hook ``_finish_batch`` calls.
+
+        The same spans, counters and observer calls, in the same order,
+        as :meth:`note_lookup` per ``(packet, result)`` -- but the 1-in-N
+        sample points are picked inside the batch, so only sampled
+        packets cost more than the packet observers.  ``lead(i)``, when
+        given, names the stage a sampled packet ``i`` records before its
+        lookup (the sharded facade's ``steer``).  Under a packet context
+        an outer layer opened, each lookup joins it as ``note_lookup``
+        would.
+        """
+        if self._open:
+            for position, ((tup, _), result) in enumerate(
+                zip(packets, results)
+            ):
+                if lead is not None and self._current is not None:
+                    name, data = lead(position)
+                    self._append_stage(self._current, name, data)
+                self.note_lookup(algorithm, tup, result)
+            return
+        observers = self._packet_observers
+        seen = self.packets_seen
+        self.packets_seen = seen + len(packets)
+        done = 0
+        for position in range(-seen % self.sample_every, len(packets),
+                              self.sample_every):
+            for tup, kind in packets[done:position + 1]:
+                for observer in observers:
+                    observer(tup, kind)
+            done = position + 1
+            tup, kind = packets[position]
+            span = self._start_span(tup, kind)
+            if lead is not None:
+                name, data = lead(position)
+                self._append_stage(span, name, data)
+            self._lookup_stage(span, algorithm, results[position])
+            self._finish_span(span)
+        for tup, kind in packets[done:]:
+            for observer in observers:
+                observer(tup, kind)
+
+    def _lookup_stage(
+        self, span: PacketSpan, algorithm: str, result: Any
+    ) -> None:
+        found = result.found
+        span.stages.append(SpanStage("lookup", self.now(), {
+            "algorithm": algorithm,
+            "examined": result.examined,
+            "cache_hit": result.cache_hit,
+            "found": found,
+        }))
+        if span.outcome == "open":
+            span.outcome = "found" if found else "miss"
 
     def note_reap(self, four_tuple: object, reason: str) -> PacketSpan:
         """Record a lifecycle eviction as a standalone, unsampled span.

@@ -213,6 +213,19 @@ def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
     return records
 
 
+def _lookup_event(time: float, algorithm: str, four_tuple, result) -> TraceEvent:
+    return TraceEvent(
+        time=time,
+        kind="lookup",
+        algorithm=algorithm,
+        four_tuple=four_tuple,
+        packet_kind=result.kind.value,
+        examined=result.examined,
+        cache_hit=result.cache_hit,
+        found=result.found,
+    )
+
+
 class Tracer:
     """Fans trace events out to attached sinks.
 
@@ -274,18 +287,18 @@ class Tracer:
 
     def emit_lookup(self, algorithm: str, four_tuple, result) -> None:
         """Trace one cost-accounted lookup (``result`` is a LookupResult)."""
-        self.emit(
-            TraceEvent(
-                time=self.now(),
-                kind="lookup",
-                algorithm=algorithm,
-                four_tuple=four_tuple,
-                packet_kind=result.kind.value,
-                examined=result.examined,
-                cache_hit=result.cache_hit,
-                found=result.found,
-            )
-        )
+        self.emit(_lookup_event(self.now(), algorithm, four_tuple, result))
+
+    def emit_lookups(self, algorithm: str, packets, results) -> None:
+        """Trace a batch: one lookup event per ``(packet, result)``.
+
+        The events :meth:`emit_lookup` would emit packet by packet, in
+        order, stamped with one clock reading (virtual time does not
+        move inside a batch).
+        """
+        now = self.now()
+        for (four_tuple, _), result in zip(packets, results):
+            self.emit(_lookup_event(now, algorithm, four_tuple, result))
 
     def emit_insert(self, algorithm: str, four_tuple) -> None:
         self.emit(

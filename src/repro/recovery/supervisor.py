@@ -520,26 +520,27 @@ class ShardSupervisor(DemuxAlgorithm):
     ) -> List[LookupResult]:
         """Batched path: delegate whole batches while all shards live.
 
-        With a dead shard (or hooks attached) the per-packet path runs
-        so detection, drops, and recovery interleave exactly as they
-        would packet by packet.
+        With a dead, stalled or armed shard the per-packet path runs so
+        detection, drops, and recovery interleave exactly as they would
+        packet by packet.  Hooks ride the batched path.
         """
-        tracer = self.tracer
         if (
             self._dead
             or self._stalled
             or self._armed_crashes
             or self._armed_stalls
-            or self._profiler is not None
-            or (tracer is not None and tracer.enabled)
         ):
             return [self.lookup(tup, kind) for tup, kind in packets]
+        return super().lookup_batch(packets)
+
+    def _lookup_batch(
+        self, packets: Sequence[Tuple[FourTuple, PacketKind]]
+    ) -> List[LookupResult]:
         results = self._sharded.lookup_batch(packets)
         shard_of = self._sharded.steering.shard_of
         nshards = self._sharded.nshards
-        for (tup, kind), result in zip(packets, results):
+        for tup, kind in packets:
             self._delta[shard_of(tup, nshards)].append(("lookup", tup, kind))
-            self._finish_lookup(tup, result)
         self._packets_seen += len(packets)
         self._tick_checkpoint(len(packets))
         return results

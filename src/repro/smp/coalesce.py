@@ -126,9 +126,10 @@ class BatchCoalescer:
                     follower=follower,
                     enqueued_at=arrived,
                 )
-                # Per-packet delivery: the span context is per packet,
-                # and with spans attached every lookup_batch falls back
-                # to exactly this loop anyway.
+                # Per-packet delivery: each packet's span carries its
+                # own coalesce stage, so the coalescer keeps one packet
+                # context per lookup (lookup_batch, spans attached or
+                # not, would give the same decisions).
                 self.algorithm.lookup(tup, kind)
                 spans.close_packet("coalesce")
         self.batches_flushed += 1

@@ -179,6 +179,20 @@ class ShardedDemux(DemuxAlgorithm):
     ) -> List[LookupResult]:
         """Batched lookup, dispatched shard-by-shard.
 
+        Unstable steering (round-robin) migrates PCBs mid-batch, so it
+        keeps the per-packet path; flow-stable steering takes the
+        batched template (see :meth:`_lookup_batch`), hooks attached or
+        not.
+        """
+        if not self.steering.flow_stable:
+            return [self.lookup(tup, kind) for tup, kind in packets]
+        return super().lookup_batch(packets)
+
+    def _lookup_batch(
+        self, packets: Sequence[Tuple[FourTuple, PacketKind]]
+    ) -> List[LookupResult]:
+        """Steer, serve one sub-batch per shard, scatter back.
+
         For flow-stable steering (hash, sticky) a packet's shard is
         fixed and no migrations can occur, so the batch is steered in
         input order, grouped by shard, served as one sub-batch per
@@ -186,19 +200,8 @@ class ShardedDemux(DemuxAlgorithm):
         ``lookup_batch``), and scattered back to input order.  Each
         shard sees exactly the subsequence it would have seen packet
         by packet, so every decision -- and every shard's statistics --
-        is identical to the sequential path.  Unstable steering
-        (round-robin) migrates PCBs mid-batch, so it keeps the
-        per-packet path.  Hooks (tracer/profiler/spans) are per-lookup
-        by contract and also take the per-packet path.
+        is identical to the sequential path.
         """
-        tracer = self.tracer
-        if (
-            not self.steering.flow_stable
-            or self._profiler is not None
-            or self.spans is not None
-            or (tracer is not None and tracer.enabled)
-        ):
-            return super().lookup_batch(packets)
         nshards = self.nshards
         shard_of = self.steering.shard_of
         # Steer in input order: sticky steering assigns new flows as it
@@ -212,9 +215,27 @@ class ShardedDemux(DemuxAlgorithm):
             sub_results = self._shards[shard_index].lookup_batch(sub_batch)
             for position, result in zip(positions, sub_results):
                 results[position] = result
-        for (tup, _), result in zip(packets, results):
-            self._finish_lookup(tup, result)
         return results
+
+    def _span_lead(
+        self, packets: Sequence[Tuple[FourTuple, PacketKind]]
+    ) -> Callable[[int], Tuple[str, Dict[str, object]]]:
+        """The ``steer`` stage :meth:`_lookup` records, for batch spans.
+
+        Re-steering a sampled packet is exact: flow-stable steering
+        gives a flow the same shard every time, and a batch never
+        migrates.
+        """
+        steering = self.steering
+        nshards = self.nshards
+
+        def steer(position: int) -> Tuple[str, Dict[str, object]]:
+            shard = steering.shard_of(packets[position][0], nshards)
+            return "steer", {
+                "policy": steering.name, "shard": shard, "migrated": False,
+            }
+
+        return steer
 
     def __len__(self) -> int:
         return len(self._home)

