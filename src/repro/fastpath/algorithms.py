@@ -67,10 +67,16 @@ class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
     the snapshot machinery's type anchor.
     """
 
+    #: Intern table class; a backend whose memoized hash is a function
+    #: of the packed key rather than of the tuple swaps in a subclass.
+    _keycache_type = KeyCache
+
     def __init__(self, chain_fn=None) -> None:
         super().__init__()
         self.fastpath_counters = FastpathCounters()
-        self._keycache = KeyCache(chain_fn, self.fastpath_counters)
+        self._keycache = self._keycache_type(
+            chain_fn, self.fastpath_counters
+        )
         self._present: Set[int] = set()
 
     @property

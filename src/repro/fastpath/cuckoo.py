@@ -9,7 +9,8 @@ at 10\N{SUPERSCRIPT FIVE}--10\N{SUPERSCRIPT SIX} connections even
 
 * **two-choice buckets** -- every key has exactly two candidate
   buckets (derived from an unseeded deterministic mix of its interned
-  96-bit key) of ``slots`` entries each, so a lookup touches at most
+  96-bit key, computed once per live connection and memoized beside
+  the key) of ``slots`` entries each, so a lookup touches at most
   ``2 * slots`` slots plus the (tiny, usually empty) stash;
 * **per-bucket pre-filter** -- each bucket keeps a counting multiset
   of the fingerprints of keys whose *primary* bucket it is but which
@@ -55,6 +56,7 @@ from ..core.pcb import PCB
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
 from .algorithms import _FastDemuxBase
+from .keycache import KeyCache
 
 __all__ = ["CuckooCounters", "FastCuckooDemux"]
 
@@ -72,6 +74,22 @@ def _mix64(x: int) -> int:
 def _spread(key: int) -> int:
     """64 well-mixed bits of the interned 96-bit four-tuple key."""
     return _mix64((key & _MASK64) ^ _mix64(key >> 64))
+
+
+class _SpreadCache(KeyCache):
+    """Intern table whose memoized hash is the key's :func:`_spread`.
+
+    The spread is a pure function of the key and independent of the
+    bucket count, so one computation per live connection serves every
+    lookup, remove and resize that follows.  It is computed from the
+    key the intern step has just packed, not from the tuple again.
+    """
+
+    __slots__ = ()
+
+    def _compute(self, tup: FourTuple) -> Tuple[int, int]:
+        key = tup.key_bits()
+        return (key, _spread(key))
 
 
 @dataclasses.dataclass
@@ -120,6 +138,7 @@ class FastCuckooDemux(_FastDemuxBase):
     """Two-choice cuckoo table with Cuckoo++-style bucket pre-filters."""
 
     name = "fast-cuckoo"
+    _keycache_type = _SpreadCache
 
     def __init__(
         self,
@@ -167,11 +186,19 @@ class FastCuckooDemux(_FastDemuxBase):
     def _geometry(self, key: int) -> Tuple[int, int, int]:
         """``(fingerprint, primary bucket, secondary bucket)`` of a key.
 
-        A pure unseeded function of the key and the current bucket
-        count; the secondary bucket is distinct from the primary by
-        construction (``nbuckets >= 2`` always).
+        For keys held without their tuple (kick-walk victims, stash
+        drains, resizes); paths that hold the tuple read the spread
+        memoized in its intern entry and call :meth:`_split` directly.
         """
-        h = _spread(key)
+        return self._split(_spread(key))
+
+    def _split(self, h: int) -> Tuple[int, int, int]:
+        """``(fingerprint, primary bucket, secondary bucket)`` of a spread.
+
+        A pure unseeded function of the key's spread and the current
+        bucket count; the secondary bucket is distinct from the primary
+        by construction (``nbuckets >= 2`` always).
+        """
         fp = (h >> 8) % 255 + 1
         nb = self._nbuckets
         b1 = h % nb
@@ -281,8 +308,8 @@ class FastCuckooDemux(_FastDemuxBase):
     # -- the decision paths ---------------------------------------------
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
-        key, _ = self._keycache.probe(tup)
-        fp, b1, b2 = self._geometry(key)
+        key, h = self._keycache.probe(tup)
+        fp, b1, b2 = self._split(h)
         keys = self._slot_keys
         fps = self._slot_fps
         slots = self._bucket_size
@@ -323,7 +350,7 @@ class FastCuckooDemux(_FastDemuxBase):
         return LookupResult(None, examined, cache_hit=False, kind=kind)
 
     def _insert(self, pcb: PCB) -> None:
-        key, _ = self._keycache.entry(pcb.four_tuple)
+        key, h = self._keycache.entry(pcb.four_tuple)
         if key in self._present:
             raise DuplicateConnectionError(
                 f"duplicate connection {pcb.four_tuple}"
@@ -333,15 +360,15 @@ class FastCuckooDemux(_FastDemuxBase):
         # past 90% -- double before the walk gets pathological.
         if 10 * (len(self._present) + 1) > 9 * self.capacity:
             self._resize(self._nbuckets * 2)
-        if not self._place(key, pcb):
+        if not self._place(key, pcb, h):
             self._resize(self._nbuckets * 2)
         self._present.add(key)
 
     def _remove(self, tup: FourTuple) -> PCB:
-        key, _ = self._keycache.probe(tup)
+        key, h = self._keycache.probe(tup)
         if key not in self._present:
             raise KeyError(tup)
-        fp, b1, b2 = self._geometry(key)
+        fp, b1, b2 = self._split(h)
         index = self._find_in(b1, key)
         if index >= 0:
             pcb = self._slot_pcbs[index]
@@ -372,15 +399,16 @@ class FastCuckooDemux(_FastDemuxBase):
 
     # -- placement ------------------------------------------------------
 
-    def _place(self, key: int, pcb: PCB) -> bool:
-        """Place a key; ``False`` if it overflowed the stash bound.
+    def _place(self, key: int, pcb: PCB, h: int) -> bool:
+        """Place a key of spread ``h``; ``False`` if it overflowed the
+        stash bound.
 
         The caller resizes on ``False``.  Placement order (primary
         free slot, secondary free slot, bounded kickout walk, stash)
         and the rotating victim cursor are deterministic, so the
         physical layout is a pure function of the insertion history.
         """
-        fp, b1, b2 = self._geometry(key)
+        fp, b1, b2 = self._split(h)
         if self._place_free(key, pcb, fp, b1, b2):
             return True
         self._kick_walk(key, pcb, fp, b1)
@@ -477,7 +505,7 @@ class FastCuckooDemux(_FastDemuxBase):
             self._alloc(nbuckets)
             fits = True
             for key, pcb in items:
-                if not self._place(key, pcb):
+                if not self._place(key, pcb, _spread(key)):
                     fits = False
                     break
             if fits and len(self._stash) <= self._stash_bound:
@@ -509,8 +537,8 @@ class FastCuckooDemux(_FastDemuxBase):
         restore re-creates the physical layout instead; pre-filters
         are re-derived here (they are a pure function of placement).
         """
-        key, _ = self._keycache.entry(pcb.four_tuple)
-        fp, b1, b2 = self._geometry(key)
+        key, h = self._keycache.entry(pcb.four_tuple)
+        fp, b1, b2 = self._split(h)
         bucket = index // self._bucket_size
         if bucket not in (b1, b2):
             raise ValueError(
@@ -530,7 +558,7 @@ class FastCuckooDemux(_FastDemuxBase):
             raise ValueError(
                 f"stash overflows its bound {self._stash_bound} on restore"
             )
-        key, _ = self._keycache.entry(pcb.four_tuple)
-        fp, _b1, _b2 = self._geometry(key)
+        key, h = self._keycache.entry(pcb.four_tuple)
+        fp, _b1, _b2 = self._split(h)
         self._stash.append((key, pcb, fp))
         self._present.add(key)

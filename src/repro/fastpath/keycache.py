@@ -14,9 +14,12 @@ decision stays identical*.
 * each four-tuple is interned to its packed 96-bit **integer key**
   (:meth:`FourTuple.key_bits`), a bijection, so integer equality is
   exactly tuple equality and slot tables can scan C-speed int lists;
-* for chained structures, the chain index (a deterministic pure
-  function of the tuple) is memoized alongside the key, so the CRC runs
-  once per distinct tuple instead of once per packet.
+* the structure's hash (a deterministic pure function of the tuple)
+  is memoized alongside the key, so it runs once per distinct tuple
+  instead of once per packet: the chain index for chained structures,
+  the key's 64-bit spread for ``fast-cuckoo`` (whose intern table
+  overrides :meth:`KeyCache._compute` to derive it from the packed
+  key).
 
 Counters land in :class:`FastpathCounters`, which the owning algorithm
 exposes as ``fastpath_counters`` and :func:`repro.fastpath.metrics.
@@ -70,13 +73,17 @@ class FastpathCounters:
 
 
 class KeyCache:
-    """Intern table: four-tuple -> (96-bit int key, chain index).
+    """Intern table: four-tuple -> (96-bit int key, memoized hash).
 
-    ``chain_fn`` is the structure's chain assignment (``None`` for
-    unchained structures, whose entries all report chain 0).  The memo
-    is sound because every hash function in :mod:`repro.hashing` is a
-    deterministic, unseeded pure function of the tuple, and the chain
-    count is fixed for the structure's lifetime.
+    The second slot holds the hash the owning structure needs per
+    packet.  This class stores ``chain_fn``'s chain assignment
+    (``None`` for unchained structures, whose entries all report chain
+    0); a subclass may override :meth:`_compute` to memoize a
+    different hash, as ``fast-cuckoo`` does with its bucket spread.
+    The memo is sound because every such hash is a deterministic,
+    unseeded pure function of the tuple that does not change over the
+    structure's lifetime (the chain count is fixed; the cuckoo spread
+    does not depend on the bucket count).
 
     Memory-bounds contract: only :meth:`entry` (the insert path) may
     store a memo; :meth:`probe` (the lookup/remove path) computes the
@@ -85,7 +92,7 @@ class KeyCache:
     owning structure therefore holds exactly one interned entry per
     *live* connection -- heavy insert/remove churn and miss-lookup
     floods cannot grow the table (see docs/fastpath.md, "Memory
-    bounds").  Because key and chain are pure functions of the tuple,
+    bounds").  Because key and hash are pure functions of the tuple,
     evicting and later recomputing an entry can never change a
     decision.
     """
@@ -105,7 +112,7 @@ class KeyCache:
         return len(self._entries)
 
     def entry(self, tup: FourTuple) -> Tuple[int, int]:
-        """The ``(key, chain)`` pair for ``tup``, interning it.
+        """The ``(key, hash)`` pair for ``tup``, interning it.
 
         The *insert* path: the connection is becoming live, so the
         memo is stored for the packets that will follow.
@@ -120,7 +127,7 @@ class KeyCache:
         return entry
 
     def probe(self, tup: FourTuple) -> Tuple[int, int]:
-        """The ``(key, chain)`` pair for ``tup``, *without* interning.
+        """The ``(key, hash)`` pair for ``tup``, *without* interning.
 
         The *lookup/remove* path: a tuple that is not already interned
         is either a miss or a teardown, so storing a memo for it would
@@ -147,6 +154,7 @@ class KeyCache:
         return False
 
     def _compute(self, tup: FourTuple) -> Tuple[int, int]:
+        """The ``(key, hash)`` pair, computed afresh (never stored here)."""
         chain = self._chain_fn(tup) if self._chain_fn is not None else 0
         return (tup.key_bits(), chain)
 

@@ -246,7 +246,6 @@ def _run_cell(config: DrillConfig, spec: str, seed: int) -> DrillCell:
     baseline_cost = warm_cost = cold_cost = 0
     window_packets = 0
     window_end = crash_at + config.post_window
-    steering = baseline.steering
 
     for position, (tup, kind) in enumerate(packets):
         if position == crash_at:
@@ -263,7 +262,7 @@ def _run_cell(config: DrillConfig, spec: str, seed: int) -> DrillCell:
             cold_found_divergence += 1
         if (
             crash_at <= position < window_end
-            and steering.shard_of(tup, baseline.nshards) == crashed_shard
+            and baseline.target_of(tup) == crashed_shard
         ):
             window_packets += 1
             baseline_cost += rb.examined

@@ -637,6 +637,58 @@ def _restore_lifecycle(
             wheel.schedule(tup, float(deadline))
 
 
+def _check_home(algorithm: ShardedDemux, home: Dict[FourTuple, int]) -> None:
+    """Refuse a director table that disagrees with the restored shards.
+
+    Every entry must name the shard that holds its flow, and every
+    resident flow needs an entry.  Under flow-stable steering a live
+    flow's packets take their shard from this table instead of being
+    steered again, so each entry must also be the steering's choice:
+    the hash for hash steering, the restored pin for sticky steering
+    (read directly -- ``shard_of`` would pin an unknown tuple).  One
+    walk over each shard keeps the check O(N).
+    """
+    resident: Dict[FourTuple, int] = {}
+    for index, shard in enumerate(algorithm.shards):
+        for pcb in shard:
+            tup = pcb.four_tuple
+            if tup in resident:
+                raise SnapshotFormatError(
+                    f"flow {tup} is resident in shards {resident[tup]}"
+                    f" and {index}"
+                )
+            resident[tup] = index
+    for tup, shard in home.items():
+        held = resident.get(tup)
+        if held != shard:
+            where = "no shard" if held is None else f"shard {held}"
+            raise SnapshotFormatError(
+                f"home table maps {tup} to shard {shard}, but {where}"
+                " holds it"
+            )
+    if len(home) != len(resident):
+        tup = next(tup for tup in resident if tup not in home)
+        raise SnapshotFormatError(
+            f"flow {tup} is resident in shard {resident[tup]} but has no"
+            " home table entry"
+        )
+    steering = algorithm.steering
+    if not steering.flow_stable:
+        return  # round-robin homes are wherever the flow last migrated
+    pins = steering._flows if isinstance(steering, StickyFlowSteering) else None
+    nshards = algorithm.nshards
+    for tup, shard in home.items():
+        choice = (
+            pins.get(tup) if pins is not None
+            else steering.shard_of(tup, nshards)
+        )
+        if choice != shard:
+            raise SnapshotFormatError(
+                f"home table maps {tup} to shard {shard}, but"
+                f" {steering.name} steering chooses {choice}"
+            )
+
+
 def _restore_sharded(
     payload: Dict[str, Any],
     pcbs: Optional[Mapping[FourTuple, PCB]],
@@ -661,10 +713,6 @@ def _restore_sharded(
         algorithm.replace_shard(
             index, _restore_single(shard_payload, pcbs)
         )
-    algorithm._home = {
-        _tuple_from_wire(wire): int(shard)
-        for wire, shard in payload.get("home", [])
-    }
     steering_state = payload.get("steering", {})
     steering = algorithm.steering
     if isinstance(steering, RoundRobinSteering):
@@ -675,6 +723,12 @@ def _restore_sharded(
         steering._assigned = [
             int(load) for load in steering_state.get("sticky_assigned", [])
         ]
+    home = {
+        _tuple_from_wire(wire): int(shard)
+        for wire, shard in payload.get("home", [])
+    }
+    _check_home(algorithm, home)
+    algorithm._home = home
     algorithm.flow_migrations = int(payload.get("flow_migrations", 0))
     relookups = payload.get("migration_relookups")
     if relookups is not None:  # absent in pre-attribution snapshots

@@ -496,7 +496,7 @@ class ShardSupervisor(DemuxAlgorithm):
         if self._armed_crashes or self._armed_stalls:
             self._fire_armed()
         self._packets_seen += 1
-        target = self._sharded.steering.shard_of(tup, self._sharded.nshards)
+        target = self._sharded.target_of(tup)
         if target in self._dead:
             if self._detect_or_drop(target):
                 # Dropped on the floor by the dead shard: nothing
@@ -505,9 +505,7 @@ class ShardSupervisor(DemuxAlgorithm):
                 return LookupResult(None, 0, cache_hit=False, kind=kind)
             # Recovery ran; a re-steer may have re-pinned this flow to
             # a survivor, so the delta entry must follow it there.
-            target = self._sharded.steering.shard_of(
-                tup, self._sharded.nshards
-            )
+            target = self._sharded.target_of(tup)
         if self._stall_drop(target):
             return LookupResult(None, 0, cache_hit=False, kind=kind)
         result = self._sharded.lookup(tup, kind)
@@ -537,17 +535,16 @@ class ShardSupervisor(DemuxAlgorithm):
         self, packets: Sequence[Tuple[FourTuple, PacketKind]]
     ) -> List[LookupResult]:
         results = self._sharded.lookup_batch(packets)
-        shard_of = self._sharded.steering.shard_of
-        nshards = self._sharded.nshards
+        target_of = self._sharded.target_of
         for tup, kind in packets:
-            self._delta[shard_of(tup, nshards)].append(("lookup", tup, kind))
+            self._delta[target_of(tup)].append(("lookup", tup, kind))
         self._packets_seen += len(packets)
         self._tick_checkpoint(len(packets))
         return results
 
     def _insert(self, pcb: PCB) -> None:
         tup = pcb.four_tuple
-        target = self._sharded.steering.shard_of(tup, self._sharded.nshards)
+        target = self._sharded.target_of(tup)
         if target in self._dead:
             # Control-plane operation: detection is immediate.
             self.recover(target)
@@ -557,9 +554,7 @@ class ShardSupervisor(DemuxAlgorithm):
         self._tick_checkpoint(1)
 
     def _remove(self, tup: FourTuple) -> PCB:
-        home = self._sharded.home_table().get(tup)
-        if home is None:
-            raise KeyError(tup)
+        home = self._sharded.shard_of(tup)  # KeyError when absent
         if home in self._dead:
             self.recover(home)
             # A re-steer recovery moves the flow to a survivor; the
@@ -574,8 +569,9 @@ class ShardSupervisor(DemuxAlgorithm):
         return pcb
 
     def _note_send(self, pcb: PCB) -> None:
-        home = self._sharded.home_table().get(pcb.four_tuple)
-        if home is None:
+        try:
+            home = self._sharded.shard_of(pcb.four_tuple)
+        except KeyError:
             return
         if home in self._dead:
             if self._detect_or_drop(home):

@@ -10,15 +10,19 @@ drives an algorithm (workloads, the full TCP stack, the fault matrix)
 drives a sharded one unchanged.
 
 Semantics are pinned to the unsharded structure: a lookup finds exactly
-the PCBs an unsharded instance would find.  For flow-stable steering
-this is free -- a flow's packets always reach the shard holding its
-PCB.  For unstable steering (round-robin) the wrapper keeps a home
+the PCBs an unsharded instance would find.  The wrapper keeps a home
 table (four-tuple -> shard, the flow-director table real NICs keep in
-hardware) and *migrates* the PCB to the steered shard before looking it
-up, modelling what an SMP actually does: the connection's state follows
-the CPU that processes it, one cache-line convoy at a time.  Migrations
-are counted and priced by :mod:`repro.smp.contention`; ``examined``
-stays a pure count of PCB touches, exactly as in the base convention.
+hardware).  For flow-stable steering (hash, sticky) the steering
+function decides once per connection, on insert, and the home table
+remembers the decision: a packet of a live flow takes its shard from
+the table, and only packets of unknown tuples run the steering
+function (:meth:`ShardedDemux.target_of`).  For unstable steering
+(round-robin) every packet is steered, and the wrapper *migrates* the
+PCB to the steered shard before looking it up, modelling what an SMP
+actually does: the connection's state follows the CPU that processes
+it, one cache-line convoy at a time.  Migrations are counted and
+priced by :mod:`repro.smp.contention`; ``examined`` stays a pure count
+of PCB touches, exactly as in the base convention.
 
 Statistics land in two places: each shard's own ``DemuxStats`` (the
 per-shard view -- occupancy, per-shard p99 -- that
@@ -92,6 +96,24 @@ class ShardedDemux(DemuxAlgorithm):
         """Where ``tup``'s PCB currently lives (KeyError if absent)."""
         return self._home[tup]
 
+    def target_of(self, tup: FourTuple) -> int:
+        """The shard the next packet of ``tup`` goes to.
+
+        Under flow-stable steering a live flow's home-table entry *is*
+        the steering decision: hash steering is a pure function of the
+        tuple, sticky steering returns the pin it made when the flow
+        was inserted, and a supervised re-steer forgets, pins, then
+        re-inserts.  So a live flow's packet reads the table and
+        hashes nothing.  Unknown tuples, and every packet under
+        round-robin, run the steering function -- in the caller's
+        order, which is what sticky's first-sight pins depend on.
+        """
+        if self.steering.flow_stable:
+            shard = self._home.get(tup)
+            if shard is not None:
+                return shard
+        return self.steering.shard_of(tup, len(self._shards))
+
     def home_table(self) -> Dict[FourTuple, int]:
         """A copy of the flow-director table (tuple -> shard index).
 
@@ -153,7 +175,7 @@ class ShardedDemux(DemuxAlgorithm):
         spans = self.spans
         if spans is not None:
             spans.open_packet(tup, kind, owner="demux")
-        target = self.steering.shard_of(tup, self.nshards)
+        target = self.target_of(tup)
         home = self._home.get(tup)
         migrated = home is not None and home != target
         if migrated:
@@ -191,24 +213,25 @@ class ShardedDemux(DemuxAlgorithm):
     def _lookup_batch(
         self, packets: Sequence[Tuple[FourTuple, PacketKind]]
     ) -> List[LookupResult]:
-        """Steer, serve one sub-batch per shard, scatter back.
+        """Route, serve one sub-batch per shard, scatter back.
 
         For flow-stable steering (hash, sticky) a packet's shard is
-        fixed and no migrations can occur, so the batch is steered in
-        input order, grouped by shard, served as one sub-batch per
-        shard (letting fast shards amortize through their own
-        ``lookup_batch``), and scattered back to input order.  Each
-        shard sees exactly the subsequence it would have seen packet
-        by packet, so every decision -- and every shard's statistics --
-        is identical to the sequential path.
+        fixed and no migrations can occur, so the batch is routed in
+        input order (:meth:`target_of`: live flows read the home
+        table, unknown tuples are steered), grouped by shard, served
+        as one sub-batch per shard (letting fast shards amortize
+        through their own ``lookup_batch``), and scattered back to
+        input order.  Each shard sees exactly the subsequence it would
+        have seen packet by packet, so every decision -- and every
+        shard's statistics -- is identical to the sequential path.
         """
-        nshards = self.nshards
-        shard_of = self.steering.shard_of
-        # Steer in input order: sticky steering assigns new flows as it
-        # first sees them, and that order must match sequential replay.
+        target_of = self.target_of
+        # Route in input order: sticky steering assigns unknown tuples
+        # as it first sees them, and that order must match sequential
+        # replay.
         groups: Dict[int, List[int]] = {}
         for position, (tup, _) in enumerate(packets):
-            groups.setdefault(shard_of(tup, nshards), []).append(position)
+            groups.setdefault(target_of(tup), []).append(position)
         results: List[Optional[LookupResult]] = [None] * len(packets)
         for shard_index, positions in groups.items():
             sub_batch = [packets[position] for position in positions]
@@ -222,17 +245,17 @@ class ShardedDemux(DemuxAlgorithm):
     ) -> Callable[[int], Tuple[str, Dict[str, object]]]:
         """The ``steer`` stage :meth:`_lookup` records, for batch spans.
 
-        Re-steering a sampled packet is exact: flow-stable steering
+        Routing a sampled packet again is exact: flow-stable steering
         gives a flow the same shard every time, and a batch never
         migrates.
         """
-        steering = self.steering
-        nshards = self.nshards
+        policy = self.steering.name
+        target_of = self.target_of
 
         def steer(position: int) -> Tuple[str, Dict[str, object]]:
-            shard = steering.shard_of(packets[position][0], nshards)
+            shard = target_of(packets[position][0])
             return "steer", {
-                "policy": steering.name, "shard": shard, "migrated": False,
+                "policy": policy, "shard": shard, "migrated": False,
             }
 
         return steer

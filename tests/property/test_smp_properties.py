@@ -75,11 +75,23 @@ def test_sticky_pins_are_stable(indices, nshards):
         assert steer.shard_of(tuple_for(i), nshards) == pinned[i]
 
 
-# A command is (op, key_index): insert/remove/lookup_data/lookup_ack.
+key_indices = st.integers(min_value=0, max_value=14)
+
+# A command is (op, key_index) -- insert/remove/lookup_data/lookup_ack --
+# or ("lookup_batch", [(key_index, kind), ...]), one lookup_batch call.
 commands = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "remove", "lookup_data", "lookup_ack"]),
-        st.integers(min_value=0, max_value=14),
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["insert", "remove", "lookup_data", "lookup_ack"]),
+            key_indices,
+        ),
+        st.tuples(
+            st.just("lookup_batch"),
+            st.lists(
+                st.tuples(key_indices, st.sampled_from(list(PacketKind))),
+                max_size=8,
+            ),
+        ),
     ),
     max_size=60,
 )
@@ -93,7 +105,10 @@ def steering_variants():
 @settings(max_examples=100, deadline=None)
 def test_sharded_semantically_identical_to_unsharded(script, nshards):
     """Any command script gives identical membership and lookup targets
-    on the unsharded structure and every sharded variant of it."""
+    on the unsharded structure and every sharded variant of it, per
+    call and batched.  Under flow-stable steering every live flow's
+    home is also the steering's choice: packets of live flows read the
+    home table instead of steering, so the two must never disagree."""
     reference = SequentDemux(5)
     variants = [
         ShardedDemux(lambda: SequentDemux(5), nshards, steering)
@@ -101,32 +116,37 @@ def test_sharded_semantically_identical_to_unsharded(script, nshards):
     ]
     live = {}  # index -> list of per-structure PCBs
 
-    for op, index in script:
-        tup = tuple_for(index)
+    def expected_pcb(index, position):
+        pcbs = live.get(index)
+        return None if pcbs is None else pcbs[position]
+
+    for op, arg in script:
         structures = [reference] + variants
         if op == "insert":
-            if index in live:
+            if arg in live:
                 continue
-            live[index] = []
+            live[arg] = []
             for structure in structures:
-                pcb = PCB(tup)
+                pcb = PCB(tuple_for(arg))
                 structure.insert(pcb)
-                live[index].append(pcb)
+                live[arg].append(pcb)
         elif op == "remove":
-            if index not in live:
+            if arg not in live:
                 continue
-            expected = live.pop(index)
+            expected = live.pop(arg)
             for structure, pcb in zip(structures, expected):
-                assert structure.remove(tup) is pcb
+                assert structure.remove(tuple_for(arg)) is pcb
+        elif op == "lookup_batch":
+            packets = [(tuple_for(index), kind) for index, kind in arg]
+            for position, structure in enumerate(structures):
+                results = structure.lookup_batch(packets)
+                for (index, _), result in zip(arg, results):
+                    assert result.pcb is expected_pcb(index, position)
         else:
             kind = PacketKind.DATA if op == "lookup_data" else PacketKind.ACK
-            expected = live.get(index)
             for position, structure in enumerate(structures):
-                result = structure.lookup(tup, kind)
-                if expected is None:
-                    assert result.pcb is None
-                else:
-                    assert result.pcb is expected[position]
+                result = structure.lookup(tuple_for(arg), kind)
+                assert result.pcb is expected_pcb(arg, position)
 
         # Global invariants after every command.
         expected_tuples = sorted(tuple_for(i) for i in live)
@@ -134,3 +154,9 @@ def test_sharded_semantically_identical_to_unsharded(script, nshards):
             assert len(variant) == len(live)
             assert sorted(p.four_tuple for p in variant) == expected_tuples
             assert sum(variant.occupancy()) == len(live)
+            if variant.steering.flow_stable:
+                for i in live:
+                    tup = tuple_for(i)
+                    assert variant.shard_of(tup) == (
+                        variant.steering.shard_of(tup, nshards)
+                    )

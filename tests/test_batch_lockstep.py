@@ -37,6 +37,7 @@ SPECS = [
     "fast-sequent:h=19",
     "fast-cuckoo",
     "sharded-fast-sequent:shards=4,steer=hash,h=19",
+    "sharded-fast-sequent:shards=4,steer=sticky,h=19",
     "sequent:h=19",
 ]
 CHUNKS = [1, 2, 7, 256]

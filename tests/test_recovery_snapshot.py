@@ -212,6 +212,79 @@ class TestLifecycleRoundTrip:
         assert len(algorithm) == 1  # only the touched connection survives
 
 
+class TestDirectorTable:
+    """A sharded payload's home table must agree with its shards and,
+    under flow-stable steering, with the steering: packets of live
+    flows take their shard from the table instead of being steered."""
+
+    HASH = "sharded-fast-sequent:shards=4,steer=hash,h=5"
+    STICKY = "sharded-mtf:shards=3,steer=sticky"
+
+    def populated(self, spec, flows=50):
+        algorithm = make_algorithm(spec)
+        for index in range(flows):
+            algorithm.insert(PCB(churn_tuple(index)))
+        return algorithm
+
+    def test_home_entry_on_another_shard_rejected(self):
+        """One entry moved to the next shard.  Restored, it would
+        send the flow's per-call lookup to a shard without its PCB
+        (KeyError) and make ``lookup_batch`` miss it."""
+        payload = capture_state(self.populated(self.HASH), self.HASH)
+        wire, shard = payload["home"][7]
+        payload["home"][7] = [wire, (shard + 1) % payload["nshards"]]
+        with pytest.raises(SnapshotFormatError, match=f"shard {shard} holds"):
+            restore_bytes(to_envelope(payload))
+
+    def test_resident_flow_without_home_entry_rejected(self):
+        payload = capture_state(self.populated(self.HASH), self.HASH)
+        del payload["home"][7]
+        with pytest.raises(SnapshotFormatError, match="no home table entry"):
+            restore_bytes(to_envelope(payload))
+
+    def test_home_entry_off_the_hash_rejected(self):
+        """Shards and table agree, on a shard hash steering would
+        never choose for the flow."""
+        algorithm = self.populated(self.HASH)
+        tup = churn_tuple(7)
+        home = algorithm.shard_of(tup)
+        moved = (home + 1) % algorithm.nshards
+        algorithm.shards[moved].insert(algorithm.shards[home].remove(tup))
+        algorithm._home[tup] = moved
+        with pytest.raises(SnapshotFormatError, match="hash steering chooses"):
+            restore_bytes(snapshot_bytes(algorithm, self.HASH))
+
+    def test_flow_resident_in_two_shards_rejected(self):
+        algorithm = self.populated(self.HASH)
+        tup = churn_tuple(7)
+        other = (algorithm.shard_of(tup) + 1) % algorithm.nshards
+        algorithm.shards[other].insert(PCB(tup))
+        with pytest.raises(SnapshotFormatError, match="resident in shards"):
+            restore_bytes(snapshot_bytes(algorithm, self.HASH))
+
+    def test_sticky_entry_without_its_pin_rejected(self):
+        """Checked against the restored pins, never through
+        ``shard_of``, which would pin the flow and could agree."""
+        payload = capture_state(self.populated(self.STICKY), self.STICKY)
+        payload["steering"]["sticky_flows"].pop(7)
+        with pytest.raises(SnapshotFormatError, match="chooses None"):
+            restore_bytes(to_envelope(payload))
+
+    def test_sticky_entry_off_its_pin_rejected(self):
+        payload = capture_state(self.populated(self.STICKY), self.STICKY)
+        wire, shard = payload["steering"]["sticky_flows"][7]
+        payload["steering"]["sticky_flows"][7] = [wire, (shard + 1) % 3]
+        with pytest.raises(SnapshotFormatError, match="sticky steering"):
+            restore_bytes(to_envelope(payload))
+
+    def test_sticky_restore_adds_no_pins(self):
+        algorithm = self.populated(self.STICKY)
+        algorithm.lookup(stray_tuple(1), PacketKind.DATA)  # a miss pins
+        restored = restore_bytes(snapshot_bytes(algorithm, self.STICKY))
+        assert restored.steering._flows == algorithm.steering._flows
+        assert restored.home_table() == algorithm.home_table()
+
+
 class TestRejection:
     def blob(self, spec="bsd"):
         algorithm = make_algorithm(spec)

@@ -373,6 +373,28 @@ class TestFacade:
         supervised.crash_shard(victim)
         assert not supervised.lookup(tuples[0], PacketKind.DATA).found
 
+    def test_remove_and_note_send_read_one_home_entry(self, monkeypatch):
+        """On live shards, remove and note_send read only their flow's
+        director entry: copying the whole table would make each call
+        O(N)."""
+        supervised = build("sharded-fast-sequent:shards=4,steer=hash,h=19")
+        tuples = populate(supervised)
+
+        def copy_of_table():
+            raise AssertionError("home_table() copies every entry")
+
+        monkeypatch.setattr(supervised.sharded, "home_table", copy_of_table)
+        pcb = supervised.connection_directory()[tuples[0]]
+        supervised.note_send(pcb)
+        home = supervised.sharded.shard_of(tuples[0])
+        assert supervised._delta[home][-1] == ("send", pcb)
+        assert supervised.remove(tuples[0]) is pcb
+        assert supervised._delta[home][-1] == ("remove", tuples[0])
+        supervised.note_send(pcb)  # no longer live: ignored
+        with pytest.raises(KeyError):
+            supervised.remove(tuples[0])
+        assert len(supervised) == len(tuples) - 1
+
     def test_recovery_summary_shape(self):
         supervised = build(checkpoint_every=50)
         tuples = populate(supervised)
