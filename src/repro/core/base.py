@@ -7,7 +7,10 @@ container of PCBs with one hot operation:
 
 The result carries the number of PCBs the structure *examined* -- the
 paper's figure of merit -- which the base class feeds into a
-:class:`~repro.core.stats.DemuxStats` automatically.
+:class:`~repro.core.stats.DemuxStats` automatically.  It is a named
+tuple: the batched fast path builds one per packet, and the paper
+counts none of that bookkeeping, so it should cost as little as an
+immutable record can.
 
 Counting convention (pinned so simulations match the paper's formulas):
 
@@ -48,13 +51,13 @@ check per operation; unlike the tracer, it may *remove* connections
 from __future__ import annotations
 
 import abc
-import dataclasses
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -79,9 +82,17 @@ class DuplicateConnectionError(DemuxError):
     """Raised when inserting a PCB whose four-tuple is already present."""
 
 
-@dataclasses.dataclass(frozen=True)
-class LookupResult:
-    """Outcome of one PCB lookup."""
+class LookupResult(NamedTuple):
+    """Outcome of one PCB lookup.
+
+    A named tuple, because the batched fast path builds one per packet
+    and a tuple is the cheapest immutable record Python has: the fast
+    structures build it positionally, ``LookupResult(pcb, examined,
+    False, kind)``, and keyword construction works too.  Fields are
+    read-only (assigning one raises ``AttributeError``).  Being a tuple,
+    a result also iterates, unpacks, and compares equal to a plain
+    tuple of its fields; nothing in the package relies on that.
+    """
 
     #: The PCB found, or ``None`` (no such connection -- e.g. a stray
     #: segment after close, or a SYN that belongs to a listener).

@@ -23,7 +23,7 @@ composing with sharding (``sharded-fast-sequent:shards=8``).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.base import (
     DemuxAlgorithm,
@@ -37,7 +37,7 @@ from ..hashing.functions import HashFunction, default_hash
 from ..packet.addresses import FourTuple
 from .batch import BatchLookupMixin, Packet
 from .keycache import FastpathCounters, KeyCache
-from .tables import CachedSlot, SlotTable
+from .tables import _VECTOR_MIN_TABLE, CachedSlot, SlotTable
 
 __all__ = [
     "FastLinearDemux",
@@ -52,7 +52,7 @@ __all__ = [
 
 #: Smallest batch :class:`FastSequentDemux` groups by chain.  Grouping
 #: pays only through vectorized chain scans, and below about seven
-#: packets per chain (at H=19) the plain ``_lookup`` loop is faster.
+#: packets per chain (at H=19) its fused one-pass loop is faster.
 _GROUP_MIN_BATCH = 128
 
 
@@ -101,6 +101,10 @@ class _FastDemux(_FastDemuxBase):
         self._tables = [SlotTable() for _ in range(nchains)]
 
     def _insert(self, pcb: PCB) -> None:
+        self._insert_chain(pcb)
+
+    def _insert_chain(self, pcb: PCB) -> int:
+        """Insert ``pcb`` (see :meth:`insert`); returns its chain index."""
         key, chain = self._keycache.entry(pcb.four_tuple)
         if key in self._present:
             raise DuplicateConnectionError(
@@ -108,6 +112,7 @@ class _FastDemux(_FastDemuxBase):
             )
         self._tables[chain].push_front(key, pcb)
         self._present.add(key)
+        return chain
 
     def _remove(self, tup: FourTuple) -> PCB:
         key, chain = self._keycache.probe(tup)
@@ -124,6 +129,42 @@ class _FastDemux(_FastDemuxBase):
 
     def _invalidate_cache(self, chain: int, key: int) -> None:
         """Hook for cached subclasses (default: no cache to clear)."""
+
+    def _replay_cached(
+        self,
+        packets: Sequence[Packet],
+        entries: Sequence[Tuple[int, int]],
+        scans: Sequence[Tuple[int, int]],
+        caches: Sequence[CachedSlot],
+    ) -> List[LookupResult]:
+        """Resolve a batch whose chain scans were computed up front.
+
+        ``entries`` are the packets' ``(key, chain)`` intern entries and
+        ``scans`` their chains' ``(index, examined)`` scans.  Each
+        chain's one-entry cache (``caches[chain]``) is consulted and
+        refilled in packet order, exactly as a :meth:`_lookup` loop
+        does -- valid because lookups never mutate the tables.
+        """
+        tables = self._tables
+        results: List[LookupResult] = []
+        append = results.append
+        for (key, chain), (index, scanned), (_, kind) in zip(
+            entries, scans, packets
+        ):
+            cache = caches[chain]
+            examined = 0
+            if cache.key is not None:
+                if cache.key == key:
+                    append(LookupResult(cache.pcb, 1, True, kind))
+                    continue
+                examined = 1
+            if index >= 0:
+                pcb = tables[chain].pcbs[index]
+                cache.set(key, pcb)
+                append(LookupResult(pcb, examined + scanned, False, kind))
+            else:
+                append(LookupResult(None, examined + scanned, False, kind))
+        return results
 
     def __iter__(self) -> Iterator[PCB]:
         for table in self._tables:
@@ -143,7 +184,7 @@ class FastLinearDemux(_FastDemux):
         table = self._tables[0]
         index, examined = table.scan(key)
         pcb = table.pcbs[index] if index >= 0 else None
-        return LookupResult(pcb, examined, cache_hit=False, kind=kind)
+        return LookupResult(pcb, examined, False, kind)
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
@@ -152,16 +193,13 @@ class FastLinearDemux(_FastDemux):
         # against one vectorized scan (decision-identical by the
         # scan_batch contract).
         table = self._tables[0]
-        probe = self._keycache.probe
-        keys = [probe(tup)[0] for tup, _ in packets]
-        scans = table.scan_batch(keys)
+        scans = table.scan_batch(
+            [key for key, _ in self._keycache.probe_batch(packets)]
+        )
         pcbs = table.pcbs
         return [
             LookupResult(
-                pcbs[index] if index >= 0 else None,
-                examined,
-                cache_hit=False,
-                kind=kind,
+                pcbs[index] if index >= 0 else None, examined, False, kind
             )
             for (index, examined), (_, kind) in zip(scans, packets)
         ]
@@ -191,17 +229,15 @@ class FastBSDDemux(_FastDemux):
         if cache.key is not None:
             examined = 1
             if cache.key == key:
-                return LookupResult(
-                    cache.pcb, examined, cache_hit=True, kind=kind
-                )
+                return LookupResult(cache.pcb, examined, True, kind)
         table = self._tables[0]
         index, scanned = table.scan(key)
         examined += scanned
         if index >= 0:
             pcb = table.pcbs[index]
             cache.set(key, pcb)
-            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
-        return LookupResult(None, examined, cache_hit=False, kind=kind)
+            return LookupResult(pcb, examined, False, kind)
+        return LookupResult(None, examined, False, kind)
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
@@ -209,37 +245,9 @@ class FastBSDDemux(_FastDemux):
         # The one-entry cache mutates per lookup but never the table,
         # so scans vectorize up front and the cache logic replays
         # sequentially over the precomputed results.
-        table = self._tables[0]
-        probe = self._keycache.probe
-        keys = [probe(tup)[0] for tup, _ in packets]
-        scans = table.scan_batch(keys)
-        pcbs = table.pcbs
-        cache = self._cache
-        results: List[LookupResult] = []
-        append = results.append
-        for key, (index, scanned), (_, kind) in zip(keys, scans, packets):
-            examined = 0
-            if cache.key is not None:
-                examined = 1
-                if cache.key == key:
-                    append(
-                        LookupResult(
-                            cache.pcb, examined, cache_hit=True, kind=kind
-                        )
-                    )
-                    continue
-            examined += scanned
-            if index >= 0:
-                pcb = pcbs[index]
-                cache.set(key, pcb)
-                append(
-                    LookupResult(pcb, examined, cache_hit=False, kind=kind)
-                )
-            else:
-                append(
-                    LookupResult(None, examined, cache_hit=False, kind=kind)
-                )
-        return results
+        entries = self._keycache.probe_batch(packets)
+        scans = self._tables[0].scan_batch([key for key, _ in entries])
+        return self._replay_cached(packets, entries, scans, [self._cache])
 
 
 class FastMTFDemux(_FastDemux):
@@ -257,8 +265,8 @@ class FastMTFDemux(_FastDemux):
         if index >= 0:
             pcb = table.pcbs[index]
             table.move_to_front(index)
-            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
-        return LookupResult(None, examined, cache_hit=False, kind=kind)
+            return LookupResult(pcb, examined, False, kind)
+        return LookupResult(None, examined, False, kind)
 
     def position_of(self, tup: FourTuple) -> int:
         """Current 0-based list position (no stats, no MTF)."""
@@ -335,11 +343,10 @@ class FastSequentDemux(_FastChained):
         )
 
     def _insert(self, pcb: PCB) -> None:
-        super()._insert(pcb)
-        if self._overload_threshold is not None:
-            chain = self._keycache.chain_of(pcb.four_tuple)
-            if len(self._tables[chain]) > self._overload_threshold:
-                self.chain_overload_events += 1
+        chain = self._insert_chain(pcb)
+        threshold = self._overload_threshold
+        if threshold is not None and len(self._tables[chain]) > threshold:
+            self.chain_overload_events += 1
 
     def _invalidate_cache(self, chain: int, key: int) -> None:
         self._caches[chain].invalidate_if(key)
@@ -351,29 +358,61 @@ class FastSequentDemux(_FastChained):
         if cache.key is not None:
             examined = 1
             if cache.key == key:
-                return LookupResult(
-                    cache.pcb, examined, cache_hit=True, kind=kind
-                )
+                return LookupResult(cache.pcb, examined, True, kind)
         table = self._tables[chain]
         index, scanned = table.scan(key)
         examined += scanned
         if index >= 0:
             pcb = table.pcbs[index]
             cache.set(key, pcb)
-            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
-        return LookupResult(None, examined, cache_hit=False, kind=kind)
+            return LookupResult(pcb, examined, False, kind)
+        return LookupResult(None, examined, False, kind)
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
     ) -> List[LookupResult]:
-        if len(packets) < _GROUP_MIN_BATCH:
-            return super()._lookup_batch(packets)
-        # Chains never mutate during lookups; group the batch by chain,
-        # vectorize one scan per chain, then replay the per-chain cache
-        # logic sequentially in packet order.
-        probe = self._keycache.probe
-        entries = [probe(tup) for tup, _ in packets]
-        by_chain: dict = {}
+        entries = self._keycache.probe_batch(packets)
+        tables = self._tables
+        if len(packets) >= _GROUP_MIN_BATCH and any(
+            len(table.keys) >= _VECTOR_MIN_TABLE for table in tables
+        ):
+            return self._grouped_batch(packets, entries)
+        # No chain scan can vectorize: one fused pass -- cache probe,
+        # list.index scan, cache refill -- that is a _lookup loop with
+        # the calls inlined.
+        caches = self._caches
+        results: List[LookupResult] = []
+        append = results.append
+        for (key, chain), (_, kind) in zip(entries, packets):
+            cache = caches[chain]
+            examined = 0
+            if cache.key is not None:
+                if cache.key == key:
+                    append(LookupResult(cache.pcb, 1, True, kind))
+                    continue
+                examined = 1
+            table = tables[chain]
+            keys = table.keys
+            try:
+                index = keys.index(key)
+            except ValueError:
+                append(LookupResult(None, examined + len(keys), False, kind))
+                continue
+            pcb = table.pcbs[index]
+            cache.key = key
+            cache.pcb = pcb
+            append(LookupResult(pcb, examined + index + 1, False, kind))
+        return results
+
+    def _grouped_batch(
+        self, packets: Sequence[Packet], entries: List[Tuple[int, int]]
+    ) -> List[LookupResult]:
+        """Group a batch by chain and vectorize one scan per chain.
+
+        Chains never mutate during lookups, so each chain's scans run
+        up front and the per-chain cache logic replays in packet order.
+        """
+        by_chain: Dict[int, List[int]] = {}
         for position, (_key, chain) in enumerate(entries):
             by_chain.setdefault(chain, []).append(position)
         scans: List = [None] * len(packets)
@@ -383,36 +422,7 @@ class FastSequentDemux(_FastChained):
             )
             for position, scan in zip(positions, chain_scans):
                 scans[position] = scan
-        caches = self._caches
-        tables = self._tables
-        results: List[LookupResult] = []
-        append = results.append
-        for (key, chain), (index, scanned), (_, kind) in zip(
-            entries, scans, packets
-        ):
-            cache = caches[chain]
-            examined = 0
-            if cache.key is not None:
-                examined = 1
-                if cache.key == key:
-                    append(
-                        LookupResult(
-                            cache.pcb, examined, cache_hit=True, kind=kind
-                        )
-                    )
-                    continue
-            examined += scanned
-            if index >= 0:
-                pcb = tables[chain].pcbs[index]
-                cache.set(key, pcb)
-                append(
-                    LookupResult(pcb, examined, cache_hit=False, kind=kind)
-                )
-            else:
-                append(
-                    LookupResult(None, examined, cache_hit=False, kind=kind)
-                )
-        return results
+        return self._replay_cached(packets, entries, scans, self._caches)
 
     def describe(self) -> str:
         lengths = self.chain_lengths()
@@ -451,9 +461,7 @@ class FastHashedMTFDemux(_FastChained):
         if self._per_chain_cache and cache.key is not None:
             examined = 1
             if cache.key == key:
-                return LookupResult(
-                    cache.pcb, examined, cache_hit=True, kind=kind
-                )
+                return LookupResult(cache.pcb, examined, True, kind)
         table = self._tables[chain]
         index, scanned = table.scan(key)
         examined += scanned
@@ -462,8 +470,8 @@ class FastHashedMTFDemux(_FastChained):
             table.move_to_front(index)
             if self._per_chain_cache:
                 cache.set(key, pcb)
-            return LookupResult(pcb, examined, cache_hit=False, kind=kind)
-        return LookupResult(None, examined, cache_hit=False, kind=kind)
+            return LookupResult(pcb, examined, False, kind)
+        return LookupResult(None, examined, False, kind)
 
     def describe(self) -> str:
         cache = "cached" if self._per_chain_cache else "uncached"

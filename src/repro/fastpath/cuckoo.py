@@ -49,7 +49,7 @@ snapshot round-trip tests.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.base import DuplicateConnectionError, LookupResult
 from ..core.pcb import PCB
@@ -320,8 +320,7 @@ class FastCuckooDemux(_FastDemuxBase):
                 examined += 1
                 if keys[index] == key:
                     return LookupResult(
-                        self._slot_pcbs[index], examined,
-                        cache_hit=False, kind=kind,
+                        self._slot_pcbs[index], examined, False, kind
                     )
         # Primary bucket missed: the pre-filter proves whether the
         # secondary bucket can possibly hold this key.
@@ -333,8 +332,7 @@ class FastCuckooDemux(_FastDemuxBase):
                     examined += 1
                     if keys[index] == key:
                         return LookupResult(
-                            self._slot_pcbs[index], examined,
-                            cache_hit=False, kind=kind,
+                            self._slot_pcbs[index], examined, False, kind
                         )
         else:
             self.cuckoo_counters.prefilter_skips += 1
@@ -343,11 +341,67 @@ class FastCuckooDemux(_FastDemuxBase):
                 if stash_fp == fp:
                     examined += 1
                     if stash_key == key:
-                        return LookupResult(
-                            stash_pcb, examined,
-                            cache_hit=False, kind=kind,
-                        )
-        return LookupResult(None, examined, cache_hit=False, kind=kind)
+                        return LookupResult(stash_pcb, examined, False, kind)
+        return LookupResult(None, examined, False, kind)
+
+    def _lookup_batch(
+        self, packets: Sequence[Tuple[FourTuple, PacketKind]]
+    ) -> List[LookupResult]:
+        """:meth:`_lookup` for a whole batch, in one fused pass.
+
+        The same walk -- primary bucket, pre-filter, secondary bucket,
+        stash -- with :meth:`_split` inlined, the buckets' arrays bound
+        once, and the pre-filter counters landing once per batch.
+        Lookups never mutate the table, so nothing a packet sees
+        depends on its position in the batch.
+        """
+        entries = self._keycache.probe_batch(packets)
+        keys = self._slot_keys
+        fps = self._slot_fps
+        pcbs = self._slot_pcbs
+        prefilter = self._prefilter
+        stash = self._stash
+        slots = self._bucket_size
+        nb = self._nbuckets
+        passes = skips = 0
+        results: List[LookupResult] = []
+        append = results.append
+        for (key, h), (_, kind) in zip(entries, packets):
+            fp = (h >> 8) % 255 + 1
+            b1 = h % nb
+            examined = 0
+            pcb = None
+            base = b1 * slots
+            for index in range(base, base + slots):
+                if fps[index] == fp:
+                    examined += 1
+                    if keys[index] == key:
+                        pcb = pcbs[index]
+                        break
+            if pcb is None:
+                if prefilter[b1].get(fp):
+                    passes += 1
+                    base = (b1 + 1 + (h >> 32) % (nb - 1)) % nb * slots
+                    for index in range(base, base + slots):
+                        if fps[index] == fp:
+                            examined += 1
+                            if keys[index] == key:
+                                pcb = pcbs[index]
+                                break
+                else:
+                    skips += 1
+                if pcb is None and stash:
+                    for stash_key, stash_pcb, stash_fp in stash:
+                        if stash_fp == fp:
+                            examined += 1
+                            if stash_key == key:
+                                pcb = stash_pcb
+                                break
+            append(LookupResult(pcb, examined, False, kind))
+        counters = self.cuckoo_counters
+        counters.prefilter_passes += passes
+        counters.prefilter_skips += skips
+        return results
 
     def _insert(self, pcb: PCB) -> None:
         key, h = self._keycache.entry(pcb.four_tuple)

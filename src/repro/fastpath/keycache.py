@@ -29,7 +29,7 @@ publish_fastpath` exports through the observability registry.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..packet.addresses import FourTuple
 
@@ -86,15 +86,21 @@ class KeyCache:
     does not depend on the bucket count).
 
     Memory-bounds contract: only :meth:`entry` (the insert path) may
-    store a memo; :meth:`probe` (the lookup/remove path) computes the
-    pair on the fly for unknown tuples without storing, and
-    :meth:`evict` drops the memo when its connection is removed.  The
-    owning structure therefore holds exactly one interned entry per
-    *live* connection -- heavy insert/remove churn and miss-lookup
-    floods cannot grow the table (see docs/fastpath.md, "Memory
-    bounds").  Because key and hash are pure functions of the tuple,
-    evicting and later recomputing an entry can never change a
-    decision.
+    store a memo; :meth:`probe` and :meth:`probe_batch` (the
+    lookup/remove path) compute the pair on the fly for unknown tuples
+    without storing, and :meth:`evict` drops the memo when its
+    connection is removed.  The owning structure therefore holds
+    exactly one interned entry per *live* connection -- heavy
+    insert/remove churn and miss-lookup floods cannot grow the table
+    (see docs/fastpath.md, "Memory bounds").  Because key and hash are
+    pure functions of the tuple, evicting and later recomputing an
+    entry can never change a decision.
+
+    Counting: :meth:`entry` counts interned keys (and hits on tuples
+    already interned), :meth:`probe` and :meth:`probe_batch` count hits
+    and transient probes, and the inspection reads :meth:`key_of` and
+    :meth:`chain_of` count nothing, so inspecting a structure never
+    moves its counters.
     """
 
     __slots__ = ("_entries", "_chain_fn", "counters")
@@ -142,6 +148,31 @@ class KeyCache:
         self.counters.key_cache_hits += 1
         return entry
 
+    def probe_batch(
+        self, packets: Sequence[Tuple[FourTuple, object]]
+    ) -> List[Tuple[int, int]]:
+        """:meth:`probe` for every ``(tuple, kind)`` packet, in order.
+
+        The batched lookup path: one call per batch, returning the same
+        entries and adding the same counter totals as a :meth:`probe`
+        loop, with the counters landing once.  Never interns, so a
+        batch probed up front sees exactly the table each packet would
+        have seen -- lookups do not change the intern table.
+        """
+        get = self._entries.get
+        entries = [get(tup) for tup, _ in packets]
+        misses = 0
+        if None in entries:
+            compute = self._compute
+            for position, entry in enumerate(entries):
+                if entry is None:
+                    entries[position] = compute(packets[position][0])
+                    misses += 1
+        counters = self.counters
+        counters.key_cache_hits += len(entries) - misses
+        counters.transient_probes += misses
+        return entries
+
     def evict(self, tup: FourTuple) -> bool:
         """Drop ``tup``'s interned entry (connection removed).
 
@@ -158,10 +189,16 @@ class KeyCache:
         chain = self._chain_fn(tup) if self._chain_fn is not None else 0
         return (tup.key_bits(), chain)
 
+    def _peek(self, tup: FourTuple) -> Tuple[int, int]:
+        """The ``(key, hash)`` pair, neither interned nor counted."""
+        entry = self._entries.get(tup)
+        return entry if entry is not None else self._compute(tup)
+
     def key_of(self, tup: FourTuple) -> int:
-        """The 96-bit integer key for ``tup`` (non-interning)."""
-        return self.probe(tup)[0]
+        """The 96-bit integer key for ``tup`` (non-interning, uncounted)."""
+        return self._peek(tup)[0]
 
     def chain_of(self, tup: FourTuple) -> int:
-        """The chain index for ``tup`` (0 when unchained; non-interning)."""
-        return self.probe(tup)[1]
+        """The chain index for ``tup`` (0 when unchained; non-interning,
+        uncounted)."""
+        return self._peek(tup)[1]

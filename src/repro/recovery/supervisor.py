@@ -502,12 +502,12 @@ class ShardSupervisor(DemuxAlgorithm):
                 # Dropped on the floor by the dead shard: nothing
                 # examined, nothing found.  Counted in this facade's
                 # statistics.
-                return LookupResult(None, 0, cache_hit=False, kind=kind)
+                return LookupResult(None, 0, False, kind)
             # Recovery ran; a re-steer may have re-pinned this flow to
             # a survivor, so the delta entry must follow it there.
             target = self._sharded.target_of(tup)
         if self._stall_drop(target):
-            return LookupResult(None, 0, cache_hit=False, kind=kind)
+            return LookupResult(None, 0, False, kind)
         result = self._sharded.lookup(tup, kind)
         self._delta[target].append(("lookup", tup, kind))
         self._tick_checkpoint(1)

@@ -15,7 +15,10 @@ What must *not* change with the worker count is the answer:
   serialized from them are byte-identical.
 * **Failure** -- a task that raises (or a worker process that dies)
   surfaces as a :class:`ParallelTaskError` naming the task, instead of
-  a hang or a bare traceback from the middle of a pool.
+  a hang or a bare traceback from the middle of a pool.  A worker death
+  fails every unfinished task of its pool alike, so before naming one
+  the runner re-runs each such task alone: the one that dies again is
+  the one named.
 * **Retry** -- a long sweep should not lose an hour of work to one
   OOM-killed worker.  ``retries=N`` re-executes failed tasks up to N
   extra times (rebuilding the pool when a worker death broke it, with
@@ -155,6 +158,67 @@ def _pool_is_broken(pool: ProcessPoolExecutor) -> bool:
     return False
 
 
+#: The failure message of a task whose worker process died.
+_DEATH = (
+    "worker process died before finishing (crash or OOM kill); rerun"
+    " with --jobs 1 to see the failure inline"
+)
+
+#: index -> (exception, message, whether its worker process died).
+_Failures = Dict[int, Tuple[BaseException, str, bool]]
+
+
+def _run_pool(
+    tasks: Sequence[Task],
+    indices: Sequence[int],
+    jobs: int,
+    results: List[Any],
+    note: Callable[[str], None],
+) -> _Failures:
+    """Run ``tasks[index]`` for each index in one fresh pool.
+
+    Stores each result in ``results[index]`` and returns the failures.
+    A broken pool poisons the remaining futures; each is collected
+    individually, so results that finished before the death are kept
+    and only true casualties fail.
+    """
+    failures: _Failures = {}
+    # No ``with`` block: the context manager's exit calls
+    # ``shutdown(wait=True)``, which joins worker processes -- on a
+    # poisoned pool that blocks the retry rebuild behind dead or
+    # wedged workers.  The only shutdown ever issued here is the
+    # non-waiting one in the ``finally``.
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        futures = {
+            index: pool.submit(
+                tasks[index].fn,
+                *tasks[index].args,
+                **(tasks[index].kwargs or {}),
+            )
+            for index in indices
+        }
+        # Collect in submission order: determinism beats a marginal
+        # latency win from as_completed, and the pool keeps every core
+        # busy regardless of the order we *wait* in.
+        for index in indices:
+            try:
+                results[index] = futures[index].result()
+                note(tasks[index].name)
+            except BrokenProcessPool as exc:
+                if _pool_is_broken(pool):
+                    failures[index] = (exc, _DEATH, True)
+                else:
+                    # The *task* raised BrokenProcessPool; the pool is
+                    # fine and this is an ordinary task failure.
+                    failures[index] = (exc, str(exc), False)
+            except Exception as exc:
+                failures[index] = (exc, str(exc), False)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    return failures
+
+
 def run_tasks(
     tasks: Sequence[Task],
     jobs: int = 1,
@@ -174,10 +238,14 @@ def run_tasks(
     gets; ``backoff`` seconds (doubling per round) separate retry
     rounds.  A worker death (``BrokenProcessPool``) poisons every
     uncollected future in the pool, so the pool is rebuilt and only
-    the tasks without results re-run.  When a task exhausts its
-    attempts, :class:`ParallelTaskError` names it -- the earliest such
-    task in submission order -- with the underlying failure chained.
-    Pass ``retry_log`` to receive per-task retry counts.
+    the tasks without results re-run.  Because the poison hides which
+    task died, each task still failing that way after the last round
+    re-runs alone in a fresh one-worker pool (not counted as a retry):
+    a bystander then returns its result, and the task that dies again
+    is the one named.  When a task exhausts its attempts,
+    :class:`ParallelTaskError` names it -- the earliest such task in
+    submission order -- with the underlying failure chained.  Pass
+    ``retry_log`` to receive per-task retry counts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -210,55 +278,11 @@ def run_tasks(
         return results
 
     results: List[Any] = [None] * len(tasks)
-    #: index -> (exception or None, message) for the latest failure.
-    failures: Dict[int, Tuple[Optional[BaseException], str]] = {}
     pending = list(range(len(tasks)))
-
     for round_number in range(retries + 1):
         if round_number:
             _backoff_sleep(backoff, round_number)
-        failures.clear()
-        # No ``with`` block: the context manager's exit calls
-        # ``shutdown(wait=True)``, which joins worker processes -- on a
-        # poisoned pool that blocks the retry rebuild behind dead or
-        # wedged workers.  The only shutdown this loop ever issues is
-        # the non-waiting one in the ``finally``.
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        try:
-            futures = {
-                index: pool.submit(
-                    tasks[index].fn,
-                    *tasks[index].args,
-                    **(tasks[index].kwargs or {}),
-                )
-                for index in pending
-            }
-            # Collect in submission order: determinism beats a marginal
-            # latency win from as_completed, and the pool keeps every
-            # core busy regardless of the order we *wait* in.  A broken
-            # pool poisons the remaining futures; each is collected
-            # individually so results that finished before the death
-            # are kept and only true casualties re-run.
-            for index in pending:
-                try:
-                    results[index] = futures[index].result()
-                    note(tasks[index].name)
-                except BrokenProcessPool as exc:
-                    if _pool_is_broken(pool):
-                        failures[index] = (
-                            exc,
-                            "worker process died before finishing (crash"
-                            " or OOM kill); rerun with --jobs 1 to see"
-                            " the failure inline",
-                        )
-                    else:
-                        # The *task* raised BrokenProcessPool; the pool
-                        # is fine and this is an ordinary task failure.
-                        failures[index] = (exc, str(exc))
-                except Exception as exc:
-                    failures[index] = (exc, str(exc))
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+        failures = _run_pool(tasks, pending, jobs, results, note)
         if not failures:
             return results
         pending = sorted(failures)
@@ -266,6 +290,14 @@ def run_tasks(
             for index in pending:
                 log.record(tasks[index].name)
 
-    first = pending[0]
-    cause, message = failures[first]
+    # A worker death fails every unfinished task of its pool alike, so
+    # a bystander looks just like the task that died: re-run each alone.
+    for index in pending:
+        if failures[index][2]:
+            failures.pop(index)
+            failures.update(_run_pool(tasks, [index], 1, results, note))
+    if not failures:
+        return results
+    first = min(failures)
+    cause, message, _died = failures[first]
     raise ParallelTaskError(tasks[first].name, message) from cause

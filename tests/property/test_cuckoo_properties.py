@@ -186,8 +186,23 @@ def test_batched_lookups_match_per_call(script):
         for tup, kind in probes
         for r in [table.lookup(tup, kind)]
     ]
+    batched_table = build()
     batched = [
         (r.found, r.examined, r.cache_hit)
-        for r in build().lookup_batch(probes)
+        for r in batched_table.lookup_batch(probes)
     ]
     assert per_call == batched
+    # The batch adds its pre-filter and intern counts once, by the same
+    # totals as the per-call walk.
+    assert (
+        batched_table.cuckoo_counters.as_dict()
+        == table.cuckoo_counters.as_dict()
+    )
+    assert intern_counts(batched_table) == intern_counts(table)
+
+
+def intern_counts(table):
+    """The intern counters (batch counters aside: only one side batches)."""
+    counters = table.fastpath_counters.as_dict()
+    del counters["batch_calls"], counters["batched_lookups"]
+    return counters

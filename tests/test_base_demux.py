@@ -5,13 +5,58 @@ fixture: whatever the internal organization, they are all correct
 containers that find the right PCB and account their costs sanely.
 """
 
+import pickle
+
 import pytest
 
-from repro.core.base import DuplicateConnectionError
+from repro.core.base import DuplicateConnectionError, LookupResult
 from repro.core.pcb import PCB
 from repro.core.stats import PacketKind
 
 from conftest import make_pcbs, make_tuple
+
+
+class TestLookupResult:
+    """The result record's contract, whichever way it is built."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        pcb = PCB(make_tuple(0))
+        positional = LookupResult(pcb, 3, True, PacketKind.ACK)
+        keyword = LookupResult(
+            pcb=pcb, examined=3, cache_hit=True, kind=PacketKind.ACK
+        )
+        assert positional == keyword
+        assert (positional.pcb, positional.examined, positional.cache_hit,
+                positional.kind) == (pcb, 3, True, PacketKind.ACK)
+
+    def test_found(self):
+        assert LookupResult(PCB(make_tuple(0)), 1, False, PacketKind.DATA).found
+        assert not LookupResult(None, 4, False, PacketKind.DATA).found
+
+    def test_fields_are_read_only(self):
+        result = LookupResult(None, 2, False, PacketKind.DATA)
+        for field in ("pcb", "examined", "cache_hit", "kind", "found"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
+        with pytest.raises(AttributeError):
+            result.extra = 1
+
+    def test_repr(self):
+        assert repr(LookupResult(None, 2, False, PacketKind.DATA)) == (
+            "LookupResult(pcb=None, examined=2, cache_hit=False,"
+            f" kind={PacketKind.DATA!r})"
+        )
+
+    def test_pickle_round_trip(self):
+        miss = LookupResult(None, 5, False, PacketKind.ACK)
+        assert pickle.loads(pickle.dumps(miss)) == miss
+        hit = LookupResult(PCB(make_tuple(1)), 1, True, PacketKind.DATA)
+        restored = pickle.loads(pickle.dumps(hit))
+        assert type(restored) is LookupResult
+        assert restored.pcb.four_tuple == hit.pcb.four_tuple
+        assert (restored.examined, restored.cache_hit, restored.kind) == (
+            1, True, PacketKind.DATA
+        )
 
 
 class TestContainerBehaviour:

@@ -35,6 +35,8 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 SPECS = [
     "fast-sequent:h=19",
+    # Long chains: 256-packet chunks take the grouped, vectorized path.
+    "fast-sequent:h=2",
     "fast-cuckoo",
     "sharded-fast-sequent:shards=4,steer=hash,h=19",
     "sharded-fast-sequent:shards=4,steer=sticky,h=19",

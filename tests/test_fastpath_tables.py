@@ -66,6 +66,17 @@ class TestKeyCache:
         cache.probe(tup)
         assert cache.counters.key_cache_hits == 1
 
+    def test_inspection_reads_count_nothing(self):
+        cache = KeyCache(lambda tup: 3)
+        live, absent = make_tuple(4), make_tuple(5)
+        cache.entry(live)
+        before = cache.counters.as_dict()
+        for tup in (live, absent):
+            assert cache.chain_of(tup) == 3
+            assert cache.key_of(tup) == tup.key_bits()
+        assert cache.counters.as_dict() == before
+        assert len(cache) == 1
+
     def test_evict_drops_entry_and_counts(self):
         cache = KeyCache()
         tup = make_tuple(3)
@@ -89,6 +100,33 @@ class TestKeyCache:
             "batch_calls": 0,
             "batched_lookups": 0,
         }
+
+
+class TestOverloadCheck:
+    """``fast-sequent``'s overload check reads the chain its insert
+    interned into; it does not probe the intern table again."""
+
+    def build(self, threshold):
+        demux = FastSequentDemux(7, overload_threshold=threshold)
+        for i in range(100):
+            demux.insert(PCB(make_tuple(i)))
+        return demux
+
+    def test_counters_match_without_threshold(self):
+        plain, checked = self.build(None), self.build(4)
+        assert checked.chain_overload_events > 0
+        assert (
+            checked.fastpath_counters.as_dict()
+            == plain.fastpath_counters.as_dict()
+        )
+        assert checked.fastpath_counters.key_cache_hits == 0
+
+    def test_chain_of_leaves_counters_unchanged(self):
+        demux = self.build(4)
+        before = demux.fastpath_counters.as_dict()
+        demux.chain_of(make_tuple(0))  # live
+        demux.chain_of(make_tuple(500))  # never inserted
+        assert demux.fastpath_counters.as_dict() == before
 
 
 class TestSlotTable:

@@ -185,6 +185,46 @@ class TestNumpyVsFallbackDirect:
         assert with_numpy == without
 
 
+class TestSequentBatchPaths:
+    """Which batched path ``fast-sequent`` takes, and that both decide
+    exactly as per-call lookups (seed-202 golden stream, 256-packet
+    chunks, stray misses included)."""
+
+    @pytest.fixture
+    def scan_batch_calls(self, monkeypatch):
+        calls = []
+        scan_batch = SlotTable.scan_batch
+
+        def counting(table, keys):
+            calls.append(len(keys))
+            return scan_batch(table, keys)
+
+        monkeypatch.setattr(SlotTable, "scan_batch", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        golden = json.loads((GOLDEN_DIR / "tpca_seed202.json").read_text())
+        params = golden["stream"]
+        return golden_stream(
+            params["seed"],
+            n_users=params["n_users"],
+            duration=params["duration"],
+        )
+
+    @pytest.mark.parametrize(
+        "spec,groups", [("fast-sequent:h=19", False), ("fast-sequent:h=2", True)]
+    )
+    def test_path_and_decisions(self, stream, scan_batch_calls, spec, groups):
+        per_call = decision_trace(spec, stream)
+        assert not scan_batch_calls
+        batched = decision_trace(spec, stream, use_batch=True, batch_size=256)
+        # Short chains (96 flows over 19) never vectorize, so the fused
+        # pass runs; long ones (over 2) are grouped and scanned per chain.
+        assert bool(scan_batch_calls) is groups
+        assert batched == per_call
+
+
 @pytest.mark.skipif(numpy_missing, reason="numpy not installed")
 def test_vectorized_scan_matches_list_scan_at_1e3():
     """At N >= 10^3 the numpy scan decides exactly as the list scan.

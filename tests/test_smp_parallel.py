@@ -1,6 +1,7 @@
 """Tests for the deterministic process-parallel task runner."""
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -55,6 +56,40 @@ def _die_once(sentinel):
             handle.write("died")
         os._exit(17)
     return "survived"
+
+
+def _bystander(marker, value):
+    """A task a sibling's crash always takes down; run alone, it returns.
+
+    Its first run creates ``marker`` and then blocks until the broken
+    pool kills it, so it can only end as a casualty, never with its own
+    result (the wait is bounded: a pool that never breaks fails the
+    test instead of hanging it).  A later run -- the runner's re-run in
+    isolation -- finds ``marker`` and returns ``value``.
+    """
+    if os.path.exists(marker):
+        return value
+    open(marker, "w").close()
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        time.sleep(0.01)
+    return "outlived the crash"
+
+
+def _crash_beside(marker, once=None):
+    """Kill the worker once the bystander is running (``marker`` exists).
+
+    With ``once`` (a sentinel path) only the first attempt dies; later
+    attempts return ``"survived"``.
+    """
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(marker) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if once is not None:
+        if os.path.exists(once):
+            return "survived"
+        open(once, "w").close()
+    os._exit(17)
 
 
 def tasks_for(values):
@@ -308,3 +343,35 @@ class TestBrokenPoolAttribution:
         ) as err:
             run_tasks(tasks, jobs=2)
         assert err.value.task_name == "crash"
+
+    def test_bystander_rerun_alone_and_crash_named(self, tmp_path):
+        """The bystander precedes the crash in submission order and is
+        always poisoned by it; run alone it succeeds, so the error names
+        the task that dies again -- and isolation is not a retry."""
+        marker = str(tmp_path / "bystander-started")
+        log = RetryLog()
+        tasks = [
+            Task(name="bystander", fn=_bystander, args=(marker, 42)),
+            Task(name="crash", fn=_crash_beside, args=(marker,)),
+        ]
+        with pytest.raises(
+            ParallelTaskError, match="worker process died"
+        ) as err:
+            run_tasks(tasks, jobs=2, retry_log=log)
+        assert err.value.task_name == "crash"
+        assert log.total == 0
+
+    def test_isolated_reruns_keep_results(self, tmp_path):
+        """When no task dies again alone, the run succeeds."""
+        marker = str(tmp_path / "bystander-started")
+        tasks = [
+            Task(name="bystander", fn=_bystander, args=(marker, 42)),
+            Task(
+                name="crash",
+                fn=_crash_beside,
+                args=(marker, str(tmp_path / "died")),
+            ),
+        ]
+        log = RetryLog()
+        assert run_tasks(tasks, jobs=2, retry_log=log) == [42, "survived"]
+        assert log.total == 0
