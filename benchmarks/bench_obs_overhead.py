@@ -7,12 +7,13 @@ operation, and with the profiler at its default sampling rate
 5%.  This benchmark measures that contract directly -- min-of-rounds
 wall-clock per lookup, bare vs. instrumented -- and asserts the 5%
 budget on the heavy path (BSD at N=512, uniform targets, ~N/2 PCBs
-examined per lookup).  The fast path (Sequent hashing, a few PCBs per
-lookup; per call, and spans plus sketch on batched ``fast-sequent``)
-and full tracing (enabled tracer, every event buffered) are measured
-and reported but not asserted: constant per-call costs are a much
-larger fraction of a ~1 us lookup, and full tracing is an opt-in
-debugging mode, not the default configuration.
+examined per lookup).  Spans plus sketch on batched ``fast-sequent``
+(a few PCBs per lookup, where constant per-packet costs are a much
+larger fraction of a lookup) are asserted under a looser 20% bound
+and reported against the 5% target.  The per-call fast path and full
+tracing (enabled tracer, every event buffered; an opt-in debugging
+mode, not the default configuration) are measured and reported but
+not asserted.
 
 Results are also written to ``BENCH_obs.json`` at the repository root
 so the numbers are machine-readable across runs.
@@ -44,6 +45,9 @@ N = 512
 LOOKUPS_PER_ROUND = 512 if QUICK else 2048
 ROUNDS = 5 if QUICK else 15
 LIMIT_PCT = 5.0
+#: Asserted bound of the batched fast-path case, which is reported
+#: against ``LIMIT_PCT`` as its target.
+BATCHED_LIMIT_PCT = 20.0
 #: ``lookup_batch`` chunk of the batched case (the bench's tpca-* chunk).
 BATCH = 256
 
@@ -92,7 +96,7 @@ def _timed_batched_round(algorithm, targets):
     return time.perf_counter_ns() - start
 
 
-def _measure(spec, instrument, case, asserted, *, batched=False,
+def _measure(spec, instrument, case, *, limit_pct=None, batched=False,
              target_pct=None):
     """Measure bare vs. instrumented per-lookup cost for one case.
 
@@ -103,7 +107,8 @@ def _measure(spec, instrument, case, asserted, *, batched=False,
     contributes one instrumented/bare ratio; the reported overhead is
     the *median* ratio, so a scheduler or throttling hiccup that lands
     on a single round cannot swing the result the way a min-of-rounds
-    comparison can on shared hardware.  ``batched`` times
+    comparison can on shared hardware.  ``limit_pct`` is the bound the
+    caller asserts (``None``: reported only).  ``batched`` times
     ``lookup_batch`` chunks instead of per-call lookups; ``target_pct``
     is a budget reported next to the result without asserting it.
     """
@@ -145,16 +150,16 @@ def _measure(spec, instrument, case, asserted, *, batched=False,
         "bare_ns_per_lookup": round(bare_ns, 1),
         "instrumented_ns_per_lookup": round(inst_ns, 1),
         "overhead_pct": round(overhead_pct, 2),
-        "asserted": asserted,
-        "limit_pct": LIMIT_PCT if asserted else None,
+        "asserted": limit_pct is not None,
+        "limit_pct": limit_pct,
         "target_pct": target_pct,
     }
-    if asserted:
-        verdict = f"  (budget {LIMIT_PCT:.0f}%)"
-    elif target_pct is not None:
-        verdict = f"  (target {target_pct:.0f}%, reported only)"
-    else:
+    if limit_pct is None:
         verdict = "  (reported only)"
+    else:
+        verdict = f"  (budget {limit_pct:.0f}%)"
+    if target_pct is not None:
+        verdict += f"  (target {target_pct:.0f}%, reported only)"
     emit(
         f"obs overhead: {case}",
         f"  bare:         {bare_ns:9.1f} ns/lookup\n"
@@ -177,7 +182,7 @@ def test_heavy_path_overhead_under_budget():
     must vanish into it.  This is the asserted acceptance criterion."""
     overhead_pct, inst_alg = _measure(
         "bsd", _default_instrumentation, "bsd_n512_default_sampling",
-        asserted=True,
+        limit_pct=LIMIT_PCT,
     )
     # The profiler really was sampling at the default rate.
     profiler = inst_alg._profiler
@@ -192,7 +197,7 @@ def test_fast_path_overhead_reported():
     costs loom large.  Reported for the record, not asserted."""
     _measure(
         "sequent:h=19", _default_instrumentation,
-        "sequent_h19_default_sampling", asserted=False,
+        "sequent_h19_default_sampling",
     )
 
 
@@ -204,7 +209,7 @@ def test_full_tracing_cost_reported():
         algorithm.tracer = Tracer(RingBufferSink(4096))
 
     _, inst_alg = _measure(
-        "bsd", full_tracing, "bsd_n512_full_tracing", asserted=False,
+        "bsd", full_tracing, "bsd_n512_full_tracing",
     )
     sink = inst_alg.tracer._sinks[0]
     assert sink.total_emitted == (ROUNDS + 1) * LOOKUPS_PER_ROUND
@@ -227,7 +232,8 @@ def test_spans_and_sketches_overhead_under_budget():
         characterizers.append(TrafficCharacterizer().attach(collector))
 
     overhead_pct, inst_alg = _measure(
-        "bsd", spans_and_sketches, "bsd_n512_spans_sketch", asserted=True,
+        "bsd", spans_and_sketches, "bsd_n512_spans_sketch",
+        limit_pct=LIMIT_PCT,
     )
     # The collector really saw every packet and sampled at 1/64.
     collector = inst_alg.spans
@@ -241,15 +247,15 @@ def test_spans_and_sketches_overhead_under_budget():
     assert overhead_pct < LIMIT_PCT
 
 
-def test_batched_fast_path_spans_sketch_reported():
+def test_batched_fast_path_spans_sketch_under_bound():
     """Spans (1/64) plus the sketch pipeline on batched fast-sequent.
 
     The ROADMAP states the telemetry budget against the batched fast
-    path, where a lookup costs about a microsecond and fixed per-packet
-    hook costs loom largest: spans plus sketch should stay under 5%
-    there.  Reported against that target, not asserted -- the
-    per-packet train-detector observer alone is a large share of a
-    batched lookup today (see docs/observability.md)."""
+    path, where fixed per-packet hook costs loom largest: spans plus
+    sketch should stay under 5% there.  Reported against that target and asserted under
+    ``BATCHED_LIMIT_PCT``: the train detector's batch loop and the
+    sampled spans' object costs still exceed the target (see
+    docs/observability.md)."""
     characterizers = []
 
     def spans_and_sketches(algorithm):
@@ -258,16 +264,17 @@ def test_batched_fast_path_spans_sketch_reported():
         ).attach(algorithm)
         characterizers.append(TrafficCharacterizer().attach(collector))
 
-    _, inst_alg = _measure(
+    overhead_pct, inst_alg = _measure(
         "fast-sequent:h=19", spans_and_sketches,
-        "fast_sequent_h19_batched_spans_sketch", asserted=False,
-        batched=True, target_pct=LIMIT_PCT,
+        "fast_sequent_h19_batched_spans_sketch",
+        limit_pct=BATCHED_LIMIT_PCT, batched=True, target_pct=LIMIT_PCT,
     )
     # The batched path really took the batches, hooks attached.
     total = (ROUNDS + 1) * LOOKUPS_PER_ROUND
     assert inst_alg.fastpath_counters.batched_lookups == total
     assert inst_alg.spans.packets_seen == total
     assert characterizers[0].trains.packets == total
+    assert overhead_pct < BATCHED_LIMIT_PCT
 
 
 def test_write_bench_json():

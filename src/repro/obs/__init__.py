@@ -2,9 +2,11 @@
 
 This package is the *bottom* layer of the stack -- it imports nothing
 from the rest of :mod:`repro` (pure stdlib), so :mod:`repro.core` can
-emit into it without circular dependencies.  (The one exception is
-:mod:`repro.obs.report`, a CLI-side renderer that reuses the
-dependency-free ``repro.experiments.ascii_plot`` leaf.)  The modules:
+emit into it without circular dependencies.  (Two exceptions, both
+dependency-free leaves: :mod:`repro.obs.report`, a CLI-side renderer,
+reuses ``repro.experiments.ascii_plot``, and :mod:`repro.obs.sketch`
+checks keys against ``repro.packet.addresses.FourTuple`` for its
+train detector's shortcut.)  The modules:
 
 * :mod:`repro.obs.trace` -- per-event tracing (lookups, inserts,
   removes, simulator dispatch) through pluggable sinks: in-memory ring

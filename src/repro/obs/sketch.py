@@ -17,7 +17,8 @@ the packet stream itself, online, without storing it:
 * *How train-y is it?*  -- :class:`TrainDetector`: the fraction of
   packets whose predecessor came from the same connection (the paper's
   packet trains; Wu et al. show it decides batching).  Needs every
-  packet (sampling destroys adjacency) so it is a two-comparison EWMA.
+  packet (sampling destroys adjacency), so it takes them a batch at a
+  time and spends one comparison and one multiply-add per packet.
 * *How many flows are live?*  -- :class:`HyperLogLog` population and a
   :class:`WorkingSetEstimator` (two epoch-rotated HLLs) for the flows
   seen in the recent window.
@@ -25,8 +26,13 @@ the packet stream itself, online, without storing it:
 :class:`TrafficCharacterizer` bundles them, attaches to a
 :class:`repro.obs.spans.SpanCollector`, and publishes ``traffic_*``
 gauges into a :class:`repro.obs.metrics.MetricsRegistry` from a
-periodic simulator event.  All estimators are deterministic (the HLL
-hashes with keyed-less blake2b) so paired runs stay paired.
+periodic simulator event.  All estimators are deterministic (the HLLs
+hash ``str(key)`` with unkeyed blake2b, the same value in every
+process) so paired runs stay paired.
+
+The module imports one thing from outside :mod:`repro.obs`: the
+dependency-free :class:`repro.packet.addresses.FourTuple`, whose type
+the train detector checks before it takes an exact shortcut.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from ..packet.addresses import FourTuple
 
 __all__ = [
     "BucketQuantileSketch",
@@ -90,23 +99,39 @@ class P2Quantile:
                     1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0
                 ]
             return
-        positions = self._positions
-        # Which cell does the value fall into?
+        # Which cell does the value fall into?  (The first ``c`` with
+        # ``heights[c] <= value < heights[c + 1]``.)
         if value < heights[0]:
             heights[0] = value
             cell = 0
         elif value >= heights[4]:
             heights[4] = value
             cell = 3
-        else:
+        elif value < heights[1]:
             cell = 0
-            while not (heights[cell] <= value < heights[cell + 1]):
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
+        elif value < heights[2]:
+            cell = 1
+        elif value < heights[3]:
+            cell = 2
+        else:
+            cell = 3
+        # Shift the markers above the cell.
+        positions = self._positions
+        if cell == 0:
+            positions[1] += 1.0
+        if cell <= 1:
+            positions[2] += 1.0
+        if cell <= 2:
+            positions[3] += 1.0
+        positions[4] += 1.0
+        # The first marker's desired position stays at 1.0 (its
+        # increment is 0.0).
         desired = self._desired
-        for i, inc in enumerate(self._increments):
-            desired[i] += inc
+        increments = self._increments
+        desired[1] += increments[1]
+        desired[2] += increments[2]
+        desired[3] += increments[3]
+        desired[4] += 1.0
         # Adjust the three inner markers toward their desired positions.
         for i in (1, 2, 3):
             delta = desired[i] - positions[i]
@@ -223,8 +248,10 @@ class SpaceSaving:
             counts[key] = count
             self._errors[key] = 0
             return
-        victim = min(counts, key=counts.get)
-        floor = counts.pop(victim)
+        # The first minimum in insertion order, read from the items
+        # rather than by a lookup (a key hash) per counter.
+        victim, floor = min(counts.items(), key=itemgetter(1))
+        del counts[victim]
         self._errors.pop(victim)
         counts[key] = floor + count
         self._errors[key] = floor
@@ -281,8 +308,9 @@ class TrainDetector:
     predecessor shared their connection (the paper's "train
     followers"); ``train_ness`` is an EWMA of the same signal, so it
     tracks phase changes.  Must be fed *every* packet -- adjacency is
-    exactly what sampling destroys -- and is therefore two comparisons
-    and one multiply per packet.
+    exactly what sampling destroys -- so :meth:`offer_packets` takes a
+    batch and runs one loop over it: a follower test and one
+    multiply-add per packet.
     """
 
     _NOTHING = object()
@@ -298,14 +326,38 @@ class TrainDetector:
         self.train_ness = 0.0
 
     def offer(self, key: Any) -> None:
-        follower = key == self._last
-        self._last = key
-        self.packets += 1
-        if follower:
-            self.followers += 1
-            self.train_ness += self.alpha * (1.0 - self.train_ness)
-        else:
-            self.train_ness -= self.alpha * self.train_ness
+        """Feed one packet's key."""
+        self.offer_packets(((key, None),))
+
+    def offer_packets(self, packets: Sequence[Tuple[Any, Any]]) -> None:
+        """Feed ``(key, kind)`` packets in arrival order.
+
+        A packet follows when its key equals its predecessor's
+        (``==``).  Two :class:`FourTuple` keys with different remote
+        ports cannot be equal, so that test runs first and most
+        non-followers cost no address comparison.  The EWMA takes the
+        same float steps, in the same order, however the stream is
+        split into batches.
+        """
+        alpha = self.alpha
+        train_ness = self.train_ness
+        last = self._last
+        followers = 0
+        four_tuple = FourTuple
+        for key, _ in packets:
+            if (type(key) is four_tuple and type(last) is four_tuple
+                    and key[3] != last[3]):
+                train_ness -= alpha * train_ness
+            elif key == last:
+                followers += 1
+                train_ness += alpha * (1.0 - train_ness)
+            else:
+                train_ness -= alpha * train_ness
+            last = key
+        self._last = last
+        self.packets += len(packets)
+        self.followers += followers
+        self.train_ness = train_ness
 
     @property
     def follower_ratio(self) -> float:
@@ -334,11 +386,20 @@ class HyperLogLog:
         self.m = 1 << precision
         self._registers = bytearray(self.m)
 
-    def add(self, key: Any) -> None:
+    @staticmethod
+    def hash_key(key: Any) -> int:
+        """The 64-bit hash :meth:`add` files ``key`` under: blake2b of
+        ``str(key)``.  Compute it once to feed several HLLs."""
         digest = hashlib.blake2b(
             str(key).encode("utf-8"), digest_size=8
         ).digest()
-        hashed = int.from_bytes(digest, "big")
+        return int.from_bytes(digest, "big")
+
+    def add(self, key: Any) -> None:
+        self.add_hashed(self.hash_key(key))
+
+    def add_hashed(self, hashed: int) -> None:
+        """Add a key by its :meth:`hash_key` value."""
         index = hashed & (self.m - 1)
         rest = hashed >> self.precision
         rank = (64 - self.precision) - rest.bit_length() + 1
@@ -389,14 +450,26 @@ class WorkingSetEstimator:
         self.rotations = 0
 
     def offer(self, key: Any, now: float) -> None:
-        if self._epoch_start is None:
+        self.offer_hashed(HyperLogLog.hash_key(key), now)
+
+    def offer_hashed(self, hashed: int, now: float) -> None:
+        """Add a key by its :meth:`HyperLogLog.hash_key` value at ``now``."""
+        start = self._epoch_start
+        if start is None:
             self._epoch_start = now
-        while now - self._epoch_start >= self.window:
-            self._previous = self._current
+        elif now - start >= self.window:
+            # Jump straight to the epoch holding ``now``.  Every skipped
+            # epoch counts as a rotation, but after two or more both
+            # windows are empty, so no HLL is built per skipped epoch.
+            epochs = int((now - start) // self.window)
+            self._previous = (
+                self._current if epochs == 1
+                else HyperLogLog(self.precision)
+            )
             self._current = HyperLogLog(self.precision)
-            self._epoch_start += self.window
-            self.rotations += 1
-        self._current.add(key)
+            self._epoch_start = start + epochs * self.window
+            self.rotations += epochs
+        self._current.add_hashed(hashed)
 
     def estimate(self) -> float:
         return self._previous.merge(self._current).count()
@@ -406,9 +479,11 @@ class TrafficCharacterizer:
     """All four signals bundled, fed by spans, published as gauges.
 
     ``attach(collector)`` registers two observers on a
-    :class:`~repro.obs.spans.SpanCollector`: a per-packet one feeding
-    the train detector (cheap, unsampled) and a finished-span one
-    feeding the quantile/heavy-hitter/population sketches (sampled).
+    :class:`~repro.obs.spans.SpanCollector`: a packet one feeding the
+    train detector every packet, a batch at a time (unsampled), and a
+    finished-span one feeding the quantile/heavy-hitter/population
+    sketches (sampled).  The two halves share no state, so the order
+    in which the collector calls them does not change an estimate.
     ``attach_simulator`` schedules the periodic ``characterize`` event
     that publishes into a registry; ``estimates()`` returns the raw
     numbers for reports and assertions.
@@ -437,11 +512,12 @@ class TrafficCharacterizer:
     # -- feeding -------------------------------------------------------
 
     def attach(self, collector: object) -> "TrafficCharacterizer":
-        collector.add_packet_observer(self.note_packet)
+        collector.add_packet_observer(self.trains.offer_packets)
         collector.add_span_observer(self.on_span)
         return self
 
     def note_packet(self, key: Any, kind: Any) -> None:
+        """Feed one packet directly (bypassing the collector)."""
         self.trains.offer(key)
 
     def on_span(self, span: object) -> None:
@@ -459,8 +535,9 @@ class TrafficCharacterizer:
         for sketch in self.examined.values():
             sketch.observe(examined)
         self.heavy.offer(key)
-        self.population.add(key)
-        self.working_set.offer(key, now)
+        hashed = HyperLogLog.hash_key(key)
+        self.population.add_hashed(hashed)
+        self.working_set.offer_hashed(hashed, now)
 
     def observe_latency(self, nanoseconds: float) -> None:
         self.latency.observe(nanoseconds)

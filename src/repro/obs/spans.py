@@ -25,8 +25,10 @@ Design constraints, in priority order:
    runs.
 2. **Sampling bounds the cost.**  Every packet increments one counter;
    only every ``sample_every``-th packet materialises a span object.
-   Per-packet observers (the train-ness detector needs adjacency, which
-   sampling would destroy) are explicitly separate and must stay cheap.
+   Packet observers (the train-ness detector needs adjacency, which
+   sampling would destroy) are explicitly separate: each receives the
+   packets a batch at a time, so its cost is one call per batch plus
+   its own loop.
 3. **Fixed memory.**  Finished spans land in a
    :class:`FlightRecorder` -- per-connection ring buffers with an LRU
    cap on the number of connections -- never an unbounded list.
@@ -248,7 +250,9 @@ class SpanCollector:
         self._owner = ""
         self._current: Optional[PacketSpan] = None
         self._span_observers: List[Callable[[PacketSpan], None]] = []
-        self._packet_observers: List[Callable[[Any, Any], None]] = []
+        self._packet_observers: List[
+            Callable[[Sequence[Tuple[Any, Any]]], None]
+        ] = []
         self.packets_seen = 0
         self.spans_started = 0
         self.spans_finished = 0
@@ -268,12 +272,17 @@ class SpanCollector:
         self._span_observers.append(observer)
 
     def add_packet_observer(
-        self, observer: Callable[[Any, Any], None]
+        self, observer: Callable[[Sequence[Tuple[Any, Any]]], None]
     ) -> None:
-        """Call ``observer(four_tuple, kind)`` for *every* packet.
+        """Call ``observer(packets)`` with *every* packet, a batch at a time.
 
+        ``packets`` is a sequence of ``(four_tuple, kind)`` pairs in
+        delivery order: a whole ``lookup_batch`` batch from
+        :meth:`note_batch`, a one-packet tuple from :meth:`open_packet`.
+        The observer sees a batch before the batch's sampled spans
+        finish, so it must not depend on the span observers' state.
         Unsampled: use only for estimators that need adjacency (the
-        train-ness detector) and keep the observer O(1) and branch-light.
+        train-ness detector), and keep the per-packet loop tight.
         """
         self._packet_observers.append(observer)
 
@@ -297,8 +306,11 @@ class SpanCollector:
         self._open = True
         self._owner = owner
         self.packets_seen += 1
-        for observer in self._packet_observers:
-            observer(four_tuple, kind)
+        observers = self._packet_observers
+        if observers:
+            packets = ((four_tuple, kind),)
+            for observer in observers:
+                observer(packets)
         if (self.packets_seen - 1) % self.sample_every:
             self._current = None
             return None
@@ -375,14 +387,16 @@ class SpanCollector:
     ) -> None:
         """Record a batch of demux lookups; the hook ``_finish_batch`` calls.
 
-        The same spans, counters and observer calls, in the same order,
-        as :meth:`note_lookup` per ``(packet, result)`` -- but the 1-in-N
-        sample points are picked inside the batch, so only sampled
-        packets cost more than the packet observers.  ``lead(i)``, when
-        given, names the stage a sampled packet ``i`` records before its
-        lookup (the sharded facade's ``steer``).  Under a packet context
-        an outer layer opened, each lookup joins it as ``note_lookup``
-        would.
+        The same spans and counters, in the same order, as
+        :meth:`note_lookup` per ``(packet, result)``, and every packet
+        observer is called once with the whole batch, before the
+        sampled spans finish.  The 1-in-N sample points are picked
+        inside the batch, so only sampled packets cost more than the
+        observers' own loops.  ``lead(i)``, when given, names the stage
+        a sampled packet ``i`` records before its lookup (the sharded
+        facade's ``steer``).  Under a packet context an outer layer
+        opened, each lookup joins it as ``note_lookup`` would (the
+        opener already showed the packet to the observers).
         """
         if self._open:
             for position, ((tup, _), result) in enumerate(
@@ -393,16 +407,12 @@ class SpanCollector:
                     self._append_stage(self._current, name, data)
                 self.note_lookup(algorithm, tup, result)
             return
-        observers = self._packet_observers
+        for observer in self._packet_observers:
+            observer(packets)
         seen = self.packets_seen
         self.packets_seen = seen + len(packets)
-        done = 0
         for position in range(-seen % self.sample_every, len(packets),
                               self.sample_every):
-            for tup, kind in packets[done:position + 1]:
-                for observer in observers:
-                    observer(tup, kind)
-            done = position + 1
             tup, kind = packets[position]
             span = self._start_span(tup, kind)
             if lead is not None:
@@ -410,9 +420,6 @@ class SpanCollector:
                 self._append_stage(span, name, data)
             self._lookup_stage(span, algorithm, results[position])
             self._finish_span(span)
-        for tup, kind in packets[done:]:
-            for observer in observers:
-                observer(tup, kind)
 
     def _lookup_stage(
         self, span: PacketSpan, algorithm: str, result: Any

@@ -133,7 +133,8 @@ class IPv4Address:
         return self._value
 
     def __str__(self) -> str:
-        return ".".join(str(o) for o in self.octets)
+        v = self._value
+        return f"{v >> 24}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
 
     def __repr__(self) -> str:
         return f"IPv4Address('{self}')"

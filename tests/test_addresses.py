@@ -59,6 +59,14 @@ class TestIPv4AddressBehaviour:
         for text in ("0.0.0.0", "10.250.3.77", "255.255.255.255"):
             assert str(IPv4Address(text)) == text
 
+    def test_str_matches_octet_join(self):
+        values = [0, 0xFFFFFFFF, 0x0A000001, 0x00FF0080, 0xFF00FF00,
+                  0x7F000001, 0x01020304, 0xC0A80164]
+        values += [(i * 0x9E3779B1) & 0xFFFFFFFF for i in range(1000)]
+        for value in values:
+            addr = IPv4Address(value)
+            assert str(addr) == ".".join(str(o) for o in addr.octets)
+
     def test_packed_round_trip(self):
         addr = IPv4Address("172.16.254.3")
         assert IPv4Address(addr.packed) == addr

@@ -40,6 +40,10 @@ SPECS = [
     "fast-cuckoo",
     "sharded-fast-sequent:shards=4,steer=hash,h=19",
     "sharded-fast-sequent:shards=4,steer=sticky,h=19",
+    # Round-robin steering keeps the per-packet path: one-packet
+    # observer calls under ``lookup_batch``.
+    "sharded-fast-sequent:shards=4,steer=rr,h=19",
+    "sharded-fast-cuckoo:shards=4",
     "sequent:h=19",
 ]
 CHUNKS = [1, 2, 7, 256]

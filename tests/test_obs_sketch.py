@@ -8,14 +8,20 @@ count), HyperLogLog stays within its standard-error envelope, and the
 train-ness detector flips between coalesced and uncoalesced replays of
 the same stream."""
 
+import hashlib
+import json
+import pathlib
 import random
 import statistics
 
 import pytest
 
+import repro.obs.sketch as sketch_module
 from repro.core.bsd import BSDDemux
 from repro.core.pcb import PCB
+from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
+from repro.fastpath.conformance import golden_stream
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import (
     BucketQuantileSketch,
@@ -31,6 +37,8 @@ from repro.smp.coalesce import BatchCoalescer
 from repro.workload.record import record_tpca_stream
 
 from conftest import make_tuple
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def _exact_quantile(values, q):
@@ -97,6 +105,54 @@ class TestP2Quantile:
             P2Quantile(0.0)
         with pytest.raises(ValueError):
             P2Quantile(1.0)
+
+    #: Marker heights, positions and desired positions after
+    #: :meth:`_marker_stream`, pinned bit for bit.
+    RECORDED_MARKERS = {
+        0.5: (
+            [1.0, 1.5684990738943498, 3.149829006628358,
+             9.085401198959474, 7734.445516531108],
+            [1.0, 1501.0, 3001.0, 4501.0, 6000.0],
+            [1.0, 1500.75, 3000.5, 4500.25, 6000.0],
+        ),
+        0.9: (
+            [1.0, 2.710441836203473, 11.193845569999425,
+             25.736042512748313, 7734.445516531108],
+            [1.0, 2701.0, 5400.0, 5700.0, 6000.0],
+            [1.0, 2700.5499999998824, 5400.099999999765,
+             5700.04999999937, 6000.0],
+        ),
+        0.99: (
+            [1.0, 3.0893671051233533, 66.18495280210027,
+             212.19638435394484, 7734.445516531108],
+            [1.0, 2971.0, 5941.0, 5970.0, 6000.0],
+            [1.0, 2970.5049999995795, 5940.009999999159,
+             5970.004999999462, 6000.0],
+        ),
+    }
+
+    @staticmethod
+    def _marker_stream():
+        """Ties (small integers, like PCBs examined) and a heavy tail,
+        from arithmetic that rounds the same on every platform."""
+        rng = random.Random(1992)
+        values = []
+        for _ in range(6000):
+            if rng.random() < 0.4:
+                values.append(float(rng.randint(1, 12)))
+            else:
+                values.append(1.0 / (1.0 - rng.random()))
+        return values
+
+    @pytest.mark.parametrize("q", sorted(RECORDED_MARKERS))
+    def test_markers_match_recorded_values(self, q):
+        sketch = P2Quantile(q)
+        for value in self._marker_stream():
+            sketch.observe(value)
+        assert sketch.count == 6000
+        assert (
+            sketch._heights, sketch._positions, sketch._desired
+        ) == self.RECORDED_MARKERS[q]
 
 
 class TestBucketQuantileSketch:
@@ -170,6 +226,41 @@ class TestSpaceSaving:
             sketch.offer(rng.randrange(200))
         assert sketch.skew() < 0.3
 
+    def test_eviction_matches_reference_loop(self):
+        """Evicting picks the same victim as a scan by ``counts.get``.
+
+        The stream keeps many counters tied at the minimum, so the
+        victim is decided by insertion order.
+        """
+        rng = random.Random(404)
+        keys = [make_tuple(i) for i in range(300)]
+        offers = [
+            (keys[rng.randrange(300)], rng.choice((1, 1, 1, 2)))
+            for _ in range(20000)
+        ]
+        sketch = SpaceSaving(capacity=16)
+        counts, errors = {}, {}
+        for key, count in offers:
+            sketch.offer(key, count)
+            if key in counts:
+                counts[key] += count
+            elif len(counts) < 16:
+                counts[key] = count
+                errors[key] = 0
+            else:
+                victim = min(counts, key=counts.get)
+                floor = counts.pop(victim)
+                errors.pop(victim)
+                counts[key] = floor + count
+                errors[key] = floor
+        assert list(sketch._counts.items()) == list(counts.items())
+        assert list(sketch._errors.items()) == list(errors.items())
+        ranked = sorted(counts.items(), key=lambda item: item[1],
+                        reverse=True)
+        assert sketch.top(16) == [
+            (key, count, errors[key]) for key, count in ranked
+        ]
+
 
 class TestTrainDetector:
     def test_interleaved_stream_is_train_free(self):
@@ -229,6 +320,14 @@ class TestHyperLogLog:
             b.add(i)
         assert a.count() == b.count()
 
+    def test_add_is_add_hashed_of_hash_key(self):
+        keyed, hashed = HyperLogLog(10), HyperLogLog(10)
+        for i in range(2000):
+            key = make_tuple(i % 700)
+            keyed.add(key)
+            hashed.add_hashed(HyperLogLog.hash_key(key))
+        assert keyed._registers == hashed._registers
+
 
 class TestWorkingSetEstimator:
     def test_forgets_old_epoch(self):
@@ -246,6 +345,68 @@ class TestWorkingSetEstimator:
         for i in range(500):
             estimator.offer(i % 100, now=i * 0.01)
         assert abs(estimator.estimate() - 100) / 100 < 0.25
+
+    def test_clock_jump_skips_to_its_epoch(self, monkeypatch):
+        """A collector on the default 0.0 clock later bound to a wall
+        clock jumps ~1.7e9 s: the estimator moves to the epoch holding
+        ``now`` without building one HLL per skipped window."""
+        built = []
+
+        class CountingHLL(HyperLogLog):
+            def __init__(self, precision):
+                built.append(precision)
+                super().__init__(precision)
+
+        estimator = WorkingSetEstimator(window=10.0)
+        for i in range(100):
+            estimator.offer(("old", i), now=0.0)
+        monkeypatch.setattr(sketch_module, "HyperLogLog", CountingHLL)
+        estimator.offer(("new", 0), now=1e9)
+        assert len(built) <= 2
+        assert estimator.rotations == 10 ** 8
+        fresh = HyperLogLog(10)
+        fresh.add(("new", 0))
+        assert estimator.estimate() == fresh.count()
+
+    def test_small_gaps_match_the_rotation_loop(self):
+        class LoopingWorkingSet:
+            """The rotation loop the epoch jump replaced."""
+
+            def __init__(self, window):
+                self.window = window
+                self._current = HyperLogLog(10)
+                self._previous = HyperLogLog(10)
+                self._epoch_start = None
+                self.rotations = 0
+
+            def offer(self, key, now):
+                if self._epoch_start is None:
+                    self._epoch_start = now
+                while now - self._epoch_start >= self.window:
+                    self._previous = self._current
+                    self._current = HyperLogLog(10)
+                    self._epoch_start += self.window
+                    self.rotations += 1
+                self._current.add(key)
+
+            def estimate(self):
+                return self._previous.merge(self._current).count()
+
+        rng = random.Random(77)
+        for window in (10.0, 2.5, 0.75):
+            estimator = WorkingSetEstimator(window=window)
+            reference = LoopingWorkingSet(window)
+            now = rng.random() * 5.0
+            for i in range(600):
+                now += rng.choice((0.0, 0.1, 0.5)) * window
+                if rng.random() < 0.05:
+                    now += rng.random() * 4.0 * window  # skip epochs
+                key = ("conn", rng.randrange(150))
+                estimator.offer(key, now)
+                reference.offer(key, now)
+                assert estimator.rotations == reference.rotations
+                assert estimator.estimate() == reference.estimate()
+            assert reference.rotations > 20
 
 
 class TestTrainnessFlipsUnderCoalescing:
@@ -372,3 +533,78 @@ class TestTrafficCharacterizer:
         summary = self._fed(packets=200).summary()
         assert "\n" not in summary
         assert "examined" in summary
+
+    #: ``estimates()`` after :meth:`test_golden_tpca_estimates`'s
+    #: replay, pinned bit for bit.
+    GOLDEN_ESTIMATES = {
+        "packets_observed": 108,
+        "examined_quantiles": {
+            "0.5": 2.9809707636964986,
+            "0.9": 7.894716929630443,
+            "0.99": 9.74848280997197,
+        },
+        "heavy_hitters": [
+            {"key": "10.0.0.1:1521 <- 10.1.1.11:40010", "count": 8,
+             "error": 5, "share": 0.07407407407407407},
+            {"key": "10.0.0.1:1521 <- 10.1.1.60:40059", "count": 7,
+             "error": 5, "share": 0.06481481481481481},
+            {"key": "10.0.0.1:1521 <- 10.1.1.67:40066", "count": 7,
+             "error": 5, "share": 0.06481481481481481},
+            {"key": "10.0.0.1:1521 <- 10.1.1.89:40088", "count": 7,
+             "error": 6, "share": 0.06481481481481481},
+            {"key": "10.0.0.1:1521 <- 10.1.1.24:40023", "count": 7,
+             "error": 6, "share": 0.06481481481481481},
+            {"key": "10.0.0.1:1521 <- 10.1.1.92:40091", "count": 7,
+             "error": 6, "share": 0.06481481481481481},
+            {"key": "10.0.0.1:1521 <- 10.1.1.81:40080", "count": 7,
+             "error": 6, "share": 0.06481481481481481},
+            {"key": "10.0.0.1:1521 <- 10.1.1.41:40040", "count": 7,
+             "error": 6, "share": 0.06481481481481481},
+        ],
+        "skew": 0.08655338731131312,
+        "train_follower_ratio": 0.014842300556586271,
+        "train_ness": 0.030570674465397907,
+        "is_trainy": False,
+        "population": 65.02133414826055,
+        "working_set": 20.19789347612526,
+    }
+    #: sha256 of the retained spans' sorted-key JSON after that replay.
+    GOLDEN_SPANS_SHA256 = (
+        "2d141c52084c962525c97231e5449887d046924f77bd137a2f5b00878871f7c3"
+    )
+
+    def test_golden_tpca_estimates(self):
+        """The seed-202 golden TPC/A stream in 7-packet ``lookup_batch``
+        chunks, one virtual second per chunk (seven working-set
+        rotations); a 16-counter heavy-hitter table keeps evicting."""
+        params = json.loads(
+            (GOLDEN_DIR / "tpca_seed202.json").read_text()
+        )["stream"]
+        stream = golden_stream(
+            params["seed"], n_users=params["n_users"],
+            duration=params["duration"],
+        )
+        clock = [0.0]
+        algorithm = make_algorithm("fast-sequent:h=19")
+        collector = SpanCollector(
+            sample_every=5, clock=lambda: clock[0]
+        ).attach(algorithm)
+        characterizer = TrafficCharacterizer(heavy_capacity=16).attach(
+            collector
+        )
+        for tup in stream.tuples:
+            algorithm.insert(PCB(tup))
+        packets = list(stream.packets)
+        for start in range(0, len(packets), 7):
+            clock[0] += 1.0
+            algorithm.lookup_batch(packets[start:start + 7])
+        assert characterizer.estimates() == self.GOLDEN_ESTIMATES
+        assert characterizer.working_set.rotations == 7
+        dump = json.dumps(
+            [span.to_dict() for span in collector.recorder.all_spans()],
+            sort_keys=True,
+        )
+        assert (
+            hashlib.sha256(dump.encode()).hexdigest()
+            == self.GOLDEN_SPANS_SHA256
+        )

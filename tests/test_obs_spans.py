@@ -95,7 +95,9 @@ class TestSpanCollectorStateMachine:
     def test_packet_observers_fire_for_every_packet(self):
         algorithm, collector = _bsd_with_spans(n=4, sample_every=4)
         seen = []
-        collector.add_packet_observer(lambda tup, kind: seen.append(tup))
+        collector.add_packet_observer(
+            lambda packets: seen.extend(tup for tup, _ in packets)
+        )
         for i in range(8):
             algorithm.lookup(make_tuple(i % 4), PacketKind.DATA)
         assert len(seen) == 8  # unsampled packets included
@@ -189,7 +191,9 @@ class TestCoalescerSpans:
         algorithm = self._populated()
         collector = SpanCollector(sample_every=1).attach(algorithm)
         order = []
-        collector.add_packet_observer(lambda tup, kind: order.append(tup))
+        collector.add_packet_observer(
+            lambda packets: order.extend(tup for tup, _ in packets)
+        )
         BatchCoalescer(algorithm, batch_size=16, spans=collector).replay(
             self._stream()
         )
