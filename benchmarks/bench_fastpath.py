@@ -127,34 +127,34 @@ def test_batch_amortization_never_hurts_fast_sequent(once):
     assert batched < per_call * 1.10
 
 
-def test_vectorized_scan_beats_list_scan_at_1e3(once):
-    """At N >= 10^3 the numpy ``scan_batch`` beats the ``list.index`` loop.
+def test_ordered_scan_beats_list_index_at_1e3(once):
+    """At N >= 10^3 the sorted chain's bisection beats ``list.index``.
 
-    The mirror is built before timing: its rebuild is amortized over
-    the batches that follow, not paid per batch.  Decision equality at
-    this size is pinned in tier-1 (``tests/test_fastpath_vector.py``).
+    One table of 2,000 ordinal keys (pushed as the intern table numbers
+    them), queried with hits and misses; ``list.index`` over the same
+    keys is the scan the ordering replaced.  Decision equality at this
+    size is pinned in tier-1 (``tests/test_fastpath_ordered.py``).
     """
     import random
     import time
 
     from repro.core.pcb import PCB
-    from repro.fastpath.tables import SlotTable, _np
+    from repro.fastpath.keycache import ABSENT_KEY
+    from repro.fastpath.tables import MTFSlotTable, SlotTable
     from repro.packet.addresses import FourTuple, IPv4Address
 
-    if _np is None:
-        pytest.skip("numpy not installed")
-    table = SlotTable()
+    ordered, unordered = SlotTable(), MTFSlotTable()
     for index in range(2000):
         tup = FourTuple(
             IPv4Address("10.0.0.1"), 1521,
             IPv4Address("10.4.0.0") + index, 40000 + index,
         )
-        table.push_front(tup.key_bits(), PCB(tup))
+        for table in (ordered, unordered):
+            table.push_front(-index - 1, PCB(tup))
     rng = random.Random(3)
-    queries = [rng.choice(table.keys) for _ in range(2000)]
-    queries += [(1 << 95) + index for index in range(666)]
+    queries = [rng.choice(ordered.keys) for _ in range(2000)]
+    queries += [ABSENT_KEY] * 666
     rng.shuffle(queries)
-    table.scan_batch(queries)  # builds the mirror
 
     def timed(fn) -> float:
         start = time.perf_counter()
@@ -162,19 +162,26 @@ def test_vectorized_scan_beats_list_scan_at_1e3(once):
         return time.perf_counter() - start
 
     def measure():
-        vector = min(timed(lambda: table.scan_batch(queries)) for _ in range(3))
-        loop = min(
-            timed(lambda: [table.scan(key) for key in queries])
+        bisected = min(
+            timed(lambda: [ordered.scan(key) for key in queries])
             for _ in range(3)
         )
-        return vector, loop
+        indexed = min(
+            timed(lambda: [unordered.scan(key) for key in queries])
+            for _ in range(3)
+        )
+        return bisected, indexed
 
-    vector, loop = once(measure)
+    bisected, indexed = once(measure)
+    assert [ordered.scan(key) for key in queries] == [
+        unordered.scan(key) for key in queries
+    ]
     emit(
-        "fastpath: vectorized scan at N=2000",
-        f"scan_batch {vector * 1e3:.2f} ms, list.index loop"
-        f" {loop * 1e3:.2f} ms ({loop / vector:.1f}x)",
+        "fastpath: ordered scan at N=2000",
+        f"bisect {bisected * 1e3:.2f} ms, list.index"
+        f" {indexed * 1e3:.2f} ms ({indexed / bisected:.1f}x)",
     )
-    assert vector < loop, (
-        f"vectorized {vector:.4f}s not faster than loop {loop:.4f}s at N=2000"
+    assert bisected < indexed, (
+        f"bisect {bisected:.4f}s not faster than list.index"
+        f" {indexed:.4f}s at N=2000"
     )

@@ -250,7 +250,7 @@ class DemuxAlgorithm(abc.ABC):
     ) -> List[LookupResult]:
         """Subclass batch lookup: a loop over :meth:`_lookup` by default.
 
-        Overrides (vectorized scans, per-shard sub-batches) must return
+        Overrides (fused loops, per-shard sub-batches) must return
         exactly what the loop returns, side effects included.
         """
         lookup = self._lookup

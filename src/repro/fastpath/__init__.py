@@ -10,9 +10,10 @@ integer keys and batched lookups, provably decision-identical to the
 references, plus the fast-path-only O(1) cuckoo table for the
 million-connection tier:
 
-* :mod:`~repro.fastpath.keycache` -- four-tuple interning + chain memo;
-* :mod:`~repro.fastpath.tables` -- flat slot tables and cache slots
-  (with the numpy-vectorized batch scan);
+* :mod:`~repro.fastpath.keycache` -- four-tuple interning (insertion
+  ordinals for the list-shaped structures) + chain memo;
+* :mod:`~repro.fastpath.tables` -- flat slot tables, sorted by ordinal
+  and scanned by bisection, and cache slots;
 * :mod:`~repro.fastpath.algorithms` -- the five ``fast-*`` structures;
 * :mod:`~repro.fastpath.cuckoo` -- the two-choice cuckoo table with
   per-bucket pre-filters (``fast-cuckoo``, no reference twin);
@@ -56,9 +57,9 @@ from .gate import (
     measure_replay,
     run_gate,
 )
-from .keycache import FastpathCounters, KeyCache
+from .keycache import FastpathCounters, KeyCache, OrdinalKeyCache
 from .metrics import publish_fastpath
-from .tables import CachedSlot, SlotTable
+from .tables import CachedSlot, MTFSlotTable, SlotTable
 
 __all__ = [
     "BatchLookupMixin",
@@ -76,7 +77,9 @@ __all__ = [
     "GateConfig",
     "GateReport",
     "KeyCache",
+    "OrdinalKeyCache",
     "MAX_SWEEP_USERS",
+    "MTFSlotTable",
     "Measurement",
     "QUICK_CONFIG",
     "SCALE_CONFIG",

@@ -23,7 +23,8 @@ composing with sharding (``sharded-fast-sequent:shards=8``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_left
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..core.base import (
     DemuxAlgorithm,
@@ -36,8 +37,8 @@ from ..core.stats import PacketKind
 from ..hashing.functions import HashFunction, default_hash
 from ..packet.addresses import FourTuple
 from .batch import BatchLookupMixin, Packet
-from .keycache import FastpathCounters, KeyCache
-from .tables import _VECTOR_MIN_TABLE, CachedSlot, SlotTable
+from .keycache import ABSENT_KEY, FastpathCounters, KeyCache, OrdinalKeyCache
+from .tables import CachedSlot, MTFSlotTable, SlotTable
 
 __all__ = [
     "FastLinearDemux",
@@ -50,25 +51,22 @@ __all__ = [
 ]
 
 
-#: Smallest batch :class:`FastSequentDemux` groups by chain.  Grouping
-#: pays only through vectorized chain scans, and below about seven
-#: packets per chain (at H=19) its fused one-pass loop is faster.
-_GROUP_MIN_BATCH = 128
-
-
 class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
-    """Fast-path plumbing every backend shares: key cache, membership.
+    """Fast-path plumbing every backend shares: key cache, population.
 
     Subclasses add their own storage -- :class:`_FastDemux` the
     list-shaped :class:`~repro.fastpath.tables.SlotTable` family,
     :class:`~repro.fastpath.cuckoo.FastCuckooDemux` its bucket arrays
-    -- but interning, the membership set, counters, and the leak
-    contract (interned entries == live connections) live here, as does
-    the snapshot machinery's type anchor.
+    -- but interning, counters, and the leak contract (interned entries
+    == live connections) live here, as does the snapshot machinery's
+    type anchor.  By that contract the intern table is also the
+    membership record: a tuple is interned exactly while it is live.
+    The population count is kept beside the storage instead, so the
+    leak audit compares two independent numbers.
     """
 
-    #: Intern table class; a backend whose memoized hash is a function
-    #: of the packed key rather than of the tuple swaps in a subclass.
+    #: Intern table class; a backend whose keys or memoized hash are
+    #: not the plain packed key and chain swaps in a subclass.
     _keycache_type = KeyCache
 
     def __init__(self, chain_fn=None) -> None:
@@ -77,7 +75,9 @@ class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
         self._keycache = self._keycache_type(
             chain_fn, self.fastpath_counters
         )
-        self._present: Set[int] = set()
+        #: Live connections, counted as the storage gains and loses
+        #: them (never read off the intern table).
+        self._size = 0
 
     @property
     def interned_entries(self) -> int:
@@ -86,71 +86,91 @@ class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
         return len(self._keycache)
 
     def __len__(self) -> int:
-        return len(self._present)
+        return self._size
 
     def __contains__(self, tup: FourTuple) -> bool:
         """Membership without perturbing caches, stats, or counters."""
-        return tup.key_bits() in self._present
+        return tup in self._keycache
+
+    def _admit(self, tup: FourTuple) -> Tuple[int, int]:
+        """Intern ``tup`` for an insert; raises on a live duplicate."""
+        entry = self._keycache.admit(tup)
+        if entry is None:
+            raise DuplicateConnectionError(f"duplicate connection {tup}")
+        return entry
 
 
 class _FastDemux(_FastDemuxBase):
-    """Shared plumbing of the list-shaped structures: slot tables."""
+    """Shared plumbing of the list-shaped structures: slot tables.
 
-    def __init__(self, nchains: int = 1, chain_fn=None) -> None:
+    Keys are insertion ordinals (:class:`OrdinalKeyCache`) and every
+    chain head-inserts, so each :class:`SlotTable` stays ascending and
+    scans by bisection; the move-to-front structures swap in
+    :class:`MTFSlotTable`.  ``cached`` gives every chain a one-entry
+    cache.
+    """
+
+    _keycache_type = OrdinalKeyCache
+    _table_type = SlotTable
+
+    def __init__(
+        self, nchains: int = 1, chain_fn=None, cached: bool = False
+    ) -> None:
         super().__init__(chain_fn)
-        self._tables = [SlotTable() for _ in range(nchains)]
+        self._tables = [self._table_type() for _ in range(nchains)]
+        self._caches: List[CachedSlot] = (
+            [CachedSlot() for _ in range(nchains)] if cached else []
+        )
 
     def _insert(self, pcb: PCB) -> None:
         self._insert_chain(pcb)
 
     def _insert_chain(self, pcb: PCB) -> int:
         """Insert ``pcb`` (see :meth:`insert`); returns its chain index."""
-        key, chain = self._keycache.entry(pcb.four_tuple)
-        if key in self._present:
-            raise DuplicateConnectionError(
-                f"duplicate connection {pcb.four_tuple}"
-            )
+        key, chain = self._admit(pcb.four_tuple)
         self._tables[chain].push_front(key, pcb)
-        self._present.add(key)
+        self._size += 1
         return chain
 
     def _remove(self, tup: FourTuple) -> PCB:
         key, chain = self._keycache.probe(tup)
-        if key not in self._present:
+        if key == ABSENT_KEY:
             raise KeyError(tup)
         pcb = self._tables[chain].remove_key(key)
-        self._present.discard(key)
-        self._invalidate_cache(chain, key)
+        self._size -= 1
+        if self._caches:
+            self._caches[chain].invalidate_if(key)
         # The connection is gone; its interned entry goes with it, or
         # a churn workload would retain one memo per connection ever
         # seen (the PR 4 leak).
         self._keycache.evict(tup)
         return pcb
 
-    def _invalidate_cache(self, chain: int, key: int) -> None:
-        """Hook for cached subclasses (default: no cache to clear)."""
+    def restore_cache(self, chain: int, pcb: PCB) -> None:
+        """Re-impose a captured cache slot (snapshot restore hook).
 
-    def _replay_cached(
-        self,
-        packets: Sequence[Packet],
-        entries: Sequence[Tuple[int, int]],
-        scans: Sequence[Tuple[int, int]],
-        caches: Sequence[CachedSlot],
-    ) -> List[LookupResult]:
-        """Resolve a batch whose chain scans were computed up front.
-
-        ``entries`` are the packets' ``(key, chain)`` intern entries and
-        ``scans`` their chains' ``(index, examined)`` scans.  Each
-        chain's one-entry cache (``caches[chain]``) is consulted and
-        refilled in packet order, exactly as a :meth:`_lookup` loop
-        does -- valid because lookups never mutate the tables.
+        ``pcb`` must be live: the slot holds its interned key.
         """
+        key = self._keycache.key_of(pcb.four_tuple)
+        if key == ABSENT_KEY:
+            raise ValueError(f"cached {pcb.four_tuple} is not live")
+        self._caches[chain].set(key, pcb)
+
+    def _lookup_cached(
+        self, packets: Sequence[Packet]
+    ) -> List[LookupResult]:
+        """The cached structures' :meth:`_lookup`, fused over a batch.
+
+        One pass in packet order -- chain cache probe, bisection scan
+        of the sorted chain, cache refill -- with the calls inlined.
+        """
+        entries = self._keycache.probe_batch(packets)
         tables = self._tables
+        caches = self._caches
+        bisect = bisect_left
         results: List[LookupResult] = []
         append = results.append
-        for (key, chain), (index, scanned), (_, kind) in zip(
-            entries, scans, packets
-        ):
+        for (key, chain), (_, kind) in zip(entries, packets):
             cache = caches[chain]
             examined = 0
             if cache.key is not None:
@@ -158,12 +178,16 @@ class _FastDemux(_FastDemuxBase):
                     append(LookupResult(cache.pcb, 1, True, kind))
                     continue
                 examined = 1
-            if index >= 0:
-                pcb = tables[chain].pcbs[index]
-                cache.set(key, pcb)
-                append(LookupResult(pcb, examined + scanned, False, kind))
+            table = tables[chain]
+            keys = table.keys
+            index = bisect(keys, key)
+            if index < len(keys) and keys[index] == key:
+                pcb = table.pcbs[index]
+                cache.key = key
+                cache.pcb = pcb
+                append(LookupResult(pcb, examined + index + 1, False, kind))
             else:
-                append(LookupResult(None, examined + scanned, False, kind))
+                append(LookupResult(None, examined + len(keys), False, kind))
         return results
 
     def __iter__(self) -> Iterator[PCB]:
@@ -176,33 +200,12 @@ class FastLinearDemux(_FastDemux):
 
     name = "fast-linear"
 
-    def __init__(self) -> None:
-        super().__init__(nchains=1)
-
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         key, _ = self._keycache.probe(tup)
         table = self._tables[0]
         index, examined = table.scan(key)
         pcb = table.pcbs[index] if index >= 0 else None
         return LookupResult(pcb, examined, False, kind)
-
-    def _lookup_batch(
-        self, packets: Sequence[Packet]
-    ) -> List[LookupResult]:
-        # Lookups never mutate this table, so the whole batch resolves
-        # against one vectorized scan (decision-identical by the
-        # scan_batch contract).
-        table = self._tables[0]
-        scans = table.scan_batch(
-            [key for key, _ in self._keycache.probe_batch(packets)]
-        )
-        pcbs = table.pcbs
-        return [
-            LookupResult(
-                pcbs[index] if index >= 0 else None, examined, False, kind
-            )
-            for (index, examined), (_, kind) in zip(scans, packets)
-        ]
 
 
 class FastBSDDemux(_FastDemux):
@@ -211,20 +214,16 @@ class FastBSDDemux(_FastDemux):
     name = "fast-bsd"
 
     def __init__(self) -> None:
-        super().__init__(nchains=1)
-        self._cache = CachedSlot()
+        super().__init__(cached=True)
 
     @property
     def cached_pcb(self) -> Optional[PCB]:
         """The PCB currently in the one-entry cache (for inspection)."""
-        return self._cache.pcb
-
-    def _invalidate_cache(self, chain: int, key: int) -> None:
-        self._cache.invalidate_if(key)
+        return self._caches[0].pcb
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         key, _ = self._keycache.probe(tup)
-        cache = self._cache
+        cache = self._caches[0]
         examined = 0
         if cache.key is not None:
             examined = 1
@@ -242,21 +241,14 @@ class FastBSDDemux(_FastDemux):
     def _lookup_batch(
         self, packets: Sequence[Packet]
     ) -> List[LookupResult]:
-        # The one-entry cache mutates per lookup but never the table,
-        # so scans vectorize up front and the cache logic replays
-        # sequentially over the precomputed results.
-        entries = self._keycache.probe_batch(packets)
-        scans = self._tables[0].scan_batch([key for key, _ in entries])
-        return self._replay_cached(packets, entries, scans, [self._cache])
+        return self._lookup_cached(packets)
 
 
 class FastMTFDemux(_FastDemux):
     """Array-backed twin of :class:`~repro.core.mtf.MoveToFrontDemux`."""
 
     name = "fast-mtf"
-
-    def __init__(self) -> None:
-        super().__init__(nchains=1)
+    _table_type = MTFSlotTable
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         key, _ = self._keycache.probe(tup)
@@ -270,7 +262,7 @@ class FastMTFDemux(_FastDemux):
 
     def position_of(self, tup: FourTuple) -> int:
         """Current 0-based list position (no stats, no MTF)."""
-        key = tup.key_bits()
+        key = self._keycache.key_of(tup)
         try:
             return self._tables[0].keys.index(key)
         except ValueError:
@@ -288,6 +280,7 @@ class _FastChained(_FastDemux):
         super().__init__(
             nchains=nchains,
             chain_fn=lambda tup: hash_function(tup, nchains),
+            cached=True,
         )
 
     @property
@@ -321,9 +314,6 @@ class FastSequentDemux(_FastChained):
                 f"overload_threshold must be >= 1, got {overload_threshold}"
             )
         super().__init__(nchains, hash_function)
-        self._caches: List[CachedSlot] = [
-            CachedSlot() for _ in range(nchains)
-        ]
         self._overload_threshold = overload_threshold
         #: Inserts that left a chain above the threshold.
         self.chain_overload_events = 0
@@ -348,9 +338,6 @@ class FastSequentDemux(_FastChained):
         if threshold is not None and len(self._tables[chain]) > threshold:
             self.chain_overload_events += 1
 
-    def _invalidate_cache(self, chain: int, key: int) -> None:
-        self._caches[chain].invalidate_if(key)
-
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         key, chain = self._keycache.probe(tup)
         cache = self._caches[chain]
@@ -371,58 +358,7 @@ class FastSequentDemux(_FastChained):
     def _lookup_batch(
         self, packets: Sequence[Packet]
     ) -> List[LookupResult]:
-        entries = self._keycache.probe_batch(packets)
-        tables = self._tables
-        if len(packets) >= _GROUP_MIN_BATCH and any(
-            len(table.keys) >= _VECTOR_MIN_TABLE for table in tables
-        ):
-            return self._grouped_batch(packets, entries)
-        # No chain scan can vectorize: one fused pass -- cache probe,
-        # list.index scan, cache refill -- that is a _lookup loop with
-        # the calls inlined.
-        caches = self._caches
-        results: List[LookupResult] = []
-        append = results.append
-        for (key, chain), (_, kind) in zip(entries, packets):
-            cache = caches[chain]
-            examined = 0
-            if cache.key is not None:
-                if cache.key == key:
-                    append(LookupResult(cache.pcb, 1, True, kind))
-                    continue
-                examined = 1
-            table = tables[chain]
-            keys = table.keys
-            try:
-                index = keys.index(key)
-            except ValueError:
-                append(LookupResult(None, examined + len(keys), False, kind))
-                continue
-            pcb = table.pcbs[index]
-            cache.key = key
-            cache.pcb = pcb
-            append(LookupResult(pcb, examined + index + 1, False, kind))
-        return results
-
-    def _grouped_batch(
-        self, packets: Sequence[Packet], entries: List[Tuple[int, int]]
-    ) -> List[LookupResult]:
-        """Group a batch by chain and vectorize one scan per chain.
-
-        Chains never mutate during lookups, so each chain's scans run
-        up front and the per-chain cache logic replays in packet order.
-        """
-        by_chain: Dict[int, List[int]] = {}
-        for position, (_key, chain) in enumerate(entries):
-            by_chain.setdefault(chain, []).append(position)
-        scans: List = [None] * len(packets)
-        for chain, positions in by_chain.items():
-            chain_scans = self._tables[chain].scan_batch(
-                [entries[position][0] for position in positions]
-            )
-            for position, scan in zip(positions, chain_scans):
-                scans[position] = scan
-        return self._replay_cached(packets, entries, scans, self._caches)
+        return self._lookup_cached(packets)
 
     def describe(self) -> str:
         lengths = self.chain_lengths()
@@ -437,6 +373,7 @@ class FastHashedMTFDemux(_FastChained):
     """Array-backed twin of :class:`~repro.core.hashed_mtf.HashedMTFDemux`."""
 
     name = "fast-hashed_mtf"
+    _table_type = MTFSlotTable
 
     def __init__(
         self,
@@ -447,12 +384,6 @@ class FastHashedMTFDemux(_FastChained):
     ):
         super().__init__(nchains, hash_function)
         self._per_chain_cache = per_chain_cache
-        self._caches: List[CachedSlot] = [
-            CachedSlot() for _ in range(nchains)
-        ]
-
-    def _invalidate_cache(self, chain: int, key: int) -> None:
-        self._caches[chain].invalidate_if(key)
 
     def _lookup(self, tup: FourTuple, kind: PacketKind) -> LookupResult:
         key, chain = self._keycache.probe(tup)

@@ -5,7 +5,7 @@ load for the profiler, one for the tracer, and one statistics update.
 Those costs are per *call*, not per packet, so a NIC-style coalesced
 batch amortizes them: :meth:`~repro.core.base.DemuxAlgorithm.
 lookup_batch` resolves the whole batch in ``_lookup_batch`` (the fast
-structures vectorize their scans there) and then records statistics
+structures run fused loops there) and then records statistics
 and feeds every attached hook once per batch -- with the same results
 as the per-call path, hooks attached or not.
 

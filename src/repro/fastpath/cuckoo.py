@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.base import DuplicateConnectionError, LookupResult
+from ..core.base import LookupResult
 from ..core.pcb import PCB
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
@@ -233,7 +233,7 @@ class FastCuckooDemux(_FastDemuxBase):
     @property
     def load_factor(self) -> float:
         """Live connections over bucket capacity (stash included)."""
-        return len(self._present) / self.capacity
+        return self._size / self.capacity
 
     @property
     def stash_occupancy(self) -> int:
@@ -404,24 +404,18 @@ class FastCuckooDemux(_FastDemuxBase):
         return results
 
     def _insert(self, pcb: PCB) -> None:
-        key, h = self._keycache.entry(pcb.four_tuple)
-        if key in self._present:
-            raise DuplicateConnectionError(
-                f"duplicate connection {pcb.four_tuple}"
-            )
+        key, h = self._admit(pcb.four_tuple)
         # Proactive growth: two-choice cuckoo with 4-slot buckets
         # sustains ~95% occupancy, but kickout walks lengthen sharply
         # past 90% -- double before the walk gets pathological.
-        if 10 * (len(self._present) + 1) > 9 * self.capacity:
+        if 10 * (self._size + 1) > 9 * self.capacity:
             self._resize(self._nbuckets * 2)
         if not self._place(key, pcb, h):
             self._resize(self._nbuckets * 2)
-        self._present.add(key)
+        self._size += 1
 
     def _remove(self, tup: FourTuple) -> PCB:
         key, h = self._keycache.probe(tup)
-        if key not in self._present:
-            raise KeyError(tup)
         fp, b1, b2 = self._split(h)
         index = self._find_in(b1, key)
         if index >= 0:
@@ -435,21 +429,22 @@ class FastCuckooDemux(_FastDemuxBase):
                 self._prefilter_remove(b1, fp)
             else:
                 pcb = self._stash_remove(key)
-        self._present.discard(key)
+                if pcb is None:
+                    raise KeyError(tup)
+        self._size -= 1
         # Same eviction contract as every fast structure: the interned
         # memo dies with the connection (see KeyCache).
         self._keycache.evict(tup)
         self._drain_stash()
         return pcb
 
-    def _stash_remove(self, key: int) -> PCB:
+    def _stash_remove(self, key: int) -> Optional[PCB]:
+        """Unstash and return ``key``'s PCB; ``None`` if not stashed."""
         for position, (stash_key, pcb, _fp) in enumerate(self._stash):
             if stash_key == key:
                 del self._stash[position]
                 return pcb
-        # _present said live, buckets and stash disagree: impossible
-        # unless internal state is corrupt.
-        raise AssertionError(f"key {key:#x} live but not resident")
+        return None
 
     # -- placement ------------------------------------------------------
 
@@ -604,7 +599,7 @@ class FastCuckooDemux(_FastDemuxBase):
         self._put(index, key, pcb, fp)
         if bucket != b1:
             self._prefilter_add(b1, fp)
-        self._present.add(key)
+        self._size += 1
 
     def restore_stash(self, pcb: PCB) -> None:
         """Re-impose one captured stash entry (in capture order)."""
@@ -615,4 +610,4 @@ class FastCuckooDemux(_FastDemuxBase):
         key, h = self._keycache.entry(pcb.four_tuple)
         fp, _b1, _b2 = self._split(h)
         self._stash.append((key, pcb, fp))
-        self._present.add(key)
+        self._size += 1

@@ -11,9 +11,13 @@ decision stays identical*.
 
 :class:`KeyCache` does that elimination:
 
-* each four-tuple is interned to its packed 96-bit **integer key**
-  (:meth:`FourTuple.key_bits`), a bijection, so integer equality is
-  exactly tuple equality and slot tables can scan C-speed int lists;
+* each live four-tuple is interned to an **integer key** unique
+  among the live tuples, so integer equality is exactly tuple equality
+  and slot tables scan C-speed int lists.  :class:`KeyCache` uses the
+  packed 96-bit value (:meth:`FourTuple.key_bits`, a bijection);
+  :class:`OrdinalKeyCache`, the list-shaped structures' table, numbers
+  tuples in insertion order instead, counting down, which keeps every
+  head-inserting chain sorted;
 * the structure's hash (a deterministic pure function of the tuple)
   is memoized alongside the key, so it runs once per distinct tuple
   instead of once per packet: the chain index for chained structures,
@@ -33,7 +37,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..packet.addresses import FourTuple
 
-__all__ = ["FastpathCounters", "KeyCache"]
+__all__ = ["ABSENT_KEY", "FastpathCounters", "KeyCache", "OrdinalKeyCache"]
+
+#: The key :class:`OrdinalKeyCache` reports for a tuple it has not
+#: interned.  Ordinals count down from -1, so no table ever holds it.
+ABSENT_KEY = 0
 
 
 @dataclasses.dataclass
@@ -85,22 +93,24 @@ class KeyCache:
     structure's lifetime (the chain count is fixed; the cuckoo spread
     does not depend on the bucket count).
 
-    Memory-bounds contract: only :meth:`entry` (the insert path) may
-    store a memo; :meth:`probe` and :meth:`probe_batch` (the
-    lookup/remove path) compute the pair on the fly for unknown tuples
-    without storing, and :meth:`evict` drops the memo when its
-    connection is removed.  The owning structure therefore holds
-    exactly one interned entry per *live* connection -- heavy
-    insert/remove churn and miss-lookup floods cannot grow the table
-    (see docs/fastpath.md, "Memory bounds").  Because key and hash are
-    pure functions of the tuple, evicting and later recomputing an
-    entry can never change a decision.
+    Memory-bounds contract: only :meth:`entry` and :meth:`admit` (the
+    insert path) may store a memo; :meth:`probe` and
+    :meth:`probe_batch` (the lookup/remove path) compute the pair on
+    the fly for unknown tuples without storing, and :meth:`evict`
+    drops the memo when its connection is removed.  The owning
+    structure therefore holds exactly one interned entry per *live*
+    connection -- heavy insert/remove churn and miss-lookup floods
+    cannot grow the table (see docs/fastpath.md, "Memory bounds") --
+    and ``tup in cache`` is its membership test.  Because the hash is
+    a pure function of the tuple and a key is only ever compared with
+    the keys of other live connections, evicting and later
+    re-interning an entry can never change a decision.
 
-    Counting: :meth:`entry` counts interned keys (and hits on tuples
-    already interned), :meth:`probe` and :meth:`probe_batch` count hits
-    and transient probes, and the inspection reads :meth:`key_of` and
-    :meth:`chain_of` count nothing, so inspecting a structure never
-    moves its counters.
+    Counting: :meth:`entry` and :meth:`admit` count interned keys (and
+    hits on tuples already interned), :meth:`probe` and
+    :meth:`probe_batch` count hits and transient probes, and the
+    inspection reads ``in``, :meth:`key_of` and :meth:`chain_of` count
+    nothing, so inspecting a structure never moves its counters.
     """
 
     __slots__ = ("_entries", "_chain_fn", "counters")
@@ -117,19 +127,33 @@ class KeyCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, tup: FourTuple) -> bool:
+        """Whether ``tup`` is interned (uncounted)."""
+        return tup in self._entries
+
     def entry(self, tup: FourTuple) -> Tuple[int, int]:
         """The ``(key, hash)`` pair for ``tup``, interning it.
 
         The *insert* path: the connection is becoming live, so the
         memo is stored for the packets that will follow.
         """
+        entry = self.admit(tup)
+        return entry if entry is not None else self._entries[tup]
+
+    def admit(self, tup: FourTuple) -> Optional[Tuple[int, int]]:
+        """:meth:`entry` for a connection becoming live.
+
+        Returns ``None`` instead of the pair when ``tup`` is already
+        interned -- already live, so the caller's insert is a
+        duplicate.  Counts exactly as :meth:`entry`.
+        """
         entry = self._entries.get(tup)
-        if entry is None:
-            entry = self._compute(tup)
-            self._entries[tup] = entry
-            self.counters.interned_keys += 1
-        else:
+        if entry is not None:
             self.counters.key_cache_hits += 1
+            return None
+        entry = self._intern(tup)
+        self._entries[tup] = entry
+        self.counters.interned_keys += 1
         return entry
 
     def probe(self, tup: FourTuple) -> Tuple[int, int]:
@@ -184,10 +208,16 @@ class KeyCache:
             return True
         return False
 
+    def _intern(self, tup: FourTuple) -> Tuple[int, int]:
+        """The pair :meth:`entry` stores for a newly live tuple."""
+        return self._compute(tup)
+
     def _compute(self, tup: FourTuple) -> Tuple[int, int]:
         """The ``(key, hash)`` pair, computed afresh (never stored here)."""
-        chain = self._chain_fn(tup) if self._chain_fn is not None else 0
-        return (tup.key_bits(), chain)
+        return (tup.key_bits(), self._chain(tup))
+
+    def _chain(self, tup: FourTuple) -> int:
+        return self._chain_fn(tup) if self._chain_fn is not None else 0
 
     def _peek(self, tup: FourTuple) -> Tuple[int, int]:
         """The ``(key, hash)`` pair, neither interned nor counted."""
@@ -195,10 +225,43 @@ class KeyCache:
         return entry if entry is not None else self._compute(tup)
 
     def key_of(self, tup: FourTuple) -> int:
-        """The 96-bit integer key for ``tup`` (non-interning, uncounted)."""
+        """The integer key for ``tup`` (non-interning, uncounted)."""
         return self._peek(tup)[0]
 
     def chain_of(self, tup: FourTuple) -> int:
         """The chain index for ``tup`` (0 when unchained; non-interning,
         uncounted)."""
         return self._peek(tup)[1]
+
+
+class OrdinalKeyCache(KeyCache):
+    """Intern table whose keys are insertion ordinals, counting down.
+
+    :meth:`entry` gives each newly interned tuple the next ordinal
+    (-1, -2, ...), so a tuple interned later always has a smaller key.
+    The list-shaped structures head-insert every new connection, so
+    each of their chains stays ascending and is searched by bisection
+    (:class:`~repro.fastpath.tables.SlotTable`).  A tuple that is not
+    interned has no live connection, so :meth:`probe` and
+    :meth:`probe_batch` report :data:`ABSENT_KEY`, which no table
+    holds, beside its chain (a miss still walks that chain).  Ordinals
+    are never reused; a tuple removed and inserted again gets a fresh,
+    smaller one.
+    """
+
+    __slots__ = ("_last",)
+
+    def __init__(
+        self,
+        chain_fn: Optional[Callable[[FourTuple], int]] = None,
+        counters: Optional[FastpathCounters] = None,
+    ):
+        super().__init__(chain_fn, counters)
+        self._last = ABSENT_KEY
+
+    def _intern(self, tup: FourTuple) -> Tuple[int, int]:
+        self._last -= 1
+        return (self._last, self._chain(tup))
+
+    def _compute(self, tup: FourTuple) -> Tuple[int, int]:
+        return (ABSENT_KEY, self._chain(tup))

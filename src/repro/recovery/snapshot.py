@@ -556,13 +556,13 @@ def _restore_extra(
     elif isinstance(algorithm, FastBSDDemux):
         wire = extra.get("cache")
         if wire is not None:
-            pcb = resolver.cached(wire, "bsd cache")
-            algorithm._cache.set(pcb.four_tuple.key_bits(), pcb)
+            algorithm.restore_cache(0, resolver.cached(wire, "bsd cache"))
     elif isinstance(algorithm, (FastSequentDemux, FastHashedMTFDemux)):
         for index, wire in extra.get("chain_caches", []):
             _check_chain(algorithm._caches, index)
-            pcb = resolver.cached(wire, f"chain {index} cache")
-            algorithm._caches[index].set(pcb.four_tuple.key_bits(), pcb)
+            algorithm.restore_cache(
+                index, resolver.cached(wire, f"chain {index} cache")
+            )
         if isinstance(algorithm, FastSequentDemux):
             algorithm.chain_overload_events = int(
                 extra.get("overload_events", 0)

@@ -3,9 +3,10 @@
 ``KeyCache.probe_batch`` replaces a per-packet ``probe`` loop on every
 batched fast path.  For any batch mixing interned (live) and
 never-interned tuples, it must return the loop's entries, add the
-loop's counter totals, and -- like ``probe`` -- never intern.  Both
-intern-table flavours are covered: the chain-memoizing ``KeyCache``
-and ``fast-cuckoo``'s spread-memoizing subclass.
+loop's counter totals, and -- like ``probe`` -- never intern.  Every
+intern-table flavour is covered: the chain-memoizing ``KeyCache``,
+the list-shaped structures' ``OrdinalKeyCache`` and ``fast-cuckoo``'s
+spread-memoizing subclass.
 """
 
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.stats import PacketKind
 from repro.fastpath.cuckoo import _SpreadCache
-from repro.fastpath.keycache import KeyCache
+from repro.fastpath.keycache import KeyCache, OrdinalKeyCache
 from repro.hashing import default_hash
 from repro.packet.addresses import FourTuple, IPv4Address
 
@@ -23,6 +24,7 @@ SERVER = IPv4Address("10.0.0.1")
 CACHES = [
     ("chained", lambda: KeyCache(lambda tup: default_hash(tup, 19))),
     ("unchained", KeyCache),
+    ("ordinal", lambda: OrdinalKeyCache(lambda tup: default_hash(tup, 19))),
     ("spread", _SpreadCache),
 ]
 

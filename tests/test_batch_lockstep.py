@@ -35,7 +35,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 SPECS = [
     "fast-sequent:h=19",
-    # Long chains: 256-packet chunks take the grouped, vectorized path.
+    # Long chains: most lookups bisect a chain of ~48 PCBs.
     "fast-sequent:h=2",
     "fast-cuckoo",
     "sharded-fast-sequent:shards=4,steer=hash,h=19",

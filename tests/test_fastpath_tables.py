@@ -19,7 +19,7 @@ from repro.fastpath.algorithms import FastBSDDemux, FastSequentDemux
 from repro.fastpath.batch import as_packets
 from repro.fastpath.keycache import FastpathCounters, KeyCache
 from repro.fastpath.metrics import publish_fastpath
-from repro.fastpath.tables import CachedSlot, SlotTable
+from repro.fastpath.tables import CachedSlot, MTFSlotTable, SlotTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import LookupProfiler
 from repro.obs.trace import RingBufferSink, Tracer
@@ -130,35 +130,40 @@ class TestOverloadCheck:
 
 
 class TestSlotTable:
+    """Keys are pushed in descending order, as an ordinal intern table
+    hands them out, so the ordered table stays ascending."""
+
     def test_scan_follows_counting_convention(self):
         table = SlotTable()
         pcbs = [PCB(make_tuple(i)) for i in range(3)]
-        for pcb in pcbs:
-            table.push_front(pcb.four_tuple.key_bits(), pcb)
+        for key, pcb in enumerate(pcbs, start=1):
+            table.push_front(-key, pcb)
         # Head-first: last insert sits at index 0.
-        index, examined = table.scan(pcbs[2].four_tuple.key_bits())
+        index, examined = table.scan(-3)
         assert (index, examined) == (0, 1)
-        index, examined = table.scan(pcbs[0].four_tuple.key_bits())
+        index, examined = table.scan(-1)
         assert (index, examined) == (2, 3)
         # Miss examines the whole table.
-        index, examined = table.scan(make_tuple(99).key_bits())
+        index, examined = table.scan(-99)
         assert (index, examined) == (-1, 3)
 
     def test_parallel_arrays_stay_aligned(self):
-        table = SlotTable()
         pcbs = [PCB(make_tuple(i)) for i in range(4)]
-        for pcb in pcbs:
-            table.push_front(pcb.four_tuple.key_bits(), pcb)
-        table.move_to_front(2)
-        table.remove_key(pcbs[0].four_tuple.key_bits())
-        assert len(table.keys) == len(table.pcbs) == 3
-        for key, pcb in zip(table.keys, table.pcbs):
-            assert key == pcb.four_tuple.key_bits()
+        key_of = {pcb: -key for key, pcb in enumerate(pcbs, start=1)}
+        for table in (SlotTable(), MTFSlotTable()):
+            for pcb in pcbs:
+                table.push_front(key_of[pcb], pcb)
+            if isinstance(table, MTFSlotTable):
+                table.move_to_front(2)
+            table.remove_key(key_of[pcbs[0]])
+            assert len(table.keys) == len(table.pcbs) == 3
+            for key, pcb in zip(table.keys, table.pcbs):
+                assert key == key_of[pcb]
 
     def test_move_to_front_of_head_is_noop(self):
-        table = SlotTable()
+        table = MTFSlotTable()
         pcb = PCB(make_tuple(0))
-        table.push_front(pcb.four_tuple.key_bits(), pcb)
+        table.push_front(-1, pcb)
         table.move_to_front(0)
         assert table.pcbs == [pcb]
 

@@ -1,5 +1,7 @@
 """Tests for the demux hash functions."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.hashing.crc import crc16_ccitt, crc32c
@@ -12,9 +14,14 @@ from repro.hashing.functions import (
     remote_port_only,
     xor_fold,
 )
-from repro.packet.addresses import FourTuple
+from repro.packet.addresses import FourTuple, IPv4Address
 
 from conftest import make_tuple
+
+#: Bucket counts the table-driven CRC is checked at: H=1, small and
+#: prime chain counts, a power of two, and moduli at or above 2**32
+#: (where the reduction is the identity on the raw CRC).
+CRC_MODULI = (1, 2, 7, 19, 64, 1021, 1 << 32, (1 << 32) + 15)
 
 
 class TestCRCPrimitives:
@@ -60,6 +67,41 @@ class TestEveryFunctionContract:
         fn = HASH_FUNCTIONS[name]
         with pytest.raises(ValueError):
             fn(make_tuple(0), 0)
+
+
+def crc32_reference(tup: FourTuple, nbuckets: int) -> int:
+    return crc32c(tup.key_bits().to_bytes(12, "big")) % nbuckets
+
+
+class TestCRC32Tables:
+    """``crc32_hash`` reads per-byte tables instead of packing the key;
+    it must equal the byte-wise reference CRC on every tuple."""
+
+    @given(
+        local_addr=st.integers(min_value=0, max_value=0xFFFFFFFF),
+        local_port=st.integers(min_value=0, max_value=0xFFFF),
+        remote_addr=st.integers(min_value=0, max_value=0xFFFFFFFF),
+        remote_port=st.integers(min_value=0, max_value=0xFFFF),
+    )
+    @settings(max_examples=300)
+    def test_equals_reference_crc(
+        self, local_addr, local_port, remote_addr, remote_port
+    ):
+        tup = FourTuple(local_addr, local_port, remote_addr, remote_port)
+        for nbuckets in CRC_MODULI:
+            assert crc32_hash(tup, nbuckets) == crc32_reference(tup, nbuckets)
+
+    @pytest.mark.parametrize("addr", [0, 0xFFFFFFFF, 0x0A000001])
+    @pytest.mark.parametrize("port", [0, 1, 0xFF, 0x100, 0xFFFF])
+    def test_boundary_tuples(self, addr, port):
+        for tup in (
+            FourTuple(IPv4Address(addr), port, IPv4Address(addr), port),
+            FourTuple(IPv4Address(addr), port, IPv4Address(0), 0xFFFF - port),
+        ):
+            for nbuckets in CRC_MODULI:
+                assert crc32_hash(tup, nbuckets) == crc32_reference(
+                    tup, nbuckets
+                )
 
 
 class TestSpecificFunctions:

@@ -163,6 +163,25 @@ class TestRoundTrip:
         assert miss.pcb is None
 
 
+class TestFastCacheRestore:
+    """Restored cache slots hold the restored structure's own interned
+    keys, so a warm cache keeps hitting across the restore."""
+
+    @pytest.mark.parametrize(
+        "spec", ["fast-bsd", "fast-sequent:h=5", "fast-hashed_mtf:h=3"]
+    )
+    def test_cached_tuple_hits_after_restore(self, spec):
+        algorithm = make_algorithm(spec)
+        live = churn(algorithm)
+        target = live[-1]
+        algorithm.lookup(target, PacketKind.DATA)  # warm its cache slot
+        restored = restore_bytes(snapshot_bytes(algorithm, spec))
+        for structure in (algorithm, restored):
+            result = structure.lookup(target, PacketKind.DATA)
+            assert result.found and result.cache_hit
+            assert result.examined == 1
+
+
 class TestLifecycleRoundTrip:
     def test_reaper_deadlines_survive(self):
         from repro.lifecycle import ConnectionReaper, TimerWheel
