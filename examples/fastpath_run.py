@@ -78,8 +78,9 @@ def main() -> None:
         f" {counters.batch_calls} batch call(s) covering"
         f" {counters.batched_lookups} lookups"
     )
-    print("\nThe gated version of this comparison:"
-          " PYTHONPATH=src python -m repro.cli bench-gate")
+    print("\nOne pair as a promotion verdict:"
+          " PYTHONPATH=src python -m repro.cli canary fast-sequent:h=19"
+          " --incumbent sequent:h=19")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ loop-back port with the fast path behind it, drives it with a seeded
 swarm of concurrent clients, and -- while the swarm is being served --
 scrapes its own /metrics and /healthz over real HTTP, exactly like the
 `serve --serve-metrics` CLI path.  The served traffic is recorded into
-the capture format that `bench-gate` replays, and the run ends by
+the capture format that the canary replays, and the run ends by
 feeding that capture to the canary gate: would `fast-sequent` be
 promoted over plain `sequent` on the traffic we just served?
 

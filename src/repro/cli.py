@@ -10,13 +10,13 @@ Subcommands::
     compare               algorithm matrix over one workload
     fault-matrix          robustness campaign: algorithms x faults x seeds
     smp-sweep             sharded demux: shard count x steering x batch size
-    bench-gate            fast-path throughput sweep + cross-PR regression gate
     serve                 live asyncio front end serving real TCP clients
     record-info           validate a recorded capture and print its header
     canary                A/B a candidate algorithm against the incumbent
     leak-audit            churn + SYN-flood memory-bounds audit of the fast path
     hash-balance          chain-balance comparison of the hash functions
     pcap                  summarize a capture written by the simulator
+    recovery-drill        crash a shard mid-run: warm restore vs cold rebuild
     run-all               write every artifact into an output directory
     report                print the combined markdown report
 
@@ -372,108 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the JSON payload to PATH (e.g. BENCH_smp.json)",
     )
 
-    gate = sub.add_parser(
-        "bench-gate",
-        help=(
-            "replay recorded TPC/A streams through reference and fast-*"
-            " structures, append packets/sec to the benchmark trajectory,"
-            " fail on >threshold regression"
-        ),
-    )
-    gate.add_argument(
-        "--trajectory",
-        metavar="PATH",
-        default="BENCH_trajectory.json",
-        help="trajectory file to gate against and append to",
-    )
-    gate.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced sweep (smaller N, shorter streams; the CI smoke)",
-    )
-    gate.add_argument(
-        "--scale",
-        action="store_true",
-        help=(
-            "million-connection tier: chained incumbent vs the O(1)"
-            " fast-cuckoo table at N=10^4-10^5 (override with --users,"
-            " up to 10^6)"
-        ),
-    )
-    gate.add_argument(
-        "--reap-idle",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "attach a connection reaper during replays (idle timeout in"
-            " simulated seconds) so huge sweeps stay memory-bounded;"
-            " reaped runs gate against their own baselines"
-        ),
-    )
-    gate.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (for jittery shared runners)",
-    )
-    gate.add_argument(
-        "--no-append",
-        action="store_true",
-        help="measure and compare without recording a new entry",
-    )
-    gate.add_argument("--seed", type=int, default=None)
-    gate.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds of TPC/A traffic per stream",
-    )
-    gate.add_argument(
-        "--users",
-        nargs="+",
-        type=int,
-        default=None,
-        metavar="N",
-        help="connection counts to sweep",
-    )
-    gate.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timed replays per cell (best-of-R is recorded)",
-    )
-    gate.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="fractional packets/sec drop that fails the gate",
-    )
-    gate.add_argument(
-        "--canary",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "canary mode: A/B this candidate spec against --incumbent"
-            " on mirrored recorded traffic instead of the sweep"
-            " (exit 1 = blocked)"
-        ),
-    )
-    gate.add_argument(
-        "--incumbent",
-        metavar="SPEC",
-        default="fast-sequent:h=19",
-        help="incumbent spec the canary must beat (canary mode only)",
-    )
-    gate.add_argument(
-        "--capture",
-        metavar="PATH",
-        default=None,
-        help=(
-            "recorded capture to replay in canary mode (e.g. from"
-            " 'serve --record'); default: a synthetic TPC/A stream"
-        ),
-    )
-
     serve = sub.add_parser(
         "serve",
         help=(
@@ -577,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--users",
         type=int,
         default=300,
-        help="connections in the synthetic fallback stream",
+        help="connections in the synthetic fallback stream (1 to 10^6)",
     )
     canary.add_argument(
         "--duration",
@@ -1314,81 +1212,53 @@ def _cmd_smp_sweep(args) -> int:
     return 0 if result.ok else 1
 
 
-def _canary_stream(capture, *, users, duration, seed, quick=False):
-    """The capture behind a canary run: a recorded file, or synthetic
-    TPC/A traffic when none is given (``quick`` shrinks the fallback)."""
-    from .workload.record import load_stream, record_tpca_stream
-
-    if capture is not None:
-        return load_stream(capture)
-    if quick:
-        users, duration = min(users, 200), min(duration, 10.0)
-    return record_tpca_stream(n_users=users, duration=duration, seed=seed)
-
-
-def _run_canary_cli(
-    *,
-    candidate,
-    incumbent,
-    capture,
-    users,
-    duration,
-    seed,
-    repeats,
-    pps_margin,
-    examined_margin,
-    as_json=False,
-    quick=False,
-) -> int:
+def _cmd_canary(args) -> int:
     import json as json_module
 
-    from .fastpath.gate import CanaryConfig, run_canary
-    from .workload.record import CaptureFormatError
+    from .fastpath.gate import MAX_SWEEP_USERS, CanaryConfig, run_canary
+    from .workload.record import (
+        CaptureFormatError,
+        load_stream,
+        record_tpca_stream,
+    )
 
-    try:
-        stream = _canary_stream(
-            capture, users=users, duration=duration, seed=seed,
-            quick=quick,
+    if args.capture is None and not 1 <= args.users <= MAX_SWEEP_USERS:
+        print(
+            f"error: --users must be between 1 and {MAX_SWEEP_USERS:,},"
+            f" got {args.users}",
+            file=sys.stderr,
         )
-    except (CaptureFormatError, OSError) as exc:
-        print(f"error: --capture: {exc}", file=sys.stderr)
         return 2
     try:
         config = CanaryConfig(
-            candidate=candidate,
-            incumbent=incumbent,
-            repeats=repeats,
-            pps_margin=pps_margin,
-            examined_margin=examined_margin,
+            candidate=args.candidate,
+            incumbent=args.incumbent,
+            repeats=args.repeats,
+            pps_margin=args.pps_margin,
+            examined_margin=args.examined_margin,
         )
+        if args.capture is not None:
+            stream = load_stream(args.capture)
+        else:
+            stream = record_tpca_stream(
+                n_users=args.users, duration=args.duration, seed=args.seed
+            )
         report = run_canary(
             stream,
             config,
             progress=lambda msg: print(f"  ... {msg}", file=sys.stderr),
         )
+    except (CaptureFormatError, OSError) as exc:
+        print(f"error: --capture: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if as_json:
+    if args.json:
         print(json_module.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         print(report.render_text())
     return 0 if report.promoted else 1
-
-
-def _cmd_canary(args) -> int:
-    return _run_canary_cli(
-        candidate=args.candidate,
-        incumbent=args.incumbent,
-        capture=args.capture,
-        users=args.users,
-        duration=args.duration,
-        seed=args.seed,
-        repeats=args.repeats,
-        pps_margin=args.pps_margin,
-        examined_margin=args.examined_margin,
-        as_json=args.json,
-    )
 
 
 def _cmd_record_info(args) -> int:
@@ -1451,80 +1321,6 @@ def _cmd_serve(args) -> int:
     )
     print(report.render_text())
     return 0 if report.ok else 1
-
-
-def _cmd_bench_gate(args) -> int:
-    import dataclasses
-
-    from .fastpath.gate import (
-        GateConfig,
-        QUICK_CONFIG,
-        SCALE_CONFIG,
-        run_gate,
-    )
-
-    if args.canary is not None:
-        return _run_canary_cli(
-            candidate=args.canary,
-            incumbent=args.incumbent,
-            capture=args.capture,
-            users=300,
-            duration=30.0,
-            seed=args.seed if args.seed is not None else 7,
-            repeats=args.repeats if args.repeats is not None else 3,
-            pps_margin=0.05,
-            examined_margin=0.10,
-            quick=args.quick,
-        )
-    if args.capture is not None:
-        print(
-            "error: --capture only applies to canary mode (--canary)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.scale and args.quick:
-        # --quick shrinks the scale tier too: the smallest interesting
-        # N with one repeat, for CI smoke runs.
-        config = dataclasses.replace(
-            SCALE_CONFIG, n_sweep=(10_000,), duration=2.0
-        )
-    elif args.scale:
-        config = SCALE_CONFIG
-    elif args.quick:
-        config = QUICK_CONFIG
-    else:
-        config = GateConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.users is not None:
-        overrides["n_sweep"] = tuple(args.users)
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.threshold is not None:
-        overrides["threshold"] = args.threshold
-    if args.reap_idle is not None:
-        overrides["reap_idle"] = args.reap_idle
-    if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    report = run_gate(
-        config,
-        args.trajectory,
-        append=not args.no_append,
-        progress=lambda msg: print(f"  ... {msg}", file=sys.stderr),
-    )
-    print(report.render_text())
-    if not report.ok and args.warn_only:
-        print("warn-only: regression(s) reported but not enforced")
-    return 0 if report.ok or args.warn_only else 1
 
 
 #: Default structures the leak audit exercises: the plain fast path
@@ -1776,7 +1572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "compare": lambda: _cmd_compare(args),
         "fault-matrix": lambda: _cmd_fault_matrix(args),
         "smp-sweep": lambda: _cmd_smp_sweep(args),
-        "bench-gate": lambda: _cmd_bench_gate(args),
         "serve": lambda: _cmd_serve(args),
         "record-info": lambda: _cmd_record_info(args),
         "canary": lambda: _cmd_canary(args),

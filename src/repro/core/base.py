@@ -172,7 +172,7 @@ class DemuxAlgorithm(abc.ABC):
 
         The batched entry point the interrupt-coalescing path uses
         (:class:`repro.smp.coalesce.BatchCoalescer`, the sharded
-        facade, the bench-gate replays).  Results, statistics and hook
+        facade, the canary's replays).  Results, statistics and hook
         effects equal a loop over :meth:`lookup`, but the bookkeeping
         runs once per batch: the profiler times the whole batch and
         :meth:`_finish_batch` records statistics and feeds every hook.

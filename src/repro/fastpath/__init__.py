@@ -19,7 +19,8 @@ million-connection tier:
   per-bucket pre-filters (``fast-cuckoo``, no reference twin);
 * :mod:`~repro.fastpath.batch` -- the fast structures' batch counters;
 * :mod:`~repro.fastpath.conformance` -- golden decision traces;
-* :mod:`~repro.fastpath.gate` -- the cross-PR ``bench-gate`` harness;
+* :mod:`~repro.fastpath.gate` -- the ``canary`` promotion verdict and
+  its best-of-R replay timing;
 * :mod:`~repro.fastpath.metrics` -- observability export of fast-path
   counters.
 
@@ -45,18 +46,7 @@ from .conformance import (
     stray_tuple,
 )
 from .cuckoo import CuckooCounters, FastCuckooDemux
-from .gate import (
-    DEFAULT_PAIRS,
-    GateConfig,
-    GateReport,
-    MAX_SWEEP_USERS,
-    Measurement,
-    QUICK_CONFIG,
-    SCALE_CONFIG,
-    SCALE_PAIRS,
-    measure_replay,
-    run_gate,
-)
+from .gate import MAX_SWEEP_USERS, Measurement, measure_replay
 from .keycache import FastpathCounters, KeyCache, OrdinalKeyCache
 from .metrics import publish_fastpath
 from .tables import CachedSlot, MTFSlotTable, SlotTable
@@ -65,7 +55,6 @@ __all__ = [
     "BatchLookupMixin",
     "CachedSlot",
     "CuckooCounters",
-    "DEFAULT_PAIRS",
     "FAST_ALGORITHMS",
     "FastBSDDemux",
     "FastCuckooDemux",
@@ -74,16 +63,11 @@ __all__ = [
     "FastMTFDemux",
     "FastSequentDemux",
     "FastpathCounters",
-    "GateConfig",
-    "GateReport",
     "KeyCache",
     "OrdinalKeyCache",
     "MAX_SWEEP_USERS",
     "MTFSlotTable",
     "Measurement",
-    "QUICK_CONFIG",
-    "SCALE_CONFIG",
-    "SCALE_PAIRS",
     "SlotTable",
     "as_packets",
     "decision_trace",
@@ -92,6 +76,5 @@ __all__ = [
     "publish_fastpath",
     "resumed_decision_trace",
     "resumed_mutation_trace",
-    "run_gate",
     "stray_tuple",
 ]

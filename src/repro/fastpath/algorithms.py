@@ -12,8 +12,8 @@ The equivalence is not an aspiration; it is enforced by the golden
 conformance suite (``tests/test_fastpath_golden.py``) and the
 differential property tests
 (``tests/property/test_fastpath_equiv.py``).  The speed win is
-quantified by ``benchmarks/bench_fastpath.py`` and gated across PRs by
-the ``bench-gate`` CLI subcommand.
+quantified by ``benchmarks/bench_fastpath.py`` and timed against each
+change's parent by the repository benchmark (``bench/``).
 
 Registry names: ``fast-linear``, ``fast-bsd``, ``fast-mtf``,
 ``fast-sequent``, ``fast-hashed_mtf``, each accepting the same spec
@@ -133,17 +133,16 @@ class _FastDemux(_FastDemuxBase):
         return chain
 
     def _remove(self, tup: FourTuple) -> PCB:
-        key, chain = self._keycache.probe(tup)
+        # The connection is going; its interned entry goes with it, or
+        # a churn workload would retain one memo per connection ever
+        # seen (the PR 4 leak).
+        key, chain = self._keycache.release(tup)
         if key == ABSENT_KEY:
             raise KeyError(tup)
         pcb = self._tables[chain].remove_key(key)
         self._size -= 1
         if self._caches:
             self._caches[chain].invalidate_if(key)
-        # The connection is gone; its interned entry goes with it, or
-        # a churn workload would retain one memo per connection ever
-        # seen (the PR 4 leak).
-        self._keycache.evict(tup)
         return pcb
 
     def restore_cache(self, chain: int, pcb: PCB) -> None:

@@ -415,7 +415,9 @@ class FastCuckooDemux(_FastDemuxBase):
         self._size += 1
 
     def _remove(self, tup: FourTuple) -> PCB:
-        key, h = self._keycache.probe(tup)
+        # Same eviction contract as every fast structure: the interned
+        # memo dies with the connection (see KeyCache).
+        key, h = self._keycache.release(tup)
         fp, b1, b2 = self._split(h)
         index = self._find_in(b1, key)
         if index >= 0:
@@ -432,9 +434,6 @@ class FastCuckooDemux(_FastDemuxBase):
                 if pcb is None:
                     raise KeyError(tup)
         self._size -= 1
-        # Same eviction contract as every fast structure: the interned
-        # memo dies with the connection (see KeyCache).
-        self._keycache.evict(tup)
         self._drain_stash()
         return pcb
 

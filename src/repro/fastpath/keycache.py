@@ -95,22 +95,25 @@ class KeyCache:
 
     Memory-bounds contract: only :meth:`entry` and :meth:`admit` (the
     insert path) may store a memo; :meth:`probe` and
-    :meth:`probe_batch` (the lookup/remove path) compute the pair on
-    the fly for unknown tuples without storing, and :meth:`evict`
-    drops the memo when its connection is removed.  The owning
-    structure therefore holds exactly one interned entry per *live*
-    connection -- heavy insert/remove churn and miss-lookup floods
-    cannot grow the table (see docs/fastpath.md, "Memory bounds") --
-    and ``tup in cache`` is its membership test.  Because the hash is
-    a pure function of the tuple and a key is only ever compared with
-    the keys of other live connections, evicting and later
-    re-interning an entry can never change a decision.
+    :meth:`probe_batch` (the lookup path) compute the pair on the fly
+    for unknown tuples without storing, and :meth:`release` (the
+    remove path) or :meth:`evict` drops the memo when its connection
+    is removed.  The owning structure therefore holds exactly one
+    interned entry per *live* connection -- heavy insert/remove churn
+    and miss-lookup floods cannot grow the table (see
+    docs/fastpath.md, "Memory bounds") -- and ``tup in cache`` is its
+    membership test.  Because the hash is a pure function of the tuple
+    and a key is only ever compared with the keys of other live
+    connections, evicting and later re-interning an entry can never
+    change a decision.
 
     Counting: :meth:`entry` and :meth:`admit` count interned keys (and
     hits on tuples already interned), :meth:`probe` and
-    :meth:`probe_batch` count hits and transient probes, and the
-    inspection reads ``in``, :meth:`key_of` and :meth:`chain_of` count
-    nothing, so inspecting a structure never moves its counters.
+    :meth:`probe_batch` count hits and transient probes,
+    :meth:`release` counts as :meth:`probe` followed by :meth:`evict`,
+    and the inspection reads ``in``, :meth:`key_of` and
+    :meth:`chain_of` count nothing, so inspecting a structure never
+    moves its counters.
     """
 
     __slots__ = ("_entries", "_chain_fn", "counters")
@@ -196,6 +199,24 @@ class KeyCache:
         counters.key_cache_hits += len(entries) - misses
         counters.transient_probes += misses
         return entries
+
+    def release(self, tup: FourTuple) -> Tuple[int, int]:
+        """:meth:`probe` and :meth:`evict` in one dict operation.
+
+        The *remove* path: a live tuple's entry is popped and returned
+        (counted as a hit and an eviction); an unknown tuple gets the
+        computed pair, counted as a transient probe, exactly as
+        :meth:`probe` would give it.  Either way the table no longer
+        holds ``tup``.
+        """
+        entry = self._entries.pop(tup, None)
+        counters = self.counters
+        if entry is None:
+            counters.transient_probes += 1
+            return self._compute(tup)
+        counters.key_cache_hits += 1
+        counters.evicted_keys += 1
+        return entry
 
     def evict(self, tup: FourTuple) -> bool:
         """Drop ``tup``'s interned entry (connection removed).

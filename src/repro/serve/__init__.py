@@ -13,7 +13,7 @@ live.
 
 The record/replay bridge: a :class:`RecorderTap` captures served
 traffic into the :class:`repro.workload.record.RecordedStream` format,
-so real captures feed ``bench-gate`` replays and the canary gate
+so real captures feed the canary gate and every other replay
 byte-for-byte.  A seeded loop-back client swarm
 (:class:`LoadGenerator`) makes the whole loop self-contained and --
 with canonical capture ordering -- deterministic: serving the same

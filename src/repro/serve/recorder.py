@@ -4,8 +4,8 @@ The bridge half of record/replay.  While the server runs, the tap
 accumulates every installed connection and every routed frame; at
 shutdown it flattens them into a
 :class:`repro.workload.record.RecordedStream` (``kind="live-capture"``)
-that ``bench-gate``, the golden decision-trace machinery, and the
-canary gate replay exactly as they replay synthetic TPC/A streams.
+that the golden decision-trace machinery and the canary gate replay
+exactly as they replay synthetic TPC/A streams.
 
 Two orderings are offered, because live capture has a tension
 synthetic recording does not:

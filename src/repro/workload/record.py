@@ -14,8 +14,8 @@ SHA-256 content digest over the tuples and packets.  The live-serving
 front end (:mod:`repro.serve`) records real socket traffic into the
 same format, so a capture's provenance -- synthetic TPC/A or a live
 run -- is carried in its header (``kind``) while every consumer
-(``bench-gate`` replays, golden decision traces, the canary gate)
-reads both identically.  ``load_stream`` re-verifies the digest and
+(the canary's replays, golden decision traces) reads both
+identically.  ``load_stream`` re-verifies the digest and
 the structure, so a truncated or hand-edited capture is rejected at
 the door rather than silently replaying garbage.
 """

@@ -1,81 +1,67 @@
-"""The million-connection gate tier: config bounds, reaping, scaling.
+"""The million-connection tier: the canary's stream bound and scaling.
 
-Pins the n_sweep validation fix (the gate used to accept any value and
-discover the mistake hours into a sweep), the reaper-bounded replay
-mode, the scale-tier configuration, and -- marked slow -- the scaling
-claim itself: chained backends' p99 PCBs-examined grows with N while
-``fast-cuckoo`` stays at a small constant.
+Pins the ``canary`` subcommand's connection-count bound (checked
+before any stream is recorded, so a typo fails at once instead of
+grinding through a multi-million-connection recording) and -- marked
+slow -- the scaling claim itself: chained backends' p99 PCBs-examined
+grows with N while ``fast-cuckoo`` stays at a small constant.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.fastpath.gate import (
-    GateConfig,
-    MAX_SWEEP_USERS,
-    SCALE_CONFIG,
-    SCALE_PAIRS,
-    measure_replay,
-)
+from repro.cli import main
+from repro.fastpath.gate import MAX_SWEEP_USERS, measure_replay
+from repro.workload import record
 from repro.workload.record import record_tpca_stream
 
 
-class TestSweepValidation:
-    def test_rejects_empty_sweep(self):
-        with pytest.raises(ValueError, match="at least one connection"):
-            GateConfig(n_sweep=())
+@pytest.fixture
+def recorded(monkeypatch):
+    """Record a tiny stream in place of whatever the canary asks for.
 
-    @pytest.mark.parametrize("bad", [0, -5, 2.5, "100"])
-    def test_rejects_non_positive_or_non_int(self, bad):
-        with pytest.raises(ValueError, match="positive integers"):
-            GateConfig(n_sweep=(bad,))
+    Collects the ``n_users`` of every recording, so a test sees whether
+    (and with what) the canary recorded without ever building a large
+    stream.
+    """
+    requests = []
 
-    def test_rejects_above_bound(self):
-        with pytest.raises(ValueError, match="exceeds the sweep bound"):
-            GateConfig(n_sweep=(MAX_SWEEP_USERS + 1,))
+    def tiny_stream(n_users, duration, seed, **kwargs):
+        requests.append(n_users)
+        return record_tpca_stream(20, 1.0, seed)
 
-    def test_accepts_the_bound_itself(self):
-        config = GateConfig(n_sweep=(MAX_SWEEP_USERS,))
-        assert config.n_sweep == (MAX_SWEEP_USERS,)
-
-    def test_rejects_non_positive_reap_idle(self):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match="reap_idle"):
-                GateConfig(reap_idle=bad)
-
-    def test_scale_config_shape(self):
-        assert SCALE_CONFIG.pairs == SCALE_PAIRS
-        assert any("fast-cuckoo" in fast for _, fast in SCALE_PAIRS)
-        assert max(SCALE_CONFIG.n_sweep) >= 100_000
-        assert all(n <= MAX_SWEEP_USERS for n in SCALE_CONFIG.n_sweep)
+    monkeypatch.setattr(record, "record_tpca_stream", tiny_stream)
+    return requests
 
 
-class TestReapKeying:
-    def test_reap_tag_separates_baselines(self):
-        stream = record_tpca_stream(50, 2.0, 7)
-        plain = measure_replay("fast-cuckoo", stream, repeats=1)
-        config = GateConfig(n_sweep=(50,), duration=2.0)
-        reaped_config = dataclasses.replace(config, reap_idle=5.0)
-        assert plain.key(config) != plain.key(reaped_config)
-        assert plain.key(reaped_config).endswith(";reap=5")
-
-    def test_reaped_replay_bounds_population(self):
-        # Long stream, aggressive timeout: the reaper must actually
-        # remove idle flows mid-replay (the memory bound the
-        # million-connection sweep relies on), and the measurement
-        # must still complete coherently.
-        stream = record_tpca_stream(200, 20.0, 11)
-        reaped = measure_replay(
-            "fast-cuckoo", stream, repeats=1, chunk=64, reap_idle=0.5
+def canary(users):
+    """Exit status of a canary run on a synthetic stream of ``users``."""
+    try:
+        return main(
+            ["canary", "fast-sequent:h=7", "--incumbent", "sequent:h=7",
+             "--users", str(users), "--repeats", "1"]
         )
-        plain = measure_replay("fast-cuckoo", stream, repeats=1, chunk=64)
-        assert reaped.packets == plain.packets
-        # Reaped flows turn later packets into misses; with a 0.5 s
-        # idle bound on a 20 s stream some flows must have been reaped.
-        assert reaped.mean_examined <= plain.mean_examined
+    except SystemExit as exit:  # argparse rejects a non-integer
+        return exit.code
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize("bad", [0, -5, 2.5])
+    def test_rejects_non_positive_or_non_int(self, bad, recorded, capsys):
+        assert canary(bad) == 2
+        assert "--users" in capsys.readouterr().err
+        assert recorded == []
+
+    def test_rejects_above_bound(self, recorded, capsys):
+        assert canary(MAX_SWEEP_USERS + 1) == 2
+        assert f"{MAX_SWEEP_USERS:,}" in capsys.readouterr().err
+        assert recorded == []
+
+    def test_accepts_the_bound_itself(self, recorded):
+        # Recorded, then judged: PROMOTE or BLOCK, never "unusable".
+        assert canary(MAX_SWEEP_USERS) in (0, 1)
+        assert recorded == [MAX_SWEEP_USERS]
 
 
 @pytest.mark.slow

@@ -20,6 +20,7 @@ class TestParser:
             ["hash-balance"],
             ["run-all"],
             ["report"],
+            ["canary", "fast-cuckoo"],
         ):
             args = parser.parse_args(command)
             assert args.command == command[0]
@@ -231,50 +232,6 @@ class TestObservabilityFlags:
         # Identical decisions => identical simulation report, modulo
         # the algorithm's display name.
         assert fast.replace("fast-sequent", "sequent") == reference
-
-
-class TestBenchGate:
-    GATE_ARGS = ["bench-gate", "--users", "30", "--duration", "5",
-                 "--repeats", "1", "--seed", "11"]
-
-    def test_parser_knows_bench_gate(self):
-        args = build_parser().parse_args(["bench-gate", "--quick"])
-        assert args.command == "bench-gate"
-        assert args.quick
-
-    def test_first_run_passes_and_writes_trajectory(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_trajectory.json"
-        code = main(self.GATE_ARGS + ["--trajectory", str(path)])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "no regressions" in out
-        assert "speedups" in out
-        entries = json.loads(path.read_text())["entries"]
-        assert len(entries) == 1
-        assert len(entries[0]["speedups"]) == 5  # one per default pair
-
-    def test_warn_only_swallows_regressions(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "BENCH_trajectory.json"
-        assert main(self.GATE_ARGS + ["--trajectory", str(path)]) == 0
-        capsys.readouterr()
-        data = json.loads(path.read_text())
-        for result in data["entries"][0]["results"]:
-            result["packets_per_sec"] *= 1000  # impossible baseline
-        path.write_text(json.dumps(data))
-
-        hard = main(self.GATE_ARGS + ["--trajectory", str(path),
-                                      "--no-append"])
-        capsys.readouterr()
-        assert hard == 1
-        soft = main(self.GATE_ARGS + ["--trajectory", str(path),
-                                      "--no-append", "--warn-only"])
-        out = capsys.readouterr().out
-        assert soft == 0
-        assert "warn-only" in out
 
 
 class TestLifecycleFlags:

@@ -5,8 +5,12 @@ flow-director table and their cuckoo buckets from the spread memoized
 in the flow's intern entry.  These tests count calls -- to the
 steering hash (or to the sticky director's ``shard_of``) and to
 ``repro.fastpath.cuckoo._spread`` -- around replays of live-flow and
-unknown-tuple lookups, per call and through ``lookup_batch``.
+unknown-tuple lookups, per call and through ``lookup_batch``.  A
+remove releases the flow's intern entry in one dict operation, so it
+hashes the removed four-tuple once.
 """
+
+import dataclasses
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.core.stats import PacketKind
 from repro.fastpath import FastCuckooDemux, cuckoo
 from repro.fastpath.conformance import churn_tuple, stray_tuple
 from repro.hashing import default_hash
+from repro.packet.addresses import IPv4Address
 from repro.recovery import ShardSupervisor
 from repro.smp import HashSteering, ShardedDemux, StickyFlowSteering
 
@@ -172,3 +177,64 @@ class TestCuckooSpread:
         assert not any(result.found for result in results)
         assert spreads.calls == len(packets)
         assert demux.interned_entries == FLOWS
+
+
+@pytest.fixture
+def address_hashes(monkeypatch):
+    """Count ``IPv4Address.__hash__`` calls; a four-tuple hash makes two."""
+    real_hash = IPv4Address.__hash__
+    counted = CallCounter(real_hash)
+
+    def counting_hash(self):
+        return counted(self)
+
+    monkeypatch.setattr(IPv4Address, "__hash__", counting_hash)
+    hash(churn_tuple(0))
+    assert counted.calls == 2
+    counted.calls = 0
+    return counted
+
+
+class TestRemoveHashesOnce:
+    @pytest.mark.parametrize("spec", ["fast-sequent:h=19", "fast-cuckoo"])
+    def test_present_remove_hashes_the_tuple_once(self, spec, address_hashes):
+        demux = make_algorithm(spec)
+        populate(demux)
+        address_hashes.calls = 0
+        for index in range(FLOWS):
+            # A fresh, equal tuple, as churn and serve pass in.
+            demux.remove(churn_tuple(index))
+        assert address_hashes.calls == 2 * FLOWS
+        assert demux.interned_entries == 0
+
+    @pytest.mark.parametrize("spec", ["fast-sequent:h=19", "fast-cuckoo"])
+    def test_remove_counts_as_probe_then_evict(self, spec):
+        demux = make_algorithm(spec)
+        populate(demux)
+        counters = demux.fastpath_counters
+        before = dataclasses.replace(counters)
+        demux.remove(churn_tuple(0))
+        assert counters == dataclasses.replace(
+            before,
+            key_cache_hits=before.key_cache_hits + 1,
+            evicted_keys=before.evicted_keys + 1,
+        )
+        before = dataclasses.replace(counters)
+        with pytest.raises(KeyError):
+            demux.remove(churn_tuple(0))
+        assert counters == dataclasses.replace(
+            before, transient_probes=before.transient_probes + 1
+        )
+
+    @pytest.mark.parametrize("spec", ["fast-sequent:h=19", "fast-cuckoo"])
+    def test_release_equals_probe_then_evict(self, spec):
+        released, probed = make_algorithm(spec), make_algorithm(spec)
+        populate(released)
+        populate(probed)
+        for tup in (churn_tuple(3), stray_tuple(3)):
+            pair = released._keycache.release(tup)
+            assert pair == probed._keycache.probe(tup)
+            probed._keycache.evict(tup)
+            assert tup not in released._keycache
+            assert len(released._keycache) == len(probed._keycache)
+            assert released.fastpath_counters == probed.fastpath_counters

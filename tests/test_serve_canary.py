@@ -1,6 +1,5 @@
 """Tests for the canary gate: candidate-vs-incumbent A/B on mirrored
-recorded traffic, and its CLI entry points (``canary``,
-``bench-gate --canary``)."""
+recorded traffic, and its CLI entry point (``canary``)."""
 
 import asyncio
 import itertools
@@ -240,9 +239,9 @@ class TestCanaryCLI:
         assert code == 2
         assert "capture" in capsys.readouterr().err
 
-    def test_bench_gate_canary_on_live_capture(self, tmp_path, capsys):
+    def test_canary_on_live_capture(self, tmp_path, capsys):
         """The CI acceptance path: serve a swarm, record the capture,
-        then ``bench-gate --canary --quick`` on it."""
+        then ``canary --capture`` on it."""
         from repro.cli import main
 
         path = str(tmp_path / "live.json")
@@ -256,18 +255,11 @@ class TestCanaryCLI:
         assert report.ok
         code = main(
             [
-                "bench-gate", "--canary", "fast-sequent:h=19",
+                "canary", "fast-sequent:h=19",
                 "--incumbent", "sequent:h=19",
-                "--capture", path, "--quick", "--repeats", "1",
+                "--capture", path, "--repeats", "1",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "live-capture" in out
-
-    def test_bench_gate_capture_without_canary_is_an_error(self, capsys):
-        from repro.cli import main
-
-        code = main(["bench-gate", "--capture", "x.json"])
-        assert code == 2
-        assert "--canary" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 The recorded-stream machinery underpins every paired comparison in the
 repository (SMP sweeps, coalescing, the golden conformance suite, the
-bench gate), so its contract -- determinism, faithful arrival order,
+canary), so its contract -- determinism, faithful arrival order,
 zero-cost lookups -- gets pinned here directly rather than only through
 its consumers.
 """
