@@ -21,7 +21,6 @@ import urllib.request
 
 from repro.core import SequentDemux
 from repro.obs import (
-    DemuxStatsExporter,
     HealthWatchdog,
     MetricsRegistry,
     SpanCollector,
@@ -46,7 +45,6 @@ def main() -> None:
     characterizer = TrafficCharacterizer().attach(collector)
 
     registry = MetricsRegistry()
-    exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
     watchdog = HealthWatchdog(default_rules())
     simulation = TPCADemuxSimulation(CONFIG, algorithm)
 
@@ -59,8 +57,8 @@ def main() -> None:
 
     def publish():
         with server.lock:  # scrapes see consistent snapshots
-            exporter.publish(algorithm.stats)
-            characterizer.publish(registry)
+            registry.publish(algorithm)
+            registry.publish(characterizer)
         simulation.sim.schedule(PUBLISH_EVERY, publish)
 
     def scrape():
@@ -81,8 +79,8 @@ def main() -> None:
     result = simulation.run()
 
     with server.lock:
-        exporter.publish(algorithm.stats)
-        characterizer.publish(registry)
+        registry.publish(algorithm)
+        registry.publish(characterizer)
     report = watchdog.evaluate(registry, now=simulation.sim.now)
     server.stop()
 

@@ -20,7 +20,6 @@ from repro.smp import (
     ShardedDemux,
     build_report,
     make_steering,
-    publish_sharded,
 )
 from repro.workload import record_tpca_stream
 
@@ -91,7 +90,7 @@ def main() -> None:
             )
             if steering == "hash" and batch == 1:
                 registry = MetricsRegistry()
-                publish_sharded(registry, sharded)
+                registry.publish(sharded)
                 exported = registry.snapshot()
                 loads = exported["smp_shard_lookups"]["samples"]
                 print(

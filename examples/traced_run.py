@@ -12,13 +12,7 @@ Run:  python examples/traced_run.py
 """
 
 from repro.core import PacketKind, SequentDemux
-from repro.obs import (
-    DemuxStatsExporter,
-    LookupProfiler,
-    MetricsRegistry,
-    RingBufferSink,
-    Tracer,
-)
+from repro.obs import LookupProfiler, MetricsRegistry, RingBufferSink, Tracer
 from repro.workload import TPCAConfig, TPCADemuxSimulation
 
 CONFIG = TPCAConfig(n_users=500, duration=60.0, warmup=15.0, seed=7)
@@ -46,10 +40,9 @@ def main() -> None:
         print(f"  t={event.time:8.4f}s  {event.packet_kind:<4} "
               f"examined={event.examined}  cache_hit={event.cache_hit}")
 
-    # --- Metrics: publish DemuxStats, export both formats. ---
+    # --- Metrics: publish the structure's families, export them. ---
     registry = MetricsRegistry()
-    exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
-    exporter.publish(algorithm.stats)
+    registry.publish(algorithm)
     print("\nPrometheus exposition (counters only):")
     for line in registry.to_prometheus().splitlines():
         if line.startswith("demux_lookups_total{"):

@@ -642,12 +642,29 @@ def _cmd_validate(args) -> int:
     return 0 if result.all_ok else 1
 
 
+class _SimRun:
+    """``simulate``'s run facts as a metrics source (``sim_run``)."""
+
+    def __init__(self, simulation, args) -> None:
+        self.simulation = simulation
+        self.facts = {"users": args.users, "seed": args.seed}
+
+    def metrics(self):
+        simulation = self.simulation
+        facts = {
+            "events_run": simulation.sim.events_run,
+            "transactions": simulation.transactions_completed,
+            "virtual_time_seconds": simulation.sim.now,
+            **self.facts,
+        }
+        return [(
+            "sim_run", "gauge", "simulation run facts",
+            [({"name": name}, value) for name, value in facts.items()],
+        )]
+
+
 def _cmd_simulate(args) -> int:
-    from .obs.metrics import (
-        DEFAULT_EXPORT_BUCKETS,
-        DemuxStatsExporter,
-        MetricsRegistry,
-    )
+    from .obs.metrics import DEFAULT_EXPORT_BUCKETS, MetricsRegistry
     from .obs.profile import LookupProfiler
     from .obs.trace import JsonlSink, Tracer
 
@@ -790,89 +807,30 @@ def _cmd_simulate(args) -> int:
             profiler = LookupProfiler()
         profiler.attach(algorithm)
 
-    # -- registry publishers -----------------------------------------
-    # Counter-backed exporters publish *deltas*, so the periodic
-    # publisher and the final flush must reuse one instance each --
-    # fresh exporters per tick would re-add the running totals.
-    publish_steps = []
+    # -- registry sources --------------------------------------------
+    # Every publish folds in each source's running totals; the
+    # registry keeps what it last saw of each, so the periodic
+    # publisher and the final flush add only what is new.
+    sources = []
     if registry is not None:
-        from .fastpath.metrics import publish_fastpath
-
-        demux_exporter = DemuxStatsExporter(
-            registry, algorithm=algorithm.name
-        )
-        publish_steps.append(
-            lambda: demux_exporter.publish(algorithm.stats)
-        )
-        publish_steps.append(lambda: publish_fastpath(registry, algorithm))
-        sharded_view = (
-            supervisor.sharded if supervisor is not None else algorithm
-        )
-        if getattr(sharded_view, "shards", None) is not None:
-            from .smp.metrics import publish_sharded
-
-            publish_steps.append(
-                lambda: publish_sharded(registry, sharded_view)
-            )
-        if supervisor is not None:
-            from .recovery import publish_recovery
-
-            publish_steps.append(
-                lambda: publish_recovery(registry, supervisor)
-            )
-        sim_gauges = registry.gauge("sim_run", "simulation run facts")
-
-        def publish_sim() -> None:
-            sim_gauges.set(simulation.sim.events_run, name="events_run")
-            sim_gauges.set(
-                simulation.transactions_completed, name="transactions"
-            )
-            sim_gauges.set(simulation.sim.now, name="virtual_time_seconds")
-            sim_gauges.set(args.users, name="users")
-            sim_gauges.set(args.seed, name="seed")
-
-        publish_steps.append(publish_sim)
+        sources = [(algorithm, {}), (_SimRun(simulation, args), {})]
         if full_stack:
-            from .faults.metrics import InjectorExporter, StackFaultExporter
-
-            host = str(simulation.server.address)
-            stack_exporter = StackFaultExporter(registry, host=host)
-            publish_steps.append(
-                lambda: stack_exporter.publish(simulation.server)
-            )
-            received_counter = registry.counter(
-                "packets_received_total",
-                "inbound packets accepted by the stack",
-            )
-            received_state = {"last": 0}
-
-            def publish_received() -> None:
-                current = simulation.server.packets_received
-                received_counter.inc(
-                    current - received_state["last"], host=host
-                )
-                received_state["last"] = current
-
-            publish_steps.append(publish_received)
+            stack = simulation.server
+            sources.append((stack, {}))
             if simulation.injector is not None:
-                injector_exporter = InjectorExporter(registry, host=host)
-                publish_steps.append(
-                    lambda: injector_exporter.publish(simulation.injector)
+                sources.append(
+                    (simulation.injector, {"host": str(stack.address)})
                 )
-            if simulation.server.reaper is not None:
-                from .lifecycle import publish_lifecycle
-
-                publish_steps.append(
-                    lambda: publish_lifecycle(
-                        registry, simulation.server.reaper
-                    )
-                )
+            if stack.reaper is not None:
+                sources.append((stack.reaper, {}))
+        if characterizer is not None:
+            sources.append((characterizer, {}))
+        if profiler is not None:
+            sources.append((profiler, {}))
 
     def publish_all() -> None:
-        for step in publish_steps:
-            step()
-        if characterizer is not None:
-            characterizer.publish(registry)
+        for source, labels in sources:
+            registry.publish(source, **labels)
 
     # -- live telemetry server + watchdog ----------------------------
     watchdog = None
@@ -987,15 +945,6 @@ def _cmd_simulate(args) -> int:
                 publish_all()
         else:
             publish_all()
-        if profiler is not None:
-            report = profiler.report()
-            profile_gauges = registry.gauge(
-                "lookup_wallclock_ns", "sampled lookup latency"
-            )
-            profile_gauges.set(report.mean_ns, stat="mean")
-            profile_gauges.set(report.p50_ns, stat="p50")
-            profile_gauges.set(report.p95_ns, stat="p95")
-            profile_gauges.set(report.samples, stat="samples")
         health = watchdog.evaluate(registry, now=simulation.sim.now)
         print(f"  health: {health.describe()}")
     if collector is not None:
@@ -1141,21 +1090,10 @@ def _cmd_fault_matrix(args) -> int:
     from .obs.watchdog import HealthWatchdog, default_rules
 
     registry = MetricsRegistry()
-    drop_counter = registry.counter(
-        "packet_drops_total", "packets dropped, by taxonomy reason"
-    )
-    received_counter = registry.counter(
-        "packets_received_total", "inbound packets accepted by the stack"
-    )
     for cell in result.cells:
-        labels = {
-            "algorithm": cell.algorithm,
-            "mix": cell.mix,
-            "seed": str(cell.seed),
-        }
-        received_counter.inc(cell.packets_received, **labels)
-        for reason, count in cell.drops.items():
-            drop_counter.inc(count, reason=reason, **labels)
+        registry.publish(
+            cell, algorithm=cell.algorithm, mix=cell.mix, seed=str(cell.seed)
+        )
     health = HealthWatchdog(default_rules()).evaluate(registry)
     print(f"watchdog: {health.describe()}")
 
@@ -1333,7 +1271,7 @@ LEAK_AUDIT_ALGORITHMS = (
 
 def _cmd_leak_audit(args) -> int:
     from .faults.audit import audit_leaks, audit_stack
-    from .lifecycle.metrics import count_interned
+    from .lifecycle.metrics import Retention, count_interned
     from .obs.metrics import MetricsRegistry
     from .obs.watchdog import HealthWatchdog, default_rules
     from .workload.adversarial import ChurnStormWorkload, SynFloodWorkload
@@ -1345,20 +1283,14 @@ def _cmd_leak_audit(args) -> int:
     # the retained-entries SLO rule re-judges the campaign with the
     # exact logic /healthz uses (informational; the audits decide).
     registry = MetricsRegistry()
-    retention = registry.gauge(
-        "lifecycle_retention",
-        "live PCBs vs interned fast-path keys (leak-audit pair)",
-    )
     watchdog = HealthWatchdog(
         default_rules(retention_grace=float(args.grace))
     )
 
     def record_retention(algorithm, spec, seed, phase):
-        labels = {"algorithm": spec, "seed": str(seed), "phase": phase}
-        retention.set(len(algorithm), population="live_pcbs", **labels)
-        interned = count_interned(algorithm)
-        if interned is not None:
-            retention.set(interned, population="interned_keys", **labels)
+        registry.publish(
+            Retention(algorithm, spec), seed=str(seed), phase=phase
+        )
 
     def check(label, audit):
         print(f"  {audit.describe()}")

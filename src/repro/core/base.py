@@ -341,5 +341,37 @@ class DemuxAlgorithm(abc.ABC):
         """Human-readable one-liner for reports."""
         return f"{self.name} ({len(self)} PCBs)"
 
+    def metrics(self) -> List[tuple]:
+        """The ``demux_*`` families, per packet kind, as plain data.
+
+        ``(name, type, help, [(labels, value), ...])`` tuples, the
+        shape :meth:`repro.obs.metrics.MetricsRegistry.publish` folds
+        in; counters and the histogram are running totals.  Subclasses
+        with more to export extend the list.
+        """
+        kinds = [
+            ({"algorithm": self.name, "kind": kind.value}, stats)
+            for kind, stats in self.stats.by_kind.items()
+        ]
+        return [
+            ("demux_lookups_total", "counter", "PCB lookups performed",
+             [(labels, s.lookups) for labels, s in kinds]),
+            ("demux_examined_total", "counter",
+             "PCBs examined across all lookups (the paper's cost)",
+             [(labels, s.examined_total) for labels, s in kinds]),
+            ("demux_cache_hits_total", "counter",
+             "lookups satisfied by a cache slot",
+             [(labels, s.cache_hits) for labels, s in kinds]),
+            ("demux_not_found_total", "counter",
+             "lookups that matched no PCB",
+             [(labels, s.not_found) for labels, s in kinds]),
+            ("demux_examined_max", "gauge",
+             "worst single-lookup search length",
+             [(labels, s.max_examined) for labels, s in kinds]),
+            ("demux_examined", "histogram",
+             "per-lookup PCBs-examined distribution",
+             [(labels, s.histogram) for labels, s in kinds]),
+        ]
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.describe()}>"

@@ -286,10 +286,11 @@ class DemuxStats:
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready snapshot, per kind plus the aggregate view.
 
-        This (together with :class:`repro.obs.DemuxStatsExporter`,
-        which publishes the same counters into a metrics registry) is
-        the supported way to export statistics -- the counting
-        convention itself stays pinned in :mod:`repro.core.base`.
+        This (together with :meth:`repro.core.base.DemuxAlgorithm.
+        metrics`, which reports the same counters to a metrics
+        registry) is the supported way to export statistics -- the
+        counting convention itself stays pinned in
+        :mod:`repro.core.base`.
         """
         return {
             "lookups": self.lookups,

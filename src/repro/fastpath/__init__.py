@@ -20,9 +20,11 @@ million-connection tier:
 * :mod:`~repro.fastpath.batch` -- the fast structures' batch counters;
 * :mod:`~repro.fastpath.conformance` -- golden decision traces;
 * :mod:`~repro.fastpath.gate` -- the ``canary`` promotion verdict and
-  its best-of-R replay timing;
-* :mod:`~repro.fastpath.metrics` -- observability export of fast-path
-  counters.
+  its best-of-R replay timing.
+
+Every fast structure's ``metrics()`` adds its ``fastpath_counters``
+(and ``fast-cuckoo`` its ``cuckoo_table``) to the ``demux_*`` families
+a :class:`repro.obs.MetricsRegistry` publishes.
 
 Registry specs: ``fast-sequent:h=51,hash=crc16``,
 ``sharded-fast-sequent:shards=8,steer=hash``, etc.  See
@@ -48,7 +50,6 @@ from .conformance import (
 from .cuckoo import CuckooCounters, FastCuckooDemux
 from .gate import MAX_SWEEP_USERS, Measurement, measure_replay
 from .keycache import FastpathCounters, KeyCache, OrdinalKeyCache
-from .metrics import publish_fastpath
 from .tables import CachedSlot, MTFSlotTable, SlotTable
 
 __all__ = [
@@ -73,7 +74,6 @@ __all__ = [
     "decision_trace",
     "golden_stream",
     "measure_replay",
-    "publish_fastpath",
     "resumed_decision_trace",
     "resumed_mutation_trace",
     "stray_tuple",

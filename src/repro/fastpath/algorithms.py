@@ -92,6 +92,15 @@ class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
         """Membership without perturbing caches, stats, or counters."""
         return tup in self._keycache
 
+    def metrics(self) -> List[tuple]:
+        """``demux_*`` plus the ``fastpath_counters`` gauges."""
+        return super().metrics() + [(
+            "fastpath_counters", "gauge",
+            "fast-path key interning and batch amortization",
+            [({"algorithm": self.name, "counter": name}, value)
+             for name, value in self.fastpath_counters.as_dict().items()],
+        )]
+
     def _admit(self, tup: FourTuple) -> Tuple[int, int]:
         """Intern ``tup`` for an insert; raises on a live duplicate."""
         entry = self._keycache.admit(tup)

@@ -256,6 +256,19 @@ class FastCuckooDemux(_FastDemuxBase):
         )
         return data
 
+    def metrics(self) -> List[tuple]:
+        """``demux_*`` and ``fastpath_counters`` plus ``cuckoo_table``."""
+        return super().metrics() + [self.table_family(algorithm=self.name)]
+
+    def table_family(self, **labels: str) -> tuple:
+        """The ``cuckoo_table`` gauges, every sample carrying ``labels``."""
+        return (
+            "cuckoo_table", "gauge",
+            "cuckoo table health: kickouts, stash, pre-filter, load",
+            [({**labels, "metric": name}, value)
+             for name, value in self.cuckoo_metrics().items()],
+        )
+
     def describe(self) -> str:
         return (
             f"{self.name} ({self._nbuckets}x{self._bucket_size} slots,"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.pcb import PCB
 from ..core.registry import make_algorithm
@@ -90,6 +90,19 @@ def measure_replay(
     the timed region), so each timing starts from an identical cold
     state and only the ``lookup_batch`` calls are on the clock.
     """
+    return _timed_replay(spec, stream, repeats, chunk)[0]
+
+
+def _timed_replay(
+    spec: str, stream: RecordedStream, repeats: int, chunk: int
+) -> Tuple[Measurement, List[list]]:
+    """:func:`measure_replay` plus the last repeat's batch results, from
+    which the canary reads its decision flags.
+
+    Inside the window each chunk's result list is only kept (one
+    append per chunk, the same on every side and every repeat); nothing
+    reads them until the caller's comparison, after every clock read.
+    """
     packets = list(stream.packets)
     chunks = [
         packets[start:start + chunk]
@@ -98,21 +111,24 @@ def measure_replay(
     best = float("inf")
     mean_examined = 0.0
     p99_examined = 0.0
+    kept: List[list] = []
     for _ in range(repeats):
         algorithm = make_algorithm(spec)
         for tup in stream.tuples:
             algorithm.insert(PCB(tup))
         lookup_batch = algorithm.lookup_batch
+        kept = []
+        keep = kept.append
         start_time = time.perf_counter()
         for batch in chunks:
-            lookup_batch(batch)
+            keep(lookup_batch(batch))
         elapsed = time.perf_counter() - start_time
         best = min(best, elapsed)
         mean_examined = algorithm.stats.mean_examined
         p99_examined = float(
             algorithm.stats.combined().percentile(0.99)
         )
-    return Measurement(
+    measurement = Measurement(
         algorithm=spec,
         n_users=stream.n_users,
         packets=len(packets),
@@ -121,6 +137,7 @@ def measure_replay(
         mean_examined=mean_examined,
         p99_examined=p99_examined,
     )
+    return measurement, kept
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,17 +169,6 @@ class CanaryConfig:
                 f"examined_margin must be >= 0,"
                 f" got {self.examined_margin}"
             )
-
-
-def _found_trace(spec: str, stream: RecordedStream) -> List[bool]:
-    """Per-packet found/not-found through ``spec`` (deterministic)."""
-    algorithm = make_algorithm(spec)
-    for tup in stream.tuples:
-        algorithm.insert(PCB(tup))
-    return [
-        result.found
-        for result in algorithm.lookup_batch(list(stream.packets))
-    ]
 
 
 @dataclasses.dataclass
@@ -241,19 +247,18 @@ def run_canary(
     """A/B the candidate against the incumbent on one capture."""
     say = progress if progress is not None else (lambda message: None)
     say(f"replaying capture through incumbent {config.incumbent}")
-    incumbent = measure_replay(
-        config.incumbent, stream,
-        repeats=config.repeats, chunk=config.chunk,
+    incumbent, incumbent_results = _timed_replay(
+        config.incumbent, stream, config.repeats, config.chunk
     )
     say(f"replaying capture through candidate {config.candidate}")
-    candidate = measure_replay(
-        config.candidate, stream,
-        repeats=config.repeats, chunk=config.chunk,
+    candidate, candidate_results = _timed_replay(
+        config.candidate, stream, config.repeats, config.chunk
     )
     say("comparing decision traces")
-    decisions_match = _found_trace(
-        config.incumbent, stream
-    ) == _found_trace(config.candidate, stream)
+    decisions_match = all(
+        [a.found for a in ours] == [b.found for b in theirs]
+        for ours, theirs in zip(incumbent_results, candidate_results)
+    )
 
     blockers: List[str] = []
     if not decisions_match:

@@ -26,8 +26,7 @@ decision stays identical*.
   key).
 
 Counters land in :class:`FastpathCounters`, which the owning algorithm
-exposes as ``fastpath_counters`` and :func:`repro.fastpath.metrics.
-publish_fastpath` exports through the observability registry.
+exposes as ``fastpath_counters`` and reports through its ``metrics()``.
 """
 
 from __future__ import annotations

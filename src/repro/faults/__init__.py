@@ -10,8 +10,6 @@ package asks what happens when the network misbehaves.  It provides:
   (:mod:`repro.faults.config`);
 * post-run structural audits (:mod:`repro.faults.audit`) -- the "no
   PCB leaks, no table drift" contract;
-* metric exporters for drop taxonomy and fault counts
-  (:mod:`repro.faults.metrics`);
 * the algorithms x mixes x seeds campaign runner
   (:mod:`repro.faults.matrix`).
 """
@@ -33,12 +31,6 @@ from .matrix import (
     FaultMatrixResult,
     run_fault_cell,
     run_fault_matrix,
-)
-from .metrics import (
-    InjectorExporter,
-    StackFaultExporter,
-    publish_injector,
-    publish_stack,
 )
 from .models import (
     Blackhole,
@@ -68,7 +60,6 @@ __all__ = [
     "GilbertElliottLoss",
     "IIDLoss",
     "InfraFault",
-    "InjectorExporter",
     "LinkFlap",
     "PCBAudit",
     "Reorder",
@@ -76,14 +67,11 @@ __all__ = [
     "ShardCrash",
     "ShardStall",
     "SnapshotCorruption",
-    "StackFaultExporter",
     "audit_stack",
     "describe_models",
     "parse_fault_spec",
     "parse_infra_spec",
     "parse_mixed_spec",
-    "publish_injector",
-    "publish_stack",
     "run_fault_cell",
     "run_fault_matrix",
 ]

@@ -17,11 +17,12 @@ byte-identical fault schedule.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.network import Link
 from ..sim.rng import RngRegistry
+from ..tcpstack.stack import DROPS_FAMILY
 from .models import FaultModel, FaultPlan, describe_models
 
 __all__ = ["FaultInjector", "FaultyLink"]
@@ -57,7 +58,7 @@ class FaultInjector:
         self.packets_reordered = 0
         self.packets_duplicated = 0
         self.packets_corrupted = 0
-        #: (model name, action) -> count, for the metrics exporter.
+        #: (model name, action) -> count, reported by :meth:`metrics`.
         self.counts: Dict[Tuple[str, str], int] = {}
         self._digest = hashlib.sha256()
 
@@ -116,6 +117,24 @@ class FaultInjector:
             f" {self.packets_duplicated} duplicated,"
             f" {self.packets_corrupted} corrupted"
         )
+
+    def metrics(self) -> List[tuple]:
+        """What the pipeline did: actions by model, packets judged, and
+        injected losses under ``packet_drops_total{reason="injected-loss"}``.
+
+        Unlabelled by host: one injector serves a whole network, so the
+        publisher names the host it stands in front of."""
+        return [
+            ("faults_injected_total", "counter",
+             "fault-pipeline actions, by model and action",
+             [({"fault": model, "action": action}, count)
+              for (model, action), count in self.counts.items()]),
+            DROPS_FAMILY
+            + ([({"reason": "injected-loss"}, self.packets_dropped)],),
+            ("fault_packets_seen_total", "counter",
+             "packets judged by the fault pipeline",
+             [({}, self.packets_seen)]),
+        ]
 
     def describe(self) -> str:
         return describe_models(self.models)

@@ -23,6 +23,7 @@ import json
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import make_algorithm
+from ..tcpstack.stack import packet_families
 from ..workload.thinktime import ExponentialThink
 from ..workload.tpca import TPCAConfig, TPCAFullStackSimulation
 from .audit import audit_stack
@@ -65,6 +66,11 @@ class FaultMatrixCell:
     @property
     def completion_rate(self) -> float:
         return self.users_completed / self.n_users if self.n_users else 0.0
+
+    def metrics(self) -> List[tuple]:
+        """The server stack's drops and accepted packets, as the stack
+        reports them (:func:`repro.tcpstack.stack.packet_families`)."""
+        return packet_families(self.drops, self.packets_received)
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)

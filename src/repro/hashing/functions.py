@@ -104,34 +104,24 @@ def multiplicative(tup: FourTuple, nbuckets: int) -> int:
     return (mixed >> 32) % nbuckets
 
 
-def _packed_key(tup: FourTuple) -> bytes:
-    return tup.key_bits().to_bytes(12, "big")
+def _position_tables(crc: Callable[[bytes], int]):
+    """Twelve 256-entry tables: each key byte's share of its ``crc``.
 
-
-def crc16_hash(tup: FourTuple, nbuckets: int) -> int:
-    """CRC-16/CCITT of the packed 12-byte key, reduced mod H."""
-    _check_buckets(nbuckets)
-    return crc16_ccitt(_packed_key(tup)) % nbuckets
-
-
-def _crc32c_position_tables():
-    """Twelve 256-entry tables: each key byte's share of its CRC-32C.
-
-    CRC-32C is affine over a fixed-length message, so the CRC of a
+    A CRC is affine over a fixed-length message, so the CRC of a
     12-byte key is the CRC of twelve zero bytes XOR, for every byte
     position, a term that depends only on that position and byte --
     and each term is itself linear in the byte's bits.  The terms are
-    read off the reference :func:`~repro.hashing.crc.crc32c` one bit
+    read off the reference ``crc`` (:mod:`repro.hashing.crc`) one bit
     at a time; position 0's table absorbs the zero-key constant.
     """
-    zero = crc32c(bytes(12))
+    zero = crc(bytes(12))
     tables = []
     for position in range(12):
         table = [0] * 256
         for bit in range(8):
             message = bytearray(12)
             message[position] = 1 << bit
-            table[1 << bit] = crc32c(bytes(message)) ^ zero
+            table[1 << bit] = crc(bytes(message)) ^ zero
         for byte in range(1, 256):
             low = byte & -byte
             if byte != low:
@@ -142,29 +132,54 @@ def _crc32c_position_tables():
 
 
 (
-    _CRC_B0, _CRC_B1, _CRC_B2, _CRC_B3, _CRC_B4, _CRC_B5,
-    _CRC_B6, _CRC_B7, _CRC_B8, _CRC_B9, _CRC_B10, _CRC_B11,
-) = _crc32c_position_tables()
+    _CRC16_B0, _CRC16_B1, _CRC16_B2, _CRC16_B3, _CRC16_B4, _CRC16_B5,
+    _CRC16_B6, _CRC16_B7, _CRC16_B8, _CRC16_B9, _CRC16_B10, _CRC16_B11,
+) = _position_tables(crc16_ccitt)
+
+(
+    _CRC32_B0, _CRC32_B1, _CRC32_B2, _CRC32_B3, _CRC32_B4, _CRC32_B5,
+    _CRC32_B6, _CRC32_B7, _CRC32_B8, _CRC32_B9, _CRC32_B10, _CRC32_B11,
+) = _position_tables(crc32c)
 
 
-def crc32_hash(tup: FourTuple, nbuckets: int) -> int:
-    """CRC-32C of the packed 12-byte key, reduced mod H.
+def crc16_hash(tup: FourTuple, nbuckets: int) -> int:
+    """CRC-16/CCITT of the packed 12-byte key, reduced mod H.
 
-    Equal to ``crc32c(key_bits().to_bytes(12, "big")) % nbuckets``,
+    Equal to ``crc16_ccitt(key_bits().to_bytes(12, "big")) % nbuckets``,
     computed straight from the four fields with one table read per
-    key byte (see :func:`_crc32c_position_tables`).
+    key byte (see :func:`_position_tables`).
     """
     _check_buckets(nbuckets)
     local_addr, local_port, remote_addr, remote_port = tup
     local = local_addr.value
     remote = remote_addr.value
     return (
-        _CRC_B0[local >> 24] ^ _CRC_B1[local >> 16 & 255]
-        ^ _CRC_B2[local >> 8 & 255] ^ _CRC_B3[local & 255]
-        ^ _CRC_B4[local_port >> 8] ^ _CRC_B5[local_port & 255]
-        ^ _CRC_B6[remote >> 24] ^ _CRC_B7[remote >> 16 & 255]
-        ^ _CRC_B8[remote >> 8 & 255] ^ _CRC_B9[remote & 255]
-        ^ _CRC_B10[remote_port >> 8] ^ _CRC_B11[remote_port & 255]
+        _CRC16_B0[local >> 24] ^ _CRC16_B1[local >> 16 & 255]
+        ^ _CRC16_B2[local >> 8 & 255] ^ _CRC16_B3[local & 255]
+        ^ _CRC16_B4[local_port >> 8] ^ _CRC16_B5[local_port & 255]
+        ^ _CRC16_B6[remote >> 24] ^ _CRC16_B7[remote >> 16 & 255]
+        ^ _CRC16_B8[remote >> 8 & 255] ^ _CRC16_B9[remote & 255]
+        ^ _CRC16_B10[remote_port >> 8] ^ _CRC16_B11[remote_port & 255]
+    ) % nbuckets
+
+
+def crc32_hash(tup: FourTuple, nbuckets: int) -> int:
+    """CRC-32C of the packed 12-byte key, reduced mod H.
+
+    Equal to ``crc32c(key_bits().to_bytes(12, "big")) % nbuckets``,
+    computed the same way as :func:`crc16_hash`.
+    """
+    _check_buckets(nbuckets)
+    local_addr, local_port, remote_addr, remote_port = tup
+    local = local_addr.value
+    remote = remote_addr.value
+    return (
+        _CRC32_B0[local >> 24] ^ _CRC32_B1[local >> 16 & 255]
+        ^ _CRC32_B2[local >> 8 & 255] ^ _CRC32_B3[local & 255]
+        ^ _CRC32_B4[local_port >> 8] ^ _CRC32_B5[local_port & 255]
+        ^ _CRC32_B6[remote >> 24] ^ _CRC32_B7[remote >> 16 & 255]
+        ^ _CRC32_B8[remote >> 8 & 255] ^ _CRC32_B9[remote & 255]
+        ^ _CRC32_B10[remote_port >> 8] ^ _CRC32_B11[remote_port & 255]
     ) % nbuckets
 
 

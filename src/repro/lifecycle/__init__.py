@@ -7,15 +7,15 @@ timer wheel, attached to any demux structure through the
 ``DemuxAlgorithm.lifecycle`` hooks.  See docs/lifecycle.md.
 """
 
-from .metrics import count_interned, publish_lifecycle
+from .metrics import Retention, count_interned
 from .reaper import ConnectionReaper, ReapStats, TIME_WAIT_STATE
 from .wheel import TimerWheel
 
 __all__ = [
     "ConnectionReaper",
     "ReapStats",
+    "Retention",
     "TIME_WAIT_STATE",
     "TimerWheel",
     "count_interned",
-    "publish_lifecycle",
 ]

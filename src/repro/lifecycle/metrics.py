@@ -1,22 +1,18 @@
-"""Publish lifecycle/retention gauges through the observability layer.
+"""Retention: live PCBs against interned fast-path keys.
 
-Two gauge families, in the style of the other ``publish_*`` exporters
-(duck-typed, registry-agnostic, no hard dependency from the lifecycle
-machinery on :mod:`repro.obs`):
-
-* ``lifecycle_reaper`` -- the reaper's counters (:class:`~repro.
-  lifecycle.reaper.ReapStats`) plus its live-connection and pending-
-  timer population;
-* ``lifecycle_retention`` -- live PCBs vs interned fast-path keys, the
-  pair the leak audit compares.  A structure with no intern table
-  (the references) publishes only the live count.
+The pair the leak audit compares, counted duck-typed (no hard
+dependency from the lifecycle machinery on :mod:`repro.fastpath`) and
+reported as the ``lifecycle_retention`` gauges by :class:`Retention`,
+a metrics source (see :meth:`repro.obs.metrics.MetricsRegistry.publish`).
+A structure with no intern table (the references) reports only the
+live count.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
-__all__ = ["count_interned", "publish_lifecycle"]
+__all__ = ["Retention", "count_interned"]
 
 
 def count_interned(algorithm) -> Optional[int]:
@@ -38,26 +34,24 @@ def count_interned(algorithm) -> Optional[int]:
     return total
 
 
-def publish_lifecycle(
-    registry, reaper, *, label: Optional[str] = None
-) -> None:
-    """Export ``reaper``'s stats and retention gauges into ``registry``."""
-    algorithm = reaper.algorithm
-    name = label if label is not None else getattr(algorithm, "name", "demux")
-    gauges = registry.gauge(
-        "lifecycle_reaper",
-        "connection reaping: evictions, wakeups, timer traffic",
-    )
-    for counter_name, value in reaper.stats.as_dict().items():
-        gauges.set(value, algorithm=name, counter=counter_name)
-    gauges.set(reaper.live, algorithm=name, counter="live_connections")
-    gauges.set(len(reaper.wheel), algorithm=name, counter="pending_timers")
+class Retention:
+    """One structure's leak-audit pair as a metrics source.
 
-    retention = registry.gauge(
-        "lifecycle_retention",
-        "live PCBs vs interned fast-path keys (leak-audit pair)",
-    )
-    retention.set(len(algorithm), algorithm=name, population="live_pcbs")
-    interned = count_interned(algorithm)
-    if interned is not None:
-        retention.set(interned, algorithm=name, population="interned_keys")
+    Labelled ``algorithm=name``, the structure's own name by default.
+    """
+
+    def __init__(self, algorithm, name: Optional[str] = None) -> None:
+        self.algorithm = algorithm
+        self.name = name if name is not None else algorithm.name
+
+    def metrics(self) -> List[tuple]:
+        labels = {"algorithm": self.name}
+        samples = [({**labels, "population": "live_pcbs"}, len(self.algorithm))]
+        interned = count_interned(self.algorithm)
+        if interned is not None:
+            samples.append(({**labels, "population": "interned_keys"}, interned))
+        return [(
+            "lifecycle_retention", "gauge",
+            "live PCBs vs interned fast-path keys (leak-audit pair)",
+            samples,
+        )]

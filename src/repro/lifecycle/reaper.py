@@ -34,11 +34,12 @@ deterministic and replayable.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.base import DemuxAlgorithm
 from ..core.pcb import PCB
 from ..packet.addresses import FourTuple
+from .metrics import Retention
 from .wheel import TimerWheel
 
 __all__ = ["ConnectionReaper", "ReapStats", "TIME_WAIT_STATE"]
@@ -49,7 +50,7 @@ TIME_WAIT_STATE = "TIME_WAIT"
 
 @dataclasses.dataclass
 class ReapStats:
-    """Lifecycle bookkeeping, exported by ``publish_lifecycle``."""
+    """Lifecycle bookkeeping, reported by :meth:`ConnectionReaper.metrics`."""
 
     #: Connections evicted for inactivity.
     reaped_idle: int = 0
@@ -168,6 +169,22 @@ class ConnectionReaper:
     def last_touch(self, tup: FourTuple) -> float:
         """When ``tup`` last saw activity (KeyError if untracked)."""
         return self._last_touch[tup]
+
+    def metrics(self) -> List[tuple]:
+        """``lifecycle_reaper`` gauges (stats, live connections, pending
+        timers) plus the structure's ``lifecycle_retention`` pair."""
+        labels = {"algorithm": self.algorithm.name}
+        counters = dict(
+            self.stats.as_dict(),
+            live_connections=self.live,
+            pending_timers=len(self.wheel),
+        )
+        return [(
+            "lifecycle_reaper", "gauge",
+            "connection reaping: evictions, wakeups, timer traffic",
+            [({**labels, "counter": name}, value)
+             for name, value in counters.items()],
+        )] + Retention(self.algorithm).metrics()
 
     def detach(self) -> None:
         """Stop observing the algorithm (timers stay until re-attach)."""

@@ -13,15 +13,15 @@ train detector's shortcut.)  The modules:
   buffer, JSONL file, callback.
 * :mod:`repro.obs.metrics` -- named counters/gauges/histograms with
   JSON and Prometheus-text export (fixed-boundary histogram buckets
-  for scrape stability), plus the adapter that publishes
-  ``DemuxStats`` into a registry.
+  for scrape stability), and ``MetricsRegistry.publish``, which folds
+  in any component's ``metrics()`` families.
 * :mod:`repro.obs.profile` -- sampled ``perf_counter_ns`` timing of
   the lookup hot path and a ``tracemalloc`` memory probe.
 * :mod:`repro.obs.spans` -- causal per-packet spans across layers
   (steer -> coalesce -> lookup -> deliver/drop, plus reaps), with a
   per-connection flight recorder and JSONL replay/diff.
 * :mod:`repro.obs.sketch` -- streaming traffic characterization in
-  fixed memory: P² and fixed-bucket quantiles, Space-Saving heavy
+  fixed memory: P² quantiles, Space-Saving heavy
   hitters with a zipf-ness estimate, a packet-train detector, and
   HyperLogLog population / working-set estimators.
 * :mod:`repro.obs.watchdog` -- SLO rules folded into an ok /
@@ -38,7 +38,6 @@ from .live import TelemetryServer
 from .metrics import (
     Counter,
     DEFAULT_EXPORT_BUCKETS,
-    DemuxStatsExporter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -51,7 +50,6 @@ from .profile import (
     measure_build,
 )
 from .sketch import (
-    BucketQuantileSketch,
     HyperLogLog,
     P2Quantile,
     SpaceSaving,
@@ -88,13 +86,11 @@ from .watchdog import (
 )
 
 __all__ = [
-    "BucketQuantileSketch",
     "CallbackSink",
     "Counter",
     "DEFAULT_EXPORT_BUCKETS",
     "DEFAULT_SAMPLE_EVERY",
     "DEFAULT_SPAN_SAMPLE_EVERY",
-    "DemuxStatsExporter",
     "FlightRecorder",
     "Gauge",
     "HealthReport",

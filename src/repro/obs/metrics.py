@@ -15,13 +15,15 @@ their tails, so no precision is given away.  The Prometheus rendering
 synthesizes the cumulative ``_bucket{le=...}`` series from the exact
 counts.
 
-:class:`DemuxStatsExporter` adapts the existing
-:class:`~repro.core.stats.DemuxStats` counters into a registry by
-*delta publishing*: repeated ``publish()`` calls add only what changed
-since the last call, so counters stay monotonic while the stats object
-keeps its counting convention untouched.  (The exporter duck-types the
-stats object -- this module imports nothing from :mod:`repro.core`,
-preserving the obs-at-the-bottom layering.)
+Components export their numbers through one protocol: a *source* has
+a ``metrics()`` method returning its metric families as plain data,
+and :meth:`MetricsRegistry.publish` folds one source in.  Sources
+report running totals; the registry turns them into monotonic
+counters by *delta publishing* (each publish adds only what changed
+since the last one), so a source's own counting convention stays
+untouched.  The shape is plain tuples and dicts, so this module
+imports none of its sources, preserving the obs-at-the-bottom
+layering.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Counter",
     "DEFAULT_EXPORT_BUCKETS",
     "Gauge",
     "Histogram",
+    "MetricFamily",
     "MetricsRegistry",
-    "DemuxStatsExporter",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -75,6 +77,13 @@ def _format_edge(edge: float) -> str:
 
 #: Canonical form of one label set: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: One family as a source's ``metrics()`` reports it: ``(name, type,
+#: help, samples)``, where ``type`` is ``"counter"``, ``"gauge"`` or
+#: ``"histogram"`` and each sample is a ``(labels, value)`` pair.  A
+#: counter's value is its running total, a histogram's a running
+#: ``{value: count}`` map.
+MetricFamily = Tuple[str, str, str, List[Tuple[Dict[str, Any], Any]]]
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -175,15 +184,6 @@ class Gauge(_Metric):
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = value
 
-    def clear(self) -> None:
-        """Forget all samples.
-
-        For gauges whose *label sets* churn between publishes (e.g. a
-        top-K ranking where membership changes): clearing first stops
-        stale label combinations from lingering forever.
-        """
-        self._values.clear()
-
     def inc(self, amount: float = 1, **labels: Any) -> None:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0) + amount
@@ -212,9 +212,7 @@ class Histogram(_Metric):
     """Distribution of integer-valued observations, exact counts.
 
     ``observe(value)`` increments the count for that exact value;
-    ``observe_bulk`` folds in a pre-counted ``{value: count}`` mapping
-    (how :class:`DemuxStatsExporter` publishes search-length
-    histograms).
+    ``observe_bulk`` folds in a pre-counted ``{value: count}`` mapping.
     """
 
     metric_type = "histogram"
@@ -233,7 +231,9 @@ class Histogram(_Metric):
     def observe(self, value: int, count: int = 1, **labels: Any) -> None:
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        key = _label_key(labels)
+        self._observe_key(_label_key(labels), value, count)
+
+    def _observe_key(self, key: LabelKey, value, count: int) -> None:
         bucket = self._counts.setdefault(key, {})
         bucket[value] = bucket.get(value, 0) + count
         self._sums[key] = self._sums.get(key, 0) + value * count
@@ -336,11 +336,35 @@ class Histogram(_Metric):
         return lines
 
 
+class _Published:
+    """What the registry remembers of one source between publishes."""
+
+    __slots__ = ("source", "totals", "gauges")
+
+    def __init__(self, source: Any) -> None:
+        #: Held so the source's ``id()`` cannot be reused by another.
+        self.source = source
+        #: Last running total per (family, label set).
+        self.totals: Dict[Tuple[str, LabelKey], Any] = {}
+        #: Gauge samples the last publish set.
+        self.gauges: Set[Tuple[str, LabelKey]] = set()
+
+
+def _went_back(total: Any, last: Any) -> bool:
+    """Whether a running total (number or ``{value: count}``) shrank."""
+    if isinstance(total, dict):
+        return any(total.get(value, 0) < count for value, count in last.items())
+    return total < last
+
+
 class MetricsRegistry:
     """Get-or-create store of named metrics with whole-registry export."""
 
+    _TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
+        self._published: Dict[Tuple[int, LabelKey], _Published] = {}
 
     def _get_or_create(self, cls, name: str, help: str):
         existing = self._metrics.get(name)
@@ -377,6 +401,59 @@ class MetricsRegistry:
                 )
             histogram.buckets = edges
         return histogram
+
+    def publish(self, source: Any, **labels: Any) -> None:
+        """Fold ``source.metrics()`` (a list of :data:`MetricFamily`) in.
+
+        ``labels`` are added to every sample.  Gauges are set, and a
+        gauge sample this source reported at its last publish but no
+        longer reports is dropped.  Counters and histograms add what is
+        new since the same sample's last publish.  When any total under
+        one label set goes backwards (the source's statistics were
+        reset), every total under that label set restarts from zero.
+        A source published again under other ``labels`` is a new source.
+        """
+        extra = _label_key(labels)
+        state = self._published.get((id(source), extra))
+        if state is None:
+            state = _Published(source)
+            self._published[(id(source), extra)] = state
+        totals: Dict[Tuple[str, LabelKey], Any] = {}
+        gauges: Dict[Tuple[str, LabelKey], Any] = {}
+        for name, mtype, help_text, samples in source.metrics():
+            self._get_or_create(self._TYPES[mtype], name, help_text)
+            into = gauges if mtype == "gauge" else totals
+            for sample_labels, value in samples:
+                key = _label_key({**sample_labels, **labels})
+                into[(name, key)] = value
+
+        restarted = {
+            key
+            for (name, key), total in totals.items()
+            if (name, key) in state.totals
+            and _went_back(total, state.totals[(name, key)])
+        }
+        for (name, key), total in totals.items():
+            metric = self._metrics[name]
+            last = None if key in restarted else state.totals.get((name, key))
+            if isinstance(metric, Histogram):
+                last = last or {}
+                for value, count in total.items():
+                    delta = count - last.get(value, 0)
+                    if delta:
+                        metric._observe_key(key, value, delta)
+                total = dict(total)
+            else:
+                metric._values[key] = (
+                    metric._values.get(key, 0) + total - (last or 0)
+                )
+            state.totals[(name, key)] = total
+
+        for name, key in state.gauges.difference(gauges):
+            self._metrics[name]._values.pop(key, None)
+        for (name, key), value in gauges.items():
+            self._metrics[name]._values[key] = value
+        state.gauges = set(gauges)
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -457,81 +534,3 @@ class MetricsRegistry:
                     f"metric {name!r} has unknown type {mtype!r}"
                 )
         return registry
-
-
-class _KindSnapshot:
-    """What the exporter remembers about one kind between publishes."""
-
-    __slots__ = ("lookups", "examined_total", "cache_hits", "not_found",
-                 "histogram")
-
-    def __init__(self) -> None:
-        self.lookups = 0
-        self.examined_total = 0
-        self.cache_hits = 0
-        self.not_found = 0
-        self.histogram: Dict[int, int] = {}
-
-
-class DemuxStatsExporter:
-    """Publishes a ``DemuxStats`` object into a :class:`MetricsRegistry`.
-
-    Creates the ``demux_*`` metric family (labelled by algorithm and
-    packet kind) and, on each :meth:`publish`, adds the *delta* since
-    the previous publish -- so counters remain monotonic across
-    repeated publishes while the stats object itself is read-only to
-    the exporter.  A stats reset (counters going backwards, e.g. after
-    a warm-up) is detected and treated as starting from zero.
-    """
-
-    def __init__(self, registry: MetricsRegistry, *, algorithm: str = ""):
-        self.algorithm = algorithm
-        self._lookups = registry.counter(
-            "demux_lookups_total", "PCB lookups performed"
-        )
-        self._examined = registry.counter(
-            "demux_examined_total",
-            "PCBs examined across all lookups (the paper's cost)",
-        )
-        self._cache_hits = registry.counter(
-            "demux_cache_hits_total", "lookups satisfied by a cache slot"
-        )
-        self._not_found = registry.counter(
-            "demux_not_found_total", "lookups that matched no PCB"
-        )
-        self._max_examined = registry.gauge(
-            "demux_examined_max", "worst single-lookup search length"
-        )
-        self._search_lengths = registry.histogram(
-            "demux_examined", "per-lookup PCBs-examined distribution"
-        )
-        self._last: Dict[str, _KindSnapshot] = {}
-
-    def publish(self, stats) -> None:
-        """Fold ``stats`` (a ``DemuxStats``) into the registry."""
-        for kind, ks in stats.by_kind.items():
-            kind_label = kind.value
-            labels = {"kind": kind_label}
-            if self.algorithm:
-                labels["algorithm"] = self.algorithm
-            prev = self._last.get(kind_label)
-            if prev is None or ks.lookups < prev.lookups:
-                prev = _KindSnapshot()  # first publish, or stats were reset
-            self._lookups.inc(ks.lookups - prev.lookups, **labels)
-            self._examined.inc(
-                ks.examined_total - prev.examined_total, **labels
-            )
-            self._cache_hits.inc(ks.cache_hits - prev.cache_hits, **labels)
-            self._not_found.inc(ks.not_found - prev.not_found, **labels)
-            self._max_examined.set(ks.max_examined, **labels)
-            for examined, count in ks.histogram.items():
-                delta = count - prev.histogram.get(examined, 0)
-                if delta:
-                    self._search_lengths.observe(examined, delta, **labels)
-            snap = _KindSnapshot()
-            snap.lookups = ks.lookups
-            snap.examined_total = ks.examined_total
-            snap.cache_hits = ks.cache_hits
-            snap.not_found = ks.not_found
-            snap.histogram = dict(ks.histogram)
-            self._last[kind_label] = snap

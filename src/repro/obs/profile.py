@@ -192,6 +192,17 @@ class LookupProfiler:
             p95_ns=durations[min(n - 1, int(0.95 * n))],
         )
 
+    def metrics(self) -> List[tuple]:
+        """The sampled lookup latency as ``lookup_wallclock_ns`` gauges."""
+        report = self.report()
+        return [(
+            "lookup_wallclock_ns", "gauge", "sampled lookup latency",
+            [({"stat": "mean"}, report.mean_ns),
+             ({"stat": "p50"}, report.p50_ns),
+             ({"stat": "p95"}, report.p95_ns),
+             ({"stat": "samples"}, report.samples)],
+        )]
+
 
 class MemoryProbe:
     """``tracemalloc`` probe for the footprint of a code block.

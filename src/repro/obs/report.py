@@ -143,13 +143,6 @@ def _render_traffic(snapshot: Dict[str, Any]) -> List[str]:
         f"p{float(s['labels']['q']) * 100:g}={s['value']:g}"
         for s in ordered
     ))
-    latency = _gauge_samples(snapshot, "traffic_latency_quantile_ns")
-    if latency:
-        ordered = sorted(latency, key=lambda s: float(s["labels"]["q"]))
-        lines.append("  lookup latency (ns): " + "  ".join(
-            f"p{float(s['labels']['q']) * 100:g}={s['value']:g}"
-            for s in ordered
-        ))
     scalars = []
     for name, label in (
         ("traffic_skew", "zipf skew"),

@@ -4,11 +4,10 @@ The ROADMAP's closed-loop autotuning item needs live answers to four
 questions before any controller can act, and all four must come from
 the packet stream itself, online, without storing it:
 
-* *How bad is the scan?*  -- quantiles of PCBs-examined and lookup
-  latency.  :class:`P2Quantile` is the classic P-squared estimator
-  (Jain & Chlamtac 1985: five markers, parabolic adjustment, O(1) per
-  observation); :class:`BucketQuantileSketch` trades accuracy bounds
-  for speed with fixed bucket edges.
+* *How bad is the scan?*  -- quantiles of PCBs-examined.
+  :class:`P2Quantile` is the classic P-squared estimator (Jain &
+  Chlamtac 1985: five markers, parabolic adjustment, O(1) per
+  observation).
 * *How skewed is the traffic?*  -- :class:`SpaceSaving` (Metwally et
   al. 2005) heavy hitters: ``capacity`` counters, guaranteed error
   ``<= total/capacity`` per key, plus a zipf-ness estimate from a
@@ -24,9 +23,10 @@ the packet stream itself, online, without storing it:
   seen in the recent window.
 
 :class:`TrafficCharacterizer` bundles them, attaches to a
-:class:`repro.obs.spans.SpanCollector`, and publishes ``traffic_*``
-gauges into a :class:`repro.obs.metrics.MetricsRegistry` from a
-periodic simulator event.  All estimators are deterministic (the HLLs
+:class:`repro.obs.spans.SpanCollector`, and reports ``traffic_*``
+gauges through its ``metrics()``, which a
+:class:`repro.obs.metrics.MetricsRegistry` publishes from a periodic
+simulator event.  All estimators are deterministic (the HLLs
 hash ``str(key)`` with unkeyed blake2b, the same value in every
 process) so paired runs stay paired.
 
@@ -39,15 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left
 from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..packet.addresses import FourTuple
 
 __all__ = [
-    "BucketQuantileSketch",
-    "DEFAULT_LATENCY_EDGES_NS",
     "DEFAULT_QUANTILES",
     "HyperLogLog",
     "P2Quantile",
@@ -58,10 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
-
-#: Powers-of-two nanosecond edges, 256 ns .. ~8 ms: wide enough for a
-#: Python-level lookup, coarse enough for 16 integers of state.
-DEFAULT_LATENCY_EDGES_NS = tuple(256 * (2 ** i) for i in range(16))
 
 
 class P2Quantile:
@@ -169,53 +162,6 @@ class P2Quantile:
             len(ordered) - 1, int(round(self.q * (len(ordered) - 1)))
         )
         return ordered[index]
-
-
-class BucketQuantileSketch:
-    """Fixed-boundary histogram quantiles: error bounded by bucket width.
-
-    ``edges`` are ascending inclusive upper bounds; values above the
-    last edge land in an overflow bucket whose quantile estimate is the
-    maximum observed.  O(log buckets) per observation, O(buckets)
-    memory, and the quantile is always an upper bound of the true one
-    within its bucket.
-    """
-
-    def __init__(self, edges: Sequence[float]):
-        ordered = tuple(sorted(edges))
-        if not ordered:
-            raise ValueError("edges must be non-empty")
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("edges must be distinct")
-        self.edges = ordered
-        self._counts = [0] * (len(ordered) + 1)
-        self.count = 0
-        self._max = 0.0
-
-    def observe(self, value: float) -> None:
-        self._counts[bisect_left(self.edges, value)] += 1
-        self.count += 1
-        if value > self._max:
-            self._max = value
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"q must be in (0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cumulative = 0
-        for index, bucket_count in enumerate(self._counts):
-            cumulative += bucket_count
-            if cumulative >= target:
-                if index < len(self.edges):
-                    return self.edges[index]
-                return self._max
-        return self._max  # pragma: no cover - cumulative == count above
-
-    @property
-    def max_observed(self) -> float:
-        return self._max
 
 
 class SpaceSaving:
@@ -495,18 +441,17 @@ class TrafficCharacterizer:
         quantiles: Sequence[float] = DEFAULT_QUANTILES,
         heavy_capacity: int = 128,
         window: float = 10.0,
-        latency_edges: Sequence[float] = DEFAULT_LATENCY_EDGES_NS,
         precision: int = 10,
         top_n: int = 8,
     ):
         self.examined = {q: P2Quantile(q) for q in quantiles}
-        self.latency = BucketQuantileSketch(latency_edges)
         self.heavy = SpaceSaving(heavy_capacity)
         self.trains = TrainDetector()
         self.population = HyperLogLog(precision)
         self.working_set = WorkingSetEstimator(window, precision)
         self.top_n = top_n
         self.packets_observed = 0
+        #: Publishes made by the :meth:`attach_simulator` event.
         self.publishes = 0
 
     # -- feeding -------------------------------------------------------
@@ -539,13 +484,10 @@ class TrafficCharacterizer:
         self.population.add_hashed(hashed)
         self.working_set.offer_hashed(hashed, now)
 
-    def observe_latency(self, nanoseconds: float) -> None:
-        self.latency.observe(nanoseconds)
-
     # -- reporting -----------------------------------------------------
 
     def estimates(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "packets_observed": self.packets_observed,
             "examined_quantiles": {
                 str(q): sketch.value()
@@ -567,66 +509,46 @@ class TrafficCharacterizer:
             "population": self.population.count(),
             "working_set": self.working_set.estimate(),
         }
-        if self.latency.count:
-            out["latency_quantiles_ns"] = {
-                str(q): self.latency.quantile(q)
-                for q in self.examined.keys()
-            }
-        return out
 
-    def publish(self, registry: object) -> None:
-        """Publish current estimates as ``traffic_*`` gauges."""
-        self.publishes += 1
-        quantile_gauge = registry.gauge(
-            "traffic_examined_quantile",
-            "Streaming (P2) quantile of PCBs examined per lookup",
-        )
-        for q, sketch in self.examined.items():
-            quantile_gauge.set(sketch.value(), q=str(q))
-        if self.latency.count:
-            latency_gauge = registry.gauge(
-                "traffic_latency_quantile_ns",
-                "Fixed-bucket quantile of sampled lookup latency",
-            )
-            for q in self.examined.keys():
-                latency_gauge.set(self.latency.quantile(q), q=str(q))
-        share_gauge = registry.gauge(
-            "traffic_heavy_hitter_share",
-            "Space-Saving per-connection share of sampled packets",
-        )
-        # Top-K membership shifts between publishes; without the clear
-        # a connection that fell out of the ranking would keep its old
-        # (rank, connection) sample forever.
-        share_gauge.clear()
-        for rank, (key, _, _) in enumerate(
-            self.heavy.top(self.top_n), start=1
-        ):
-            share_gauge.set(
-                self.heavy.share(key), rank=str(rank), connection=str(key)
-            )
-        registry.gauge(
-            "traffic_skew", "Zipf exponent estimate of connection shares"
-        ).set(self.heavy.skew())
-        registry.gauge(
-            "traffic_train_followers",
-            "Fraction of packets following a same-connection packet",
-        ).set(self.trains.follower_ratio)
-        registry.gauge(
-            "traffic_trainness",
-            "EWMA of the same-connection-follower signal",
-        ).set(self.trains.train_ness)
-        population_gauge = registry.gauge(
-            "traffic_population",
-            "Estimated distinct connections (HyperLogLog)",
-        )
-        population_gauge.set(self.population.count(), scope="total")
-        population_gauge.set(
-            self.working_set.estimate(), scope="working_set"
-        )
-        registry.gauge(
-            "traffic_packets_observed",
-            "Sampled packets feeding the sketches",
-        ).set(self.packets_observed)
+    def metrics(self) -> List[tuple]:
+        """Current estimates as ``traffic_*`` gauges.
+
+        The heavy-hitter ranking changes membership between publishes;
+        a connection that left the top ``top_n`` is no longer reported,
+        so the registry drops its old (rank, connection) sample.
+        """
+
+        def single(name: str, help_text: str, value: float) -> tuple:
+            return (name, "gauge", help_text, [({}, value)])
+
+        return [
+            ("traffic_examined_quantile", "gauge",
+             "Streaming (P2) quantile of PCBs examined per lookup",
+             [({"q": str(q)}, sketch.value())
+              for q, sketch in self.examined.items()]),
+            ("traffic_heavy_hitter_share", "gauge",
+             "Space-Saving per-connection share of sampled packets",
+             [({"rank": str(rank), "connection": str(key)},
+               self.heavy.share(key))
+              for rank, (key, _, _) in enumerate(
+                  self.heavy.top(self.top_n), start=1)]),
+            single("traffic_skew",
+                   "Zipf exponent estimate of connection shares",
+                   self.heavy.skew()),
+            single("traffic_train_followers",
+                   "Fraction of packets following a same-connection packet",
+                   self.trains.follower_ratio),
+            single("traffic_trainness",
+                   "EWMA of the same-connection-follower signal",
+                   self.trains.train_ness),
+            ("traffic_population", "gauge",
+             "Estimated distinct connections (HyperLogLog)",
+             [({"scope": "total"}, self.population.count()),
+              ({"scope": "working_set"}, self.working_set.estimate())]),
+            single("traffic_packets_observed",
+                   "Sampled packets feeding the sketches",
+                   self.packets_observed),
+        ]
 
     def attach_simulator(
         self,
@@ -634,18 +556,14 @@ class TrafficCharacterizer:
         registry: object,
         *,
         interval: float = 5.0,
-        lock: Optional[object] = None,
     ) -> None:
         """Schedule the periodic ``characterize`` publishing event."""
         if interval <= 0.0:
             raise ValueError(f"interval must be > 0, got {interval}")
 
         def characterize() -> None:
-            if lock is not None:
-                with lock:
-                    self.publish(registry)
-            else:
-                self.publish(registry)
+            self.publishes += 1
+            registry.publish(self)
             sim.schedule(interval, characterize)
 
         sim.schedule(interval, characterize)

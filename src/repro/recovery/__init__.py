@@ -14,11 +14,11 @@ recoverable:
   wraps a :class:`~repro.smp.ShardedDemux`, checkpoints shards
   periodically, and recovers a crashed shard warm (checkpoint + delta
   replay), by re-steering orphans to survivors (sticky steering), or
-  by cold rebuild -- emitting MTTR/drop/recovery metrics either way;
+  by cold rebuild -- reporting MTTR/drop/recovery metrics either way
+  through its ``metrics()``;
 * :mod:`repro.recovery.drill` -- the ``recovery-drill`` scenario
   runner proving zero post-recovery divergence and quantifying the
-  warm-vs-cold examined-cost gap;
-* :mod:`repro.recovery.metrics` -- observability-registry publishing.
+  warm-vs-cold examined-cost gap.
 
 Infrastructure *fault models* (seeded shard crashes, stalls, snapshot
 corruption) live with the other fault models in
@@ -39,7 +39,6 @@ from .snapshot import (
 )
 from .supervisor import RecoveryEvent, ShardSupervisor
 from .drill import DrillCell, DrillConfig, DrillResult, run_recovery_drill
-from .metrics import publish_recovery
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -58,5 +57,4 @@ __all__ = [
     "DrillConfig",
     "DrillResult",
     "run_recovery_drill",
-    "publish_recovery",
 ]

@@ -203,6 +203,13 @@ class ShardSupervisor(DemuxAlgorithm):
         return self._sharded
 
     @property
+    def shards(self) -> Sequence[DemuxAlgorithm]:
+        """The supervised shards, read-only, so duck-typed readers (the
+        leak audit, :func:`repro.lifecycle.count_interned`) see through
+        the supervisor.  Mutate them only through the supervisor."""
+        return self._sharded.shards
+
+    @property
     def dead_shards(self) -> Sequence[int]:
         """Shards currently crashed and not yet recovered."""
         return tuple(sorted(self._dead))
@@ -615,6 +622,55 @@ class ShardSupervisor(DemuxAlgorithm):
             "dead_shards": list(self.dead_shards),
             "events": [event.as_dict() for event in self.events],
         }
+
+    def metrics(self) -> List[tuple]:
+        """``demux_*`` and ``recovery_*`` under this supervisor's name,
+        plus the supervised facade's shard families under the facade's.
+
+        ``recovery_mttr_ms`` holds one observation per recovery event.
+        """
+        label = {"algorithm": self.name}
+        summary = self.recovery_summary()
+        mttr: Dict[str, Dict[float, int]] = {}
+        for event in self.events:
+            counts = mttr.setdefault(event.mode, {})
+            counts[event.mttr_ms] = counts.get(event.mttr_ms, 0) + 1
+        gauges = [
+            ("recovery_crashes_injected", "shard crashes injected",
+             summary["crashes_injected"]),
+            ("recovery_stalls_injected", "shard stalls injected",
+             summary["stalls_injected"]),
+            ("recovery_events_total", "completed shard recoveries",
+             summary["recoveries"]),
+            ("recovery_dead_shards", "shards currently dead",
+             len(summary["dead_shards"])),
+            ("recovery_packets_dropped",
+             "packets lost to outages (undetected crashes plus stalls)",
+             summary["packets_dropped"]),
+            ("recovery_checkpoints_taken",
+             "periodic checkpoint rounds completed",
+             summary["checkpoints_taken"]),
+            ("recovery_checkpoint_corruptions",
+             "checkpoints rejected by the snapshot checksum at restore",
+             summary["checkpoint_corruptions_detected"]),
+            ("recovery_mttr_ms_max", "worst mean-time-to-repair, milliseconds",
+             summary["mttr_ms_max"]),
+        ]
+        return (
+            super().metrics()
+            + self._sharded.shard_metrics()
+            + [(name, "gauge", help_text, [(label, value)])
+               for name, help_text, value in gauges]
+            + [
+                ("recovery_mode_total", "gauge", "recoveries by ladder rung",
+                 [({**label, "mode": mode}, summary["modes"].get(mode, 0))
+                  for mode in ("warm", "resteer", "cold")]),
+                ("recovery_mttr_ms", "histogram",
+                 "mean-time-to-repair per recovery, milliseconds",
+                 [({**label, "mode": mode}, counts)
+                  for mode, counts in mttr.items()]),
+            ]
+        )
 
     def describe(self) -> str:
         return (

@@ -18,9 +18,10 @@ Concurrency discipline: asyncio is cooperative, so the demux engine is
 only ever entered from the event-loop thread and needs no locking.
 The one cross-thread edge is the telemetry exporter
 (:class:`repro.obs.live.TelemetryServer` renders from HTTP threads);
-all registry *writes* happen in :meth:`publish`, which the caller
-wraps in the telemetry server's publisher lock -- exactly the
-contract the simulation CLI already follows.
+all registry *writes* happen when the caller publishes the server (its
+:meth:`DemuxServer.metrics`) and the algorithm inside the telemetry
+server's publisher lock -- exactly the contract the simulation CLI
+already follows.
 
 Backpressure is per-connection and natural: the server awaits
 ``writer.drain()`` after every echo, so a client that stops reading
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.base import DemuxAlgorithm
 from ..core.registry import make_algorithm
@@ -275,35 +276,32 @@ class DemuxServer:
         )
         return facts
 
-    def publish(self, registry) -> None:
-        """Write serve gauges/counters into a metrics registry.
+    def metrics(self) -> List[tuple]:
+        """Serve gauges: sessions by state and the cumulative totals.
 
-        Gauge-valued absolutes (not deltas), so re-publishing is
-        idempotent; the caller holds the telemetry publisher lock.
+        Absolutes, not deltas, so re-publishing is idempotent; the
+        publisher holds the telemetry publisher lock.
         """
         table = self.sessions
-        sessions = registry.gauge(
-            "serve_sessions", "live serving sessions"
-        )
-        sessions.set(table.active, state="active")
-        sessions.set(table.peak_active, state="peak")
-        totals = registry.gauge(
-            "serve_totals", "cumulative serving counters"
-        )
-        totals.set(table.accepted, what="accepted")
-        totals.set(
-            table.rejected_capacity + table.rejected_duplicate,
-            what="rejected",
-        )
-        totals.set(table.closed, what="closed")
-        totals.set(
-            table.errors + self.protocol_errors + self.handler_failures,
-            what="errors",
-        )
-        totals.set(table.total_frames_in, what="frames_in")
-        totals.set(table.total_frames_out, what="frames_out")
-        totals.set(table.total_bytes_in, what="bytes_in")
-        totals.set(table.total_bytes_out, what="bytes_out")
+        totals = {
+            "accepted": table.accepted,
+            "rejected": table.rejected_capacity + table.rejected_duplicate,
+            "closed": table.closed,
+            "errors": (
+                table.errors + self.protocol_errors + self.handler_failures
+            ),
+            "frames_in": table.total_frames_in,
+            "frames_out": table.total_frames_out,
+            "bytes_in": table.total_bytes_in,
+            "bytes_out": table.total_bytes_out,
+        }
+        return [
+            ("serve_sessions", "gauge", "live serving sessions",
+             [({"state": "active"}, table.active),
+              ({"state": "peak"}, table.peak_active)]),
+            ("serve_totals", "gauge", "cumulative serving counters",
+             [({"what": what}, value) for what, value in totals.items()]),
+        ]
 
 
 @dataclasses.dataclass
@@ -396,7 +394,7 @@ async def run_self_drive(
     health = None
     if telemetry_port is not None:
         from ..obs.live import TelemetryServer
-        from ..obs.metrics import DemuxStatsExporter, MetricsRegistry
+        from ..obs.metrics import MetricsRegistry
         from ..obs.watchdog import HealthWatchdog, default_rules
 
         registry = MetricsRegistry()
@@ -409,12 +407,11 @@ async def run_self_drive(
         )
         telemetry.register_section("serve", server.snapshot)
         telemetry.start()
-        exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
 
         def publish() -> None:
             with telemetry.lock:
-                exporter.publish(algorithm.stats)
-                server.publish(registry)
+                registry.publish(algorithm)
+                registry.publish(server)
 
         publish()
     try:

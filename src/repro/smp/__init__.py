@@ -19,8 +19,9 @@ when a symmetric multiprocessor runs one structure per CPU:
   task runner every sweep fans out over.
 * :mod:`~repro.smp.sweep` -- the ``smp-sweep`` experiment (shard count
   x steering x batch size) and its artifacts.
-* :mod:`~repro.smp.metrics` -- shard-level observability published
-  through :mod:`repro.obs`.
+
+Shard-level observability is :meth:`ShardedDemux.metrics`, which a
+:class:`repro.obs.MetricsRegistry` publishes.
 """
 
 from .coalesce import BatchCoalescer, CoalesceComparison, measure_coalescing
@@ -31,7 +32,6 @@ from .contention import (
     SMPCostReport,
     build_report,
 )
-from .metrics import publish_sharded
 from .parallel import (
     ParallelTaskError,
     RetryLog,
@@ -78,7 +78,6 @@ __all__ = [
     "build_report",
     "make_steering",
     "measure_coalescing",
-    "publish_sharded",
     "run_smp_sweep",
     "run_tasks",
     "task_seed",

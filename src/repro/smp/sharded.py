@@ -26,7 +26,7 @@ of PCB touches, exactly as in the base convention.
 
 Statistics land in two places: each shard's own ``DemuxStats`` (the
 per-shard view -- occupancy, per-shard p99 -- that
-:func:`repro.smp.metrics.publish_sharded` exports) and the facade's
+:meth:`ShardedDemux.shard_metrics` exports) and the facade's
 aggregate stats, recorded by the base-class template method.
 :meth:`ShardedDemux.aggregated_stats` re-derives the aggregate from the
 shards via :meth:`~repro.core.stats.DemuxStats.merge`, which is also
@@ -330,6 +330,59 @@ class ShardedDemux(DemuxAlgorithm):
             shard.stats.reset()
         self.flow_migrations = 0
         self._migration_relookups = [0] * self.nshards
+
+    def metrics(self) -> List[tuple]:
+        """``demux_*`` for the facade plus :meth:`shard_metrics`."""
+        return super().metrics() + self.shard_metrics()
+
+    def shard_metrics(self) -> List[tuple]:
+        """The per-shard families, labelled with this facade's name.
+
+        ``smp_*``: occupancy, steered and migration loads, p99 examined
+        per shard, imbalance, migrations and shard count.  Fast shards
+        add ``fastpath_shard_counters`` and cuckoo shards their
+        ``cuckoo_table`` gauges, each sample labelled by shard.
+        """
+        label = self.name
+
+        def per_shard(values) -> List[tuple]:
+            return [
+                ({"algorithm": label, "shard": str(index)}, value)
+                for index, value in enumerate(values)
+            ]
+
+        families = [
+            ("smp_shard_occupancy", "gauge", "PCBs resident per shard",
+             per_shard(self.occupancy())),
+            ("smp_shard_lookups", "gauge", "lookups steered to each shard",
+             per_shard(self.shard_loads())),
+            ("smp_shard_migration_relookups", "gauge",
+             "migration second hops served per shard",
+             per_shard(self.migration_loads())),
+            ("smp_shard_p99_examined", "gauge", "p99 PCBs examined per shard",
+             per_shard(self.per_shard_p99())),
+            ("smp_imbalance_factor", "gauge",
+             "max/mean shard load (1.0 = perfect balance)",
+             [({"algorithm": label}, self.imbalance_factor())]),
+            ("smp_flow_migrations", "gauge",
+             "PCB moves forced by non-flow-stable steering",
+             [({"algorithm": label}, self.flow_migrations)]),
+            ("smp_shards", "gauge", "configured shard count",
+             [({"algorithm": label}, self.nshards)]),
+        ]
+        for index, shard in enumerate(self._shards):
+            labels = {"algorithm": label, "shard": str(index)}
+            counters = getattr(shard, "fastpath_counters", None)
+            if counters is not None:
+                families.append((
+                    "fastpath_shard_counters", "gauge",
+                    "per-shard fast-path counters",
+                    [({**labels, "counter": name}, value)
+                     for name, value in counters.as_dict().items()],
+                ))
+            if hasattr(shard, "table_family"):
+                families.append(shard.table_family(**labels))
+        return families
 
     def cost_report(
         self, model: ContentionModel = DEFAULT_CONTENTION

@@ -18,14 +18,14 @@ Robustness contract (exercised by :mod:`repro.faults`): ``deliver``
 never lets a parsing error escape into the simulator event loop.  Raw
 bytes that fail IP/TCP parsing or checksum verification are counted
 and dropped, and every drop is classified into a small taxonomy
-(:data:`DROP_REASONS`) that :func:`repro.faults.metrics.publish_stack`
-exports through the observability registry.
+(:data:`DROP_REASONS`) that :meth:`HostStack.metrics` reports to the
+observability registry.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..core.base import DemuxAlgorithm
 from ..core.pcb import PCB
@@ -43,7 +43,7 @@ from .listener import Listener
 from .pcb_table import PCBTable
 from .states import TCPState
 
-__all__ = ["DROP_REASONS", "HostStack"]
+__all__ = ["DROP_REASONS", "DROPS_FAMILY", "HostStack", "packet_families"]
 
 _EPHEMERAL_BASE = 49152
 
@@ -52,6 +52,30 @@ _EPHEMERAL_BASE = 49152
 #: "table-full": SYN shed because the bounded PCB table was at
 #: capacity; "bad-state": non-SYN segment matching no connection.
 DROP_REASONS = ("corrupt", "no-listener", "table-full", "bad-state")
+
+#: ``packet_drops_total``'s name, type and help: the drop taxonomy,
+#: which the fault injector's ``reason="injected-loss"`` joins so one
+#: metric answers "where did my packets go?".
+DROPS_FAMILY = (
+    "packet_drops_total", "counter",
+    "inbound packets dropped, by taxonomy reason",
+)
+
+
+def packet_families(
+    drops: Dict[str, int], received: int, **labels: str
+) -> List[tuple]:
+    """``packet_drops_total`` by reason and ``packets_received_total``,
+    each sample carrying ``labels``: the pair the watchdog's drop-rate
+    rule divides."""
+    return [
+        DROPS_FAMILY + ([
+            ({**labels, "reason": reason}, count)
+            for reason, count in drops.items()
+        ],),
+        ("packets_received_total", "counter",
+         "inbound packets accepted by the stack", [(labels, received)]),
+    ]
 
 
 class HostStack:
@@ -425,6 +449,23 @@ class HostStack:
 
     def trace(self, category: str, message: str, **data) -> None:
         self._tracer.record(self.sim.now, category, message, **data)
+
+    def metrics(self) -> List[tuple]:
+        """Drops, accepted packets and bounded-table pressure, labelled
+        ``host=`` this stack's address."""
+        host = {"host": str(self._address)}
+        table = self.table
+        return packet_families(self.drops, self.packets_received, **host) + [
+            ("pcb_overflow_rejections_total", "counter",
+             "connection attempts refused by a full bounded PCB table",
+             [(host, table.overflow_rejections)]),
+            ("pcb_embryonic_evictions_total", "counter",
+             "embryonic connections evicted to admit new ones",
+             [(host, table.embryonic_evictions)]),
+            ("pcb_table_size", "gauge",
+             "current established-connection PCB count",
+             [(host, len(table))]),
+        ]
 
     def __repr__(self) -> str:
         return (

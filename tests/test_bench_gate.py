@@ -84,31 +84,35 @@ class TestTimedWindow:
         assert events == repeat * 2
 
     def test_canary_conformance_outside_window(self, monkeypatch):
+        from repro.core.base import LookupResult
         from repro.fastpath.gate import CanaryConfig, run_canary
 
         events = []
         gate = self._instrument(monkeypatch, events)
-        real_trace = gate._found_trace
 
-        def recording_trace(spec, stream):
-            events.append("trace")
-            return real_trace(spec, stream)
+        def recording_found(result):
+            events.append("found")
+            return result.pcb is not None
 
-        monkeypatch.setattr(gate, "_found_trace", recording_trace)
+        monkeypatch.setattr(LookupResult, "found", property(recording_found))
         stream = record_tpca_stream(30, 5.0, 7)
+        repeats = 2
         report = run_canary(
             stream,
             CanaryConfig(
                 candidate="fast-sequent:h=7",
                 incumbent="sequent:h=7",
-                repeats=1,
+                repeats=repeats,
                 chunk=16,
             ),
         )
         assert report.decisions_match
-        assert events.count("trace") == 2
+        # Each side's decision flags come from its last timed repeat:
+        # no structure is built beyond the timed ones.
+        assert events.count("build") == 2 * repeats
+        assert events.count("found") == 2 * len(stream.packets)
         last_clock = max(i for i, e in enumerate(events) if e == "clock")
-        first_trace = min(i for i, e in enumerate(events) if e == "trace")
-        assert last_clock < first_trace, (
+        first_found = min(i for i, e in enumerate(events) if e == "found")
+        assert last_clock < first_found, (
             "conformance check ran inside a timed window"
         )

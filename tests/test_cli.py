@@ -315,6 +315,33 @@ class TestRecoveryFlags:
         assert "recoveries=2" in out
         assert "shards still dead" not in out
 
+    def test_supervised_fast_run_exports_shard_counters(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "metrics.json"
+        code = main(
+            ["simulate", "--algorithm", "sharded-fast-sequent:shards=4,h=19",
+             "--users", "50", "--duration", "10", "--seed", "5",
+             "--checkpoint-every", "500", "--idle-timeout", "30",
+             "--metrics-out", str(path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "interned=n/a" not in out
+        data = json.loads(path.read_text())
+        shards = {
+            sample["labels"]["shard"]
+            for sample in data["fastpath_shard_counters"]["samples"]
+        }
+        assert shards == {"0", "1", "2", "3"}
+        populations = {
+            sample["labels"]["population"]
+            for sample in data["lifecycle_retention"]["samples"]
+        }
+        assert populations == {"live_pcbs", "interned_keys"}
+
     def test_simulate_explicit_crash_schedule_cold(self, capsys):
         # No checkpoints: both recoveries must fall to a cold rebuild.
         code = main(

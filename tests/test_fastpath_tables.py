@@ -18,7 +18,6 @@ from repro.core.stats import PacketKind
 from repro.fastpath.algorithms import FastBSDDemux, FastSequentDemux
 from repro.fastpath.batch import as_packets
 from repro.fastpath.keycache import FastpathCounters, KeyCache
-from repro.fastpath.metrics import publish_fastpath
 from repro.fastpath.tables import CachedSlot, MTFSlotTable, SlotTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import LookupProfiler
@@ -266,20 +265,23 @@ class TestDefaultLookupBatch:
 
 
 class TestPublishFastpath:
+    """A fast structure's ``metrics()`` adds its fast-path counters."""
+
     def test_exports_counters_as_gauges(self):
         demux = FastBSDDemux()
         demux.insert(PCB(make_tuple(0)))
         demux.lookup_batch(as_packets([make_tuple(0), make_tuple(0)]))
         registry = MetricsRegistry()
-        assert publish_fastpath(registry, demux) is True
+        registry.publish(demux)
         gauge = registry.gauge("fastpath_counters")
         assert gauge.value(algorithm="fast-bsd", counter="batch_calls") == 1
         assert gauge.value(algorithm="fast-bsd", counter="batched_lookups") == 2
 
     def test_reference_algorithm_is_a_noop(self):
         registry = MetricsRegistry()
-        assert publish_fastpath(registry, LinearDemux()) is False
-        assert len(registry) == 0
+        registry.publish(LinearDemux())
+        assert "fastpath_counters" not in registry
+        assert all(name.startswith("demux_") for name in registry.snapshot())
 
     def test_sharded_fast_exports_per_shard(self):
         from repro.core.registry import make_algorithm
@@ -289,5 +291,11 @@ class TestPublishFastpath:
             demux.insert(PCB(make_tuple(i)))
         demux.lookup_batch(as_packets([make_tuple(i) for i in range(4)]))
         registry = MetricsRegistry()
-        assert publish_fastpath(registry, demux) is True
-        assert "fastpath_shard_counters" in registry
+        registry.publish(demux)
+        shards = {
+            sample["labels"]["shard"]
+            for sample in registry.snapshot()[
+                "fastpath_shard_counters"
+            ]["samples"]
+        }
+        assert shards == {"0", "1"}

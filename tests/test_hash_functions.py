@@ -1,5 +1,7 @@
 """Tests for the demux hash functions."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -8,6 +10,7 @@ from repro.hashing.crc import crc16_ccitt, crc32c
 from repro.hashing.functions import (
     HASH_FUNCTIONS,
     add_fold,
+    crc16_hash,
     crc32_hash,
     get_hash_function,
     multiplicative,
@@ -102,6 +105,33 @@ class TestCRC32Tables:
                 assert crc32_hash(tup, nbuckets) == crc32_reference(
                     tup, nbuckets
                 )
+
+
+class TestCRC16Tables:
+    """``crc16_hash`` reads the same kind of position tables."""
+
+    MODULI = (1, 19, 51, 65536)
+
+    def test_equals_reference_crc_on_seeded_tuples(self):
+        rng = random.Random(16)
+        for _ in range(10_000):
+            tup = FourTuple(
+                rng.getrandbits(32), rng.getrandbits(16),
+                rng.getrandbits(32), rng.getrandbits(16),
+            )
+            packed = tup.key_bits().to_bytes(12, "big")
+            for nbuckets in self.MODULI:
+                assert crc16_hash(tup, nbuckets) == (
+                    crc16_ccitt(packed) % nbuckets
+                )
+
+    @pytest.mark.parametrize("addr", [0, 0xFFFFFFFF, 0x0A000001])
+    @pytest.mark.parametrize("port", [0, 1, 0xFF, 0x100, 0xFFFF])
+    def test_boundary_tuples(self, addr, port):
+        tup = FourTuple(IPv4Address(addr), port, IPv4Address(0), 0xFFFF - port)
+        packed = tup.key_bits().to_bytes(12, "big")
+        for nbuckets in self.MODULI:
+            assert crc16_hash(tup, nbuckets) == crc16_ccitt(packed) % nbuckets
 
 
 class TestSpecificFunctions:

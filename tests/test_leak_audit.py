@@ -1,7 +1,5 @@
 """Tests for the memory-bounds leak audit (``audit_leaks``)."""
 
-import pytest
-
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
@@ -76,6 +74,19 @@ class TestLeakDetection:
         audit = audit_leaks(algorithm)
         assert not audit.ok
         assert any("shard" in v for v in audit.violations)
+
+    def test_leak_under_a_supervisor_is_flagged(self):
+        from repro.lifecycle import count_interned
+        from repro.recovery import ShardSupervisor
+
+        facade = populated("sharded-fast-sequent:shards=2,h=5", 10)
+        facade.shards[0]._keycache.entry(tuple_for(200))
+        supervisor = ShardSupervisor(facade)
+        assert count_interned(supervisor) == 11
+        audit = audit_leaks(supervisor)
+        assert not audit.ok
+        assert audit.interned == 11
+        assert len(audit.violations) == 2
 
     def test_custom_label(self):
         audit = audit_leaks(populated("fast-bsd"), label="the-server")

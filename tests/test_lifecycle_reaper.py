@@ -5,7 +5,7 @@ import pytest
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
-from repro.lifecycle.metrics import count_interned, publish_lifecycle
+from repro.lifecycle.metrics import count_interned
 from repro.lifecycle.reaper import ConnectionReaper, TIME_WAIT_STATE
 from repro.lifecycle.wheel import TimerWheel
 from repro.packet.addresses import FourTuple, IPv4Address
@@ -196,7 +196,7 @@ class TestMetrics:
             algorithm.insert(PCB(tuple_for(i)))
         reaper.advance(11.0)
         registry = MetricsRegistry()
-        publish_lifecycle(registry, reaper)
+        registry.publish(reaper)
         snapshot = registry.snapshot()
 
         def gauge(metric, label_key, label_value):

@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.obs.live import TelemetryServer
-from repro.obs.metrics import DemuxStatsExporter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.watchdog import HealthWatchdog, default_rules
 
 
@@ -208,7 +208,6 @@ class TestMidRunScrape:
 
         algorithm = SequentDemux(19)
         registry = MetricsRegistry()
-        exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
         watchdog = HealthWatchdog(default_rules())
         simulation = TPCADemuxSimulation(
             TPCAConfig(n_users=50, duration=30.0, seed=4), algorithm
@@ -221,7 +220,7 @@ class TestMidRunScrape:
 
         def publish():
             with server.lock:
-                exporter.publish(algorithm.stats)
+                registry.publish(algorithm)
             simulation.sim.schedule(5.0, publish)
 
         def scrape():
@@ -256,12 +255,11 @@ class TestMidRunScrape:
         for i in range(4):
             algorithm.insert(PCB(make_tuple(i)))
         registry = MetricsRegistry()
-        exporter = DemuxStatsExporter(registry, algorithm="bsd")
         with TelemetryServer(registry) as server:
             for _ in range(3):
                 algorithm.lookup(make_tuple(2), PacketKind.DATA)
             with server.lock:
-                exporter.publish(algorithm.stats)
+                registry.publish(algorithm)
             _, _, body = _get(server.url("/metrics"))
         assert re.search(
             r'demux_lookups_total\{[^}]*kind="data"[^}]*\} 3',

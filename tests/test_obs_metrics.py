@@ -1,5 +1,6 @@
-"""Tests for repro.obs.metrics: registry, export formats, and the
-DemuxStats adapter (delta publishing, convention preservation)."""
+"""Tests for repro.obs.metrics: registry, export formats, and
+``MetricsRegistry.publish`` (delta publishing, reset handling, gauge
+turnover) over a structure's ``metrics()`` families."""
 
 import copy
 import json
@@ -9,7 +10,7 @@ import pytest
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
 from repro.experiments.runner import run_all
-from repro.obs.metrics import DemuxStatsExporter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 from conftest import make_pcbs, make_tuple
 
@@ -147,6 +148,8 @@ class TestPrometheusExport:
 
 
 class TestDemuxStatsExporter:
+    """Publishing a structure exports its ``DemuxStats`` as ``demux_*``."""
+
     def _populated_algorithm(self):
         algorithm = SequentDemux(7)
         for pcb in make_pcbs(20):
@@ -160,8 +163,7 @@ class TestDemuxStatsExporter:
     def test_publish_matches_stats(self):
         algorithm = self._populated_algorithm()
         registry = MetricsRegistry()
-        exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
-        exporter.publish(algorithm.stats)
+        registry.publish(algorithm)
         counter = registry.counter("demux_lookups_total")
         data = algorithm.stats.kind(PacketKind.DATA)
         ack = algorithm.stats.kind(PacketKind.ACK)
@@ -184,13 +186,12 @@ class TestDemuxStatsExporter:
     def test_repeated_publish_adds_only_deltas(self):
         algorithm = self._populated_algorithm()
         registry = MetricsRegistry()
-        exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
-        exporter.publish(algorithm.stats)
-        exporter.publish(algorithm.stats)  # no new lookups: no change
+        registry.publish(algorithm)
+        registry.publish(algorithm)  # no new lookups: no change
         counter = registry.counter("demux_lookups_total")
         assert counter.value(algorithm="sequent", kind="data") == 20
         algorithm.lookup(make_tuple(0), PacketKind.DATA)
-        exporter.publish(algorithm.stats)
+        registry.publish(algorithm)
         assert counter.value(algorithm="sequent", kind="data") == 21
         histogram = registry.histogram("demux_examined")
         assert (
@@ -201,21 +202,168 @@ class TestDemuxStatsExporter:
     def test_stats_reset_detected(self):
         algorithm = self._populated_algorithm()
         registry = MetricsRegistry()
-        exporter = DemuxStatsExporter(registry, algorithm=algorithm.name)
-        exporter.publish(algorithm.stats)
+        registry.publish(algorithm)
         algorithm.stats.reset()
         algorithm.lookup(make_tuple(3), PacketKind.DATA)
-        exporter.publish(algorithm.stats)  # counters must not go backwards
+        registry.publish(algorithm)  # counters must not go backwards
         counter = registry.counter("demux_lookups_total")
         assert counter.value(algorithm="sequent", kind="data") == 21
 
     def test_publish_does_not_mutate_stats(self):
         algorithm = self._populated_algorithm()
         before = copy.deepcopy(algorithm.stats.as_dict())
-        DemuxStatsExporter(
-            MetricsRegistry(), algorithm=algorithm.name
-        ).publish(algorithm.stats)
+        MetricsRegistry().publish(algorithm)
         assert algorithm.stats.as_dict() == before
+
+
+class _Source:
+    """A hand-set metrics source: ``families`` is returned as is."""
+
+    def __init__(self, *families):
+        self.families = list(families)
+
+    def metrics(self):
+        return self.families
+
+
+def _totals(lookups, not_found, histogram):
+    labels = {"kind": "data"}
+    return [
+        ("lookups_total", "counter", "", [(labels, lookups)]),
+        ("not_found_total", "counter", "", [(labels, not_found)]),
+        ("examined", "histogram", "", [(labels, histogram)]),
+    ]
+
+
+class TestPublish:
+    def test_publishing_twice_unchanged_adds_nothing(self):
+        source = _Source(*_totals(5, 1, {1: 4, 3: 1}))
+        registry = MetricsRegistry()
+        registry.publish(source)
+        before = registry.snapshot()
+        registry.publish(source)
+        assert registry.snapshot() == before
+        assert registry.counter("lookups_total").value(kind="data") == 5
+        assert registry.histogram("examined").counts(kind="data") == {
+            1: 4, 3: 1,
+        }
+
+    def test_growth_adds_only_the_difference(self):
+        source = _Source(*_totals(5, 1, {1: 4, 3: 1}))
+        registry = MetricsRegistry()
+        registry.publish(source)
+        source.families = _totals(8, 1, {1: 6, 3: 1, 4: 1})
+        registry.publish(source)
+        assert registry.counter("lookups_total").value(kind="data") == 8
+        assert registry.histogram("examined").counts(kind="data") == {
+            1: 6, 3: 1, 4: 1,
+        }
+
+    def test_reset_restarts_every_total_of_the_label_set(self):
+        # lookups went backwards (a stats reset), while not_found and
+        # one histogram bucket regrew past their pre-reset totals: all
+        # three restart from zero, so none of the new counts is lost.
+        source = _Source(*_totals(22, 2, {1: 20, 5: 2}))
+        registry = MetricsRegistry()
+        registry.publish(source)
+        source.families = _totals(6, 5, {5: 5, 1: 1})
+        registry.publish(source)
+        assert registry.counter("lookups_total").value(kind="data") == 28
+        assert registry.counter("not_found_total").value(kind="data") == 7
+        assert registry.histogram("examined").counts(kind="data") == {
+            1: 21, 5: 7,
+        }
+
+    def test_any_backward_total_marks_the_reset(self):
+        # lookups regrew past its old total; the histogram bucket that
+        # shrank still reveals the reset.
+        source = _Source(*_totals(5, 1, {1: 4, 3: 1}))
+        registry = MetricsRegistry()
+        registry.publish(source)
+        source.families = _totals(7, 1, {1: 7})
+        registry.publish(source)
+        assert registry.counter("lookups_total").value(kind="data") == 12
+        assert registry.counter("not_found_total").value(kind="data") == 2
+
+    def test_other_label_sets_keep_their_deltas(self):
+        def families(data, ack):
+            return [("lookups_total", "counter", "", [
+                ({"kind": "data"}, data), ({"kind": "ack"}, ack),
+            ])]
+
+        source = _Source(*families(10, 10))
+        registry = MetricsRegistry()
+        registry.publish(source)
+        source.families = families(3, 12)
+        registry.publish(source)
+        counter = registry.counter("lookups_total")
+        assert counter.value(kind="data") == 13
+        assert counter.value(kind="ack") == 12
+
+    def test_stats_reset_restarts_the_kind_together(self):
+        algorithm = SequentDemux(7)
+        for pcb in make_pcbs(20):
+            algorithm.insert(pcb)
+        for i in range(22):  # tuples 20 and 21 are not installed
+            algorithm.lookup(make_tuple(i), PacketKind.DATA)
+        registry = MetricsRegistry()
+        registry.publish(algorithm)
+        algorithm.stats.reset()
+        for i in range(20, 25):  # five misses: not_found regrows past 2
+            algorithm.lookup(make_tuple(i), PacketKind.DATA)
+        algorithm.lookup(make_tuple(0), PacketKind.DATA)
+        registry.publish(algorithm)
+        labels = {"algorithm": "sequent", "kind": "data"}
+        assert registry.counter("demux_lookups_total").value(**labels) == 28
+        assert registry.counter("demux_not_found_total").value(**labels) == 7
+        assert registry.histogram("demux_examined").count(**labels) == 28
+
+    def test_gauge_no_longer_reported_is_dropped(self):
+        def ranking(*names):
+            return [("top", "gauge", "", [
+                ({"name": name}, 1.0) for name in names
+            ])]
+
+        source = _Source(*ranking("a", "b"))
+        registry = MetricsRegistry()
+        registry.publish(source)
+        source.families = ranking("b", "c")
+        registry.publish(source)
+        names = {
+            sample["labels"]["name"]
+            for sample in registry.snapshot()["top"]["samples"]
+        }
+        assert names == {"b", "c"}
+
+    def test_labels_are_added_and_name_a_separate_source(self):
+        source = _Source(("hits_total", "counter", "", [({}, 4)]))
+        registry = MetricsRegistry()
+        registry.publish(source, host="a")
+        registry.publish(source, host="b")
+        registry.publish(source, host="a")
+        counter = registry.counter("hits_total")
+        assert counter.value(host="a") == 4
+        assert counter.value(host="b") == 4
+
+    def test_gauges_of_other_sources_survive(self):
+        registry = MetricsRegistry()
+        registry.publish(_Source(("size", "gauge", "", [({"x": "1"}, 1)])))
+        registry.publish(_Source(("size", "gauge", "", [({"x": "2"}, 2)])))
+        assert registry.gauge("size").value(x="1") == 1
+        assert registry.gauge("size").value(x="2") == 2
+
+    def test_empty_family_is_registered(self):
+        registry = MetricsRegistry()
+        registry.publish(_Source(("mttr", "histogram", "repairs", [])))
+        assert registry.snapshot()["mttr"] == {
+            "type": "histogram", "help": "repairs", "samples": [],
+        }
+
+    def test_type_conflict_raises(self):
+        registry = MetricsRegistry()
+        registry.counter("x")
+        with pytest.raises(ValueError):
+            registry.publish(_Source(("x", "gauge", "", [({}, 1)])))
 
 
 class TestStatsAsDict:

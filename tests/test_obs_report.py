@@ -131,7 +131,7 @@ class TestRenderDashboard:
             characterizer.note_packet(i % 7, "data")
             characterizer.observe(i % 7, (i % 9) + 1, now=i * 0.01)
         registry = MetricsRegistry()
-        characterizer.publish(registry)
+        registry.publish(characterizer)
         dashboard = render_dashboard(registry.snapshot())
         assert "== traffic characterization" in dashboard
         assert "examined quantiles:" in dashboard

@@ -432,7 +432,6 @@ class TestFacade:
 
     def test_metrics_publish(self):
         from repro.obs.metrics import MetricsRegistry
-        from repro.recovery import publish_recovery
 
         supervised = build(checkpoint_every=50)
         tuples = populate(supervised)
@@ -440,7 +439,7 @@ class TestFacade:
         supervised.crash_shard(shard_of(supervised, tuples[0]))
         supervised.lookup(tuples[0], PacketKind.DATA)
         registry = MetricsRegistry()
-        publish_recovery(registry, supervised)
+        registry.publish(supervised)
         snapshot = registry.snapshot()
         events = snapshot["recovery_events_total"]["samples"][0]["value"]
         assert events == 1
@@ -449,3 +448,36 @@ class TestFacade:
             for sample in snapshot["recovery_mode_total"]["samples"]
         }
         assert modes["warm"] == 1
+
+    def test_one_recovery_is_one_mttr_observation(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        supervised = build(checkpoint_every=50)
+        tuples = populate(supervised)
+        traffic(supervised, tuples, packets=80)
+        supervised.crash_shard(shard_of(supervised, tuples[0]))
+        supervised.lookup(tuples[0], PacketKind.DATA)
+        registry = MetricsRegistry()
+        for _ in range(3):  # periodic publishes re-read the same event
+            registry.publish(supervised)
+        mttr = registry.histogram("recovery_mttr_ms")
+        assert mttr.count(algorithm=supervised.name, mode="warm") == 1
+
+    def test_metrics_see_through_to_the_shards(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        supervised = build("sharded-fast-mtf:shards=4")
+        populate(supervised)
+        registry = MetricsRegistry()
+        registry.publish(supervised)
+        snapshot = registry.snapshot()
+        for name in ("fastpath_shard_counters", "smp_shard_occupancy"):
+            labels = {
+                sample["labels"]["algorithm"]
+                for sample in snapshot[name]["samples"]
+            }
+            assert labels == {"sharded-fast-mtf"}, name
+        demux = snapshot["demux_lookups_total"]["samples"]
+        assert {s["labels"]["algorithm"] for s in demux} == {
+            "supervised-sharded-fast-mtf"
+        }

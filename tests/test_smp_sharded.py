@@ -15,7 +15,6 @@ from repro.smp import (
     StickyFlowSteering,
     available_steerings,
     make_steering,
-    publish_sharded,
 )
 from repro.core.sequent import SequentDemux
 
@@ -278,7 +277,7 @@ class TestShardMetrics:
         for i in range(6):
             demux.lookup(tuple_for(i), PacketKind.DATA)
         registry = MetricsRegistry()
-        publish_sharded(registry, demux)
+        registry.publish(demux)
         snapshot = registry.snapshot()
         assert "smp_shard_occupancy" in snapshot
         assert "smp_imbalance_factor" in snapshot
@@ -362,7 +361,7 @@ class TestMigrationAttribution:
     def test_published_metric(self):
         demux = self._churn_under_rr(rounds=2)
         registry = MetricsRegistry()
-        publish_sharded(registry, demux)
+        registry.publish(demux)
         snapshot = registry.snapshot()
         samples = snapshot["smp_shard_migration_relookups"]["samples"]
         assert sum(s["value"] for s in samples) == demux.flow_migrations

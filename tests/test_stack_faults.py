@@ -5,7 +5,6 @@ import pytest
 from repro.core.bsd import BSDDemux
 from repro.core.sequent import SequentDemux
 from repro.faults.audit import audit_stack
-from repro.faults.metrics import InjectorExporter, StackFaultExporter
 from repro.faults.injector import FaultInjector
 from repro.faults.models import IIDLoss
 from repro.obs.metrics import MetricsRegistry
@@ -259,14 +258,15 @@ class TestFaultMetricsExport:
         sim, net, server = build()
         server.deliver(b"\x00" * 30)
         registry = MetricsRegistry()
-        exporter = StackFaultExporter(registry, host="server")
-        exporter.publish(server)
+        registry.publish(server)
         drops = registry.counter("packet_drops_total")
-        assert drops.value(host="server", reason="corrupt") == 1
-        assert drops.value(host="server", reason="table-full") == 0
+        assert drops.value(host="10.0.0.1", reason="corrupt") == 1
+        assert drops.value(host="10.0.0.1", reason="table-full") == 0
+        received = registry.counter("packets_received_total")
+        assert received.value(host="10.0.0.1") == 1
         # Delta publishing: a second publish adds nothing new.
-        exporter.publish(server)
-        assert drops.value(host="server", reason="corrupt") == 1
+        registry.publish(server)
+        assert drops.value(host="10.0.0.1", reason="corrupt") == 1
 
     def test_injector_exporter_publishes_injected_loss(self):
         sim = Simulator()
@@ -275,19 +275,18 @@ class TestFaultMetricsExport:
         for n in range(3):
             injector.judge(make_data(tup, b"x", seq=n))
         registry = MetricsRegistry()
-        exporter = InjectorExporter(registry)
-        exporter.publish(injector)
+        registry.publish(injector, host="10.0.0.1")
         drops = registry.counter("packet_drops_total")
         faults = registry.counter("faults_injected_total")
-        assert drops.value(reason="injected-loss") == 3
-        assert faults.value(fault="loss", action="drop") == 3
-        exporter.publish(injector)
-        assert drops.value(reason="injected-loss") == 3
+        assert drops.value(host="10.0.0.1", reason="injected-loss") == 3
+        assert faults.value(host="10.0.0.1", fault="loss", action="drop") == 3
+        registry.publish(injector, host="10.0.0.1")
+        assert drops.value(host="10.0.0.1", reason="injected-loss") == 3
 
     def test_prometheus_rendering_includes_labels(self):
         sim, net, server = build()
         server.deliver(b"\xff" * 25)
         registry = MetricsRegistry()
-        StackFaultExporter(registry, host="10.0.0.1").publish(server)
+        registry.publish(server)
         text = registry.to_prometheus()
         assert 'packet_drops_total{host="10.0.0.1",reason="corrupt"} 1' in text
