@@ -16,7 +16,7 @@ import time
 
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
-from repro.fastpath.conformance import decision_trace
+from repro.fastpath.conformance import replay, stream_ops
 from repro.workload import record_tpca_stream
 
 N_USERS = 500
@@ -56,11 +56,12 @@ def main() -> None:
     print(f"{'pair':<22} {'decisions':>10} {'ref p/s':>10}"
           f" {'fast p/s':>10} {'speedup':>8}")
 
+    ops = stream_ops(stream)
     last_fast = None
     for reference_spec, fast_spec in PAIRS:
-        identical = decision_trace(reference_spec, stream) == decision_trace(
-            fast_spec, stream, use_batch=True
-        )
+        reference, _ = replay(make_algorithm(reference_spec), ops)
+        fast, _ = replay(make_algorithm(fast_spec), ops, batched=True)
+        identical = reference == fast
         ref_pps, _ = timed_replay(reference_spec, stream)
         fast_pps, last_fast = timed_replay(fast_spec, stream)
         print(

@@ -968,6 +968,9 @@ def _cmd_simulate(args) -> int:
         if args.serve_hold > 0:
             import time
 
+            # The summary must reach a piped stdout before the hold: a
+            # scraper that ends the hold early would otherwise lose it.
+            sys.stdout.flush()
             print(
                 f"  holding telemetry server for {args.serve_hold:g}s",
                 file=sys.stderr,

@@ -18,7 +18,8 @@ million-connection tier:
 * :mod:`~repro.fastpath.cuckoo` -- the two-choice cuckoo table with
   per-bucket pre-filters (``fast-cuckoo``, no reference twin);
 * :mod:`~repro.fastpath.batch` -- the fast structures' batch counters;
-* :mod:`~repro.fastpath.conformance` -- golden decision traces;
+* :mod:`~repro.fastpath.conformance` -- the one replay driver behind
+  golden decision traces;
 * :mod:`~repro.fastpath.gate` -- the ``canary`` promotion verdict and
   its best-of-R replay timing.
 
@@ -40,13 +41,7 @@ from .algorithms import (
     FastSequentDemux,
 )
 from .batch import BatchLookupMixin, as_packets
-from .conformance import (
-    decision_trace,
-    golden_stream,
-    resumed_decision_trace,
-    resumed_mutation_trace,
-    stray_tuple,
-)
+from .conformance import golden_stream, replay, stray_tuple, stream_ops
 from .cuckoo import CuckooCounters, FastCuckooDemux
 from .gate import MAX_SWEEP_USERS, Measurement, measure_replay
 from .keycache import FastpathCounters, KeyCache, OrdinalKeyCache
@@ -71,10 +66,9 @@ __all__ = [
     "Measurement",
     "SlotTable",
     "as_packets",
-    "decision_trace",
     "golden_stream",
     "measure_replay",
-    "resumed_decision_trace",
-    "resumed_mutation_trace",
+    "replay",
     "stray_tuple",
+    "stream_ops",
 ]

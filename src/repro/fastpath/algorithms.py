@@ -9,7 +9,7 @@ interpreted four-tuple scans with interned-integer scans over flat
 chain hash in a :class:`~repro.fastpath.keycache.KeyCache`.
 
 The equivalence is not an aspiration; it is enforced by the golden
-conformance suite (``tests/test_fastpath_golden.py``) and the
+conformance matrix (``tests/conformance_matrix.py``) and the
 differential property tests
 (``tests/property/test_fastpath_equiv.py``).  The speed win is
 quantified by ``benchmarks/bench_fastpath.py`` and timed against each

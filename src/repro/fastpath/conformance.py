@@ -6,24 +6,26 @@ were examined, and whether a cache slot satisfied the probe.  Two
 structures that produce identical decision traces on a stream are
 indistinguishable to every experiment in this repository.
 
-:func:`decision_trace` replays a recorded TPC/A stream (plus a
-deterministic sprinkle of absent-key lookups, so the not-found path is
-covered) through any registry spec and returns the trace as compact
-``[found, examined, cache_hit]`` triples.  The golden suite records the
-reference algorithms' traces into ``tests/golden/*.json`` (via
-``tests/golden/generate_golden.py``) and asserts that (a) the reference
-structures still reproduce them byte-for-byte -- guarding against
-accidental semantic drift in :mod:`repro.core` -- and (b) every
-``fast-*`` twin reproduces them too, through both the per-call and the
-batched lookup paths.
+:func:`replay` is the one driver: it replays an op list --
+``("insert", tup)``, ``("remove", tup)`` and ``("lookup", tup, kind)``
+-- through any structure and returns the trace as compact
+``[found, examined, cache_hit]`` triples, one call at a time or in
+``lookup_batch`` chunks, optionally snapshot-restored mid-stream.  A
+recorded TPC/A stream becomes its population then its packets, with a
+deterministic sprinkle of absent-key lookups so the not-found path is
+covered (:func:`stream_ops`); a churn walk (:func:`churn_ops`) becomes
+its inserts, removes and lookups through :func:`churn_tuple`
+(:func:`walk_ops`).  ``tests/golden/generate_golden.py`` records the
+reference algorithms' traces into ``tests/golden/*.json``, and the
+conformance matrix (``tests/conformance_matrix.py``) replays every
+spec x mode x stream cell against them.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.registry import make_algorithm
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple, IPv4Address
 from ..workload.record import RecordedStream, record_tpca_stream
@@ -31,19 +33,24 @@ from ..workload.record import RecordedStream, record_tpca_stream
 __all__ = [
     "Decision",
     "ChurnOp",
+    "Op",
     "churn_ops",
     "churn_tuple",
-    "decision_trace",
+    "golden_ops",
     "golden_stream",
-    "mutation_trace",
-    "resumed_decision_trace",
-    "resumed_mutation_trace",
+    "replay",
     "stray_tuple",
+    "stream_ops",
+    "walk_ops",
 ]
 
 #: One lookup decision: ``[found, examined, cache_hit]`` with 0/1 flags
 #: (compact and JSON-stable).
 Decision = List[int]
+
+#: One replay operation: ``("insert", tup)``, ``("remove", tup)`` or
+#: ``("lookup", tup, kind)``.
+Op = Tuple
 
 
 def golden_stream(
@@ -67,103 +74,26 @@ def stray_tuple(index: int) -> FourTuple:
     )
 
 
-def decision_trace(
-    spec: str,
-    stream: RecordedStream,
-    *,
-    stray_every: int = 13,
-    use_batch: bool = False,
-    batch_size: int = 64,
-) -> List[Decision]:
-    """Replay ``stream`` through ``spec``; return its decision trace.
+#: A stray lookup follows every this-many packets of a stream.
+_STRAY_EVERY = 13
 
-    Every ``stray_every``-th packet is followed by a lookup of an
-    absent key (alternating DATA/ACK kinds), so traces exercise the
-    miss path of every cache and chain.  With ``use_batch=True`` the
-    replay goes through ``lookup_batch`` in ``batch_size`` chunks,
-    which must not change a single decision.
+
+def stream_ops(stream: RecordedStream) -> List[Op]:
+    """A recorded stream as ops: its population, then its packets.
+
+    Every 13th packet is followed by a lookup of an absent key
+    (alternating DATA/ACK kinds), so traces exercise the miss path of
+    every cache and chain.
     """
-    from ..core.pcb import PCB  # local: keep module import light
-
-    algorithm = make_algorithm(spec)
-    for tup in stream.tuples:
-        algorithm.insert(PCB(tup))
-    packets = _packets_with_strays(stream, stray_every)
-    return _replay(algorithm, packets, use_batch, batch_size)
-
-
-def resumed_decision_trace(
-    spec: str,
-    stream: RecordedStream,
-    *,
-    split: float = 0.5,
-    stray_every: int = 13,
-    use_batch: bool = False,
-    batch_size: int = 64,
-) -> List[Decision]:
-    """:func:`decision_trace` with a snapshot/restore mid-stream.
-
-    Replays the first ``split`` fraction of the packets, snapshots the
-    structure through :mod:`repro.recovery.snapshot`, restores a fresh
-    instance from the bytes, and replays the rest on the restored
-    structure.  By the restore guarantee, the concatenated trace must
-    equal the uninterrupted :func:`decision_trace` -- the golden suite
-    asserts exactly that, making every committed golden also a restore
-    conformance witness.
-    """
-    from ..core.pcb import PCB  # local: keep module import light
-    from ..recovery.snapshot import (  # lazy: recovery sits above fastpath
-        restore_bytes,
-        snapshot_bytes,
-    )
-
-    if not 0.0 <= split <= 1.0:
-        raise ValueError(f"split must be in [0, 1], got {split}")
-    algorithm = make_algorithm(spec)
-    for tup in stream.tuples:
-        algorithm.insert(PCB(tup))
-    packets = _packets_with_strays(stream, stray_every)
-    cut = int(len(packets) * split)
-    head = _replay(algorithm, packets[:cut], use_batch, batch_size)
-    algorithm = restore_bytes(snapshot_bytes(algorithm))
-    return head + _replay(algorithm, packets[cut:], use_batch, batch_size)
-
-
-def _packets_with_strays(
-    stream: RecordedStream, stray_every: int
-) -> List[Tuple[FourTuple, PacketKind]]:
-    """The stream's packets with the deterministic stray interleave."""
-    if stray_every < 1:
-        raise ValueError(f"stray_every must be >= 1, got {stray_every}")
-    packets: List[Tuple[FourTuple, PacketKind]] = []
+    ops: List[Op] = [("insert", tup) for tup in stream.tuples]
     for position, (tup, kind) in enumerate(stream.packets):
-        packets.append((tup, kind))
-        if (position + 1) % stray_every == 0:
+        ops.append(("lookup", tup, kind))
+        if (position + 1) % _STRAY_EVERY == 0:
             stray_kind = (
-                PacketKind.DATA if (position // stray_every) % 2 else PacketKind.ACK
+                PacketKind.DATA if (position // _STRAY_EVERY) % 2 else PacketKind.ACK
             )
-            packets.append((stray_tuple(position), stray_kind))
-    return packets
-
-
-def _replay(
-    algorithm,
-    packets: List[Tuple[FourTuple, PacketKind]],
-    use_batch: bool,
-    batch_size: int,
-) -> List[Decision]:
-    if use_batch:
-        results = []
-        for start in range(0, len(packets), batch_size):
-            results.extend(
-                algorithm.lookup_batch(packets[start:start + batch_size])
-            )
-    else:
-        results = [algorithm.lookup(tup, kind) for tup, kind in packets]
-    return [
-        [int(result.found), result.examined, int(result.cache_hit)]
-        for result in results
-    ]
+            ops.append(("lookup", stray_tuple(position), stray_kind))
+    return ops
 
 
 #: One churn operation: ``("insert", id)``, ``("remove", id)``, or
@@ -225,101 +155,121 @@ def churn_ops(seed: int, *, steps: int = 4000) -> List[ChurnOp]:
     return ops
 
 
-def mutation_trace(
-    spec: str,
-    ops: List[ChurnOp],
-    *,
-    use_batch: bool = False,
-    batch_size: int = 32,
-):
-    """Replay a churn op list through ``spec``.
+def walk_ops(walk: Sequence[ChurnOp]) -> List[Op]:
+    """A churn walk as ops: each connection id through :func:`churn_tuple`.
 
-    Returns ``(decisions, algorithm)``: the decision trace of the
-    lookups (same triples as :func:`decision_trace`) and the mutated
-    structure itself, so callers can audit what the churn left behind
-    (live population, interned keys).  With ``use_batch=True``, runs
-    of consecutive lookups go through ``lookup_batch`` in
-    ``batch_size`` chunks; mutations flush the pending batch first,
-    preserving op order exactly.
+    Every op builds its own four-tuple, so structures find live
+    connections by equality, never by object identity.
     """
-    algorithm = make_algorithm(spec)
-    decisions = _replay_ops(algorithm, ops, use_batch, batch_size)
-    return decisions, algorithm
+    ops: List[Op] = []
+    for op in walk:
+        if op[0] == "lookup":
+            kind = PacketKind.DATA if op[2] == "data" else PacketKind.ACK
+            ops.append(("lookup", churn_tuple(op[1]), kind))
+        elif op[0] in ("insert", "remove"):
+            ops.append((op[0], churn_tuple(op[1])))
+        else:
+            raise ValueError(f"unknown churn op {op!r}")
+    return ops
 
 
-def resumed_mutation_trace(
-    spec: str,
-    ops: List[ChurnOp],
-    *,
-    split: float = 0.5,
-    use_batch: bool = False,
-    batch_size: int = 32,
-):
-    """:func:`mutation_trace` with a snapshot/restore mid-churn.
+def golden_ops(golden: dict) -> List[Op]:
+    """The op list a golden file's header names.
 
-    Replays the first ``split`` fraction of the op list, snapshots,
-    restores a fresh structure from the bytes, and replays the rest on
-    it.  Returns ``(decisions, algorithm)`` like
-    :func:`mutation_trace`; the concatenated decisions must equal the
-    uninterrupted replay's.  This is the hardest restore case for
-    layout-carrying structures (cuckoo kickout state, MTF recency
-    order): the churn keeps mutating *after* the restore.
+    A churn golden (``{"churn": {"seed", "steps"}}``) replays its
+    :func:`churn_ops` walk, a TPC/A one (``{"stream": {"seed",
+    "n_users", "duration"}}``) its :func:`golden_stream`.
     """
+    if "churn" in golden:
+        params = golden["churn"]
+        return walk_ops(churn_ops(params["seed"], steps=params["steps"]))
+    params = golden["stream"]
+    return stream_ops(
+        golden_stream(
+            params["seed"],
+            n_users=params["n_users"],
+            duration=params["duration"],
+        )
+    )
+
+
+def replay(
+    algorithm,
+    ops: Sequence[Op],
+    *,
+    chunk: int = 64,
+    batched: bool = False,
+    restore_after: Optional[int] = None,
+    tick: Optional[Callable[[], None]] = None,
+):
+    """Replay ``ops`` through ``algorithm``; return its decision trace.
+
+    Returns ``(decisions, algorithm)``: one ``[found, examined,
+    cache_hit]`` triple per lookup, and the structure the replay ended
+    on, so callers can audit what it holds (live population, interned
+    keys).  Lookups between two mutations are cut into chunks of
+    ``chunk`` packets; with ``batched`` each chunk is one
+    ``lookup_batch`` call, otherwise one ``lookup`` call per packet.
+    Every insert or remove flushes the pending chunk first, preserving
+    op order exactly, so batching must not change a single decision.
+
+    With ``restore_after=n``, the replay flushes after the ``n``-th
+    lookup, snapshots the structure through
+    :mod:`repro.recovery.snapshot`, and replays the rest on a fresh
+    instance restored from the bytes -- by the restore guarantee the
+    trace must equal the uninterrupted one.  ``tick``, when given, is
+    called before every chunk and every mutation (a virtual clock for
+    the hooks that timestamp what they see).
+    """
+    from ..core.pcb import PCB  # local: keep module import light
     from ..recovery.snapshot import (  # lazy: recovery sits above fastpath
         restore_bytes,
         snapshot_bytes,
     )
 
-    if not 0.0 <= split <= 1.0:
-        raise ValueError(f"split must be in [0, 1], got {split}")
-    algorithm = make_algorithm(spec)
-    cut = int(len(ops) * split)
-    decisions = _replay_ops(algorithm, ops[:cut], use_batch, batch_size)
-    algorithm = restore_bytes(snapshot_bytes(algorithm))
-    decisions.extend(
-        _replay_ops(algorithm, ops[cut:], use_batch, batch_size)
-    )
-    return decisions, algorithm
-
-
-def _replay_ops(
-    algorithm,
-    ops: List[ChurnOp],
-    use_batch: bool,
-    batch_size: int,
-) -> List[Decision]:
-    from ..core.pcb import PCB  # local: keep module import light
-
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if restore_after is not None and restore_after < 1:
+        raise ValueError(f"restore_after must be >= 1, got {restore_after}")
     decisions: List[Decision] = []
     pending: List[Tuple[FourTuple, PacketKind]] = []
+    lookups = 0
 
     def flush() -> None:
-        for start in range(0, len(pending), batch_size):
-            for result in algorithm.lookup_batch(
-                pending[start:start + batch_size]
-            ):
-                decisions.append(
-                    [int(result.found), result.examined, int(result.cache_hit)]
-                )
+        for start in range(0, len(pending), chunk):
+            packets = pending[start:start + chunk]
+            if tick is not None:
+                tick()
+            if batched:
+                results = algorithm.lookup_batch(packets)
+            else:
+                results = [algorithm.lookup(tup, kind) for tup, kind in packets]
+            decisions.extend(
+                [int(result.found), result.examined, int(result.cache_hit)]
+                for result in results
+            )
         pending.clear()
 
     for op in ops:
+        if op[0] == "lookup":
+            pending.append((op[1], op[2]))
+            lookups += 1
+            if lookups == restore_after:
+                flush()
+                algorithm = restore_bytes(snapshot_bytes(algorithm))
+            continue
+        flush()
+        if tick is not None:
+            tick()
         if op[0] == "insert":
-            flush()
-            algorithm.insert(PCB(churn_tuple(op[1])))
+            algorithm.insert(PCB(op[1]))
         elif op[0] == "remove":
-            flush()
-            algorithm.remove(churn_tuple(op[1]))
-        elif op[0] == "lookup":
-            kind = PacketKind.DATA if op[2] == "data" else PacketKind.ACK
-            if use_batch:
-                pending.append((churn_tuple(op[1]), kind))
-            else:
-                result = algorithm.lookup(churn_tuple(op[1]), kind)
-                decisions.append(
-                    [int(result.found), result.examined, int(result.cache_hit)]
-                )
+            algorithm.remove(op[1])
         else:
-            raise ValueError(f"unknown churn op {op!r}")
+            raise ValueError(f"unknown op {op!r}")
     flush()
-    return decisions
+    if restore_after is not None and restore_after > lookups:
+        raise ValueError(
+            f"restore_after={restore_after} but the ops hold {lookups} lookups"
+        )
+    return decisions, algorithm

@@ -41,9 +41,10 @@ so golden traces pin them too.
 Registry spec: ``fast-cuckoo`` (options ``buckets``, ``slots``,
 ``stash``, ``kick``), composing with sharding as
 ``sharded-fast-cuckoo:shards=8``.  Decision determinism is enforced by
-the golden suite (``tests/test_cuckoo_golden.py``), the dict-oracle
-property tier (``tests/property/test_cuckoo_properties.py``), and the
-snapshot round-trip tests.
+the cuckoo goldens of the conformance matrix
+(``tests/conformance_matrix.py``), the dict-oracle property tier
+(``tests/property/test_cuckoo_properties.py``), and the snapshot
+round-trip tests.
 """
 
 from __future__ import annotations

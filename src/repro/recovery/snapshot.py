@@ -21,8 +21,9 @@ whether a cache satisfies it:
 
 The guarantee -- ``restore(snapshot(d))`` is decision-identical to
 ``d`` on any subsequent traffic, per-call and batched -- is enforced by
-golden traces (``tests/test_recovery_golden.py``) and differential
-property tests (``tests/property/test_recovery_properties.py``).
+the restored cells of the golden conformance matrix
+(``tests/conformance_matrix.py``) and differential property tests
+(``tests/property/test_recovery_properties.py``).
 
 On the wire a snapshot is a JSON envelope::
 

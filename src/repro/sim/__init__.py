@@ -1,16 +1,15 @@
 """Discrete-event simulation substrate.
 
 A deterministic event heap (:class:`Simulator`), named RNG streams for
-common-random-number experiment design (:class:`RngRegistry`), a star
-network of fixed-latency links (:class:`Network`), and optional tracing
-(:class:`Tracer`).
+common-random-number experiment design (:class:`RngRegistry`), and a
+star network of fixed-latency links (:class:`Network`).  Tracing lives
+in :mod:`repro.obs`.
 """
 
 from .engine import Event, SimulationError, Simulator
 from .network import Host, Link, Network
 from .pcap import PcapReader, PcapWriter, network_tap
 from .rng import RngRegistry, derive_seed
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "Event",
@@ -22,8 +21,6 @@ __all__ = [
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
-    "Tracer",
     "derive_seed",
     "network_tap",
 ]

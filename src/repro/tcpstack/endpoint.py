@@ -79,12 +79,8 @@ class TCPEndpoint:
 
     def _set_state(self, target: TCPState) -> None:
         check_transition(self._state, target)
-        previous, self._state = self._state, target
+        self._state = target
         self.pcb.state = target.value
-        self._stack.trace(
-            "tcp.state", f"{self.pcb.four_tuple}", prev=previous.value,
-            new=target.value,
-        )
         if target is TCPState.ESTABLISHED and self.on_establish:
             self.on_establish(self)
         if target is TCPState.TIME_WAIT:
@@ -271,9 +267,6 @@ class TCPEndpoint:
             return
         self._retries += 1
         if self._retries > _MAX_RETRIES:
-            self._stack.trace(
-                "tcp.abort", f"{self.pcb.four_tuple}", reason="max retries"
-            )
             self.abort()
             return
         pcb = self.pcb
@@ -284,7 +277,6 @@ class TCPEndpoint:
         packet = Packet(
             ip=IPv4Header(src=tup.local_addr, dst=tup.remote_addr), tcp=segment
         )
-        self._stack.trace("tcp.rexmit", f"{tup}", seq=seq, try_=self._retries)
         self._stack.transmit(self, packet)
         self._arm_rto()
 
@@ -341,9 +333,6 @@ class TCPEndpoint:
             TCPState.TIME_WAIT: self._handle_time_wait,
         }.get(self._state)
         if handler is None:
-            self._stack.trace(
-                "tcp.drop", f"{self.pcb.four_tuple}", state=self._state.value
-            )
             return
         handler(segment)
 

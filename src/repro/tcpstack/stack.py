@@ -37,7 +37,6 @@ from ..packet.ip import IPv4Header, PacketError
 from ..packet.tcp import TCPFlags, TCPSegment
 from ..sim.engine import Simulator
 from ..sim.network import Network
-from ..sim.trace import Tracer
 from .endpoint import TCPEndpoint
 from .listener import Listener
 from .pcb_table import PCBTable
@@ -89,7 +88,6 @@ class HostStack:
         algorithm: DemuxAlgorithm,
         *,
         mss: int = 536,
-        tracer: Optional[Tracer] = None,
         delayed_ack: bool = False,
         max_connections: Optional[int] = None,
         overflow_policy: str = "reject-new",
@@ -106,7 +104,6 @@ class HostStack:
             max_connections=max_connections,
             overflow_policy=overflow_policy,
         )
-        self._tracer = tracer or Tracer(enabled=False)
         #: Optional :class:`repro.obs.SpanCollector`: ``deliver`` opens
         #: one packet context per inbound segment, the demux lookup and
         #: drop taxonomy add stages inside it, and reaper evictions are
@@ -168,7 +165,7 @@ class HostStack:
         """The pluggable PCB-lookup algorithm under study."""
         return self.table.algorithm
 
-    def drop(self, reason: str, detail: str = "") -> None:
+    def drop(self, reason: str) -> None:
         """Count one inbound drop under the given taxonomy reason."""
         if reason not in self.drops:
             raise ValueError(f"unknown drop reason {reason!r}")
@@ -178,7 +175,6 @@ class HostStack:
             # sampled; corrupt drops happen before any context exists
             # (no four-tuple is known) and are a collector no-op.
             self.spans.stage("drop", reason=reason)
-        self.trace("drop", detail or reason, reason=reason)
 
     def deliver(self, packet: Union[Packet, bytes, bytearray, memoryview]) -> None:
         """The inbound path: demultiplex, then run the state machine.
@@ -193,8 +189,8 @@ class HostStack:
         if isinstance(packet, (bytes, bytearray, memoryview)):
             try:
                 packet = parse_packet(bytes(packet))
-            except PacketError as exc:
-                self.drop("corrupt", f"unparseable inbound bytes: {exc}")
+            except PacketError:
+                self.drop("corrupt")
                 return
         segment = packet.tcp
         kind = PacketKind.ACK if segment.is_pure_ack else PacketKind.DATA
@@ -215,10 +211,6 @@ class HostStack:
     ) -> None:
         """Demux and dispatch one parsed segment (span context open)."""
         result = self.table.lookup(tup, kind)
-        self.trace(
-            "demux", f"{tup}", kind=kind.value, examined=result.examined,
-            hit=result.cache_hit,
-        )
         if result.found:
             endpoint = result.pcb.user_data
             if isinstance(endpoint, TCPEndpoint):
@@ -231,7 +223,7 @@ class HostStack:
             self._handle_listener_syn(packet, tup)
             return
         self.demux_drops += 1
-        self.drop("bad-state", f"stray segment {tup}")
+        self.drop("bad-state")
         if not segment.is_rst:
             self._send_reset(packet)
 
@@ -241,18 +233,18 @@ class HostStack:
         listener = self.table.find_listener(tup.local_addr, tup.local_port)
         if listener is None:
             self.demux_drops += 1
-            self.drop("no-listener", f"SYN for {tup}")
+            self.drop("no-listener")
             self._send_reset(packet)
             return
         if self.table.is_full and not self._make_room():
             # Shed the SYN silently (no RST): under a SYN flood an
             # answer per refused SYN would double the attack's cost.
             self.demux_drops += 1
-            self.drop("table-full", f"SYN for {tup}")
+            self.drop("table-full")
             return
         if not listener.admit():
             self.demux_drops += 1
-            self.drop("no-listener", f"SYN refused (backlog) for {tup}")
+            self.drop("no-listener")
             self._send_reset(packet)
             return
         self.demux_misses_to_listener += 1
@@ -298,7 +290,6 @@ class HostStack:
         if victim is None:
             return False
         self.table.embryonic_evictions += 1
-        self.trace("evict", f"{victim.four_tuple}", state=victim.state)
         endpoint = victim.user_data
         if isinstance(endpoint, TCPEndpoint):
             endpoint.abort()  # teardown removes the PCB via forget()
@@ -380,7 +371,6 @@ class HostStack:
         self.packets_sent += 1
         endpoint.pcb.note_send(len(packet.tcp.payload))
         self.table.note_send(endpoint.pcb)
-        self.trace("send", f"{packet}")
         self.network.send(packet)
 
     def _send_reset(self, offending: Packet) -> None:
@@ -431,7 +421,6 @@ class HostStack:
         self.reaped[reason] += 1
         if self.spans is not None:
             self.spans.note_reap(pcb.four_tuple, reason)
-        self.trace("reap", f"{pcb.four_tuple}", reason=reason, state=pcb.state)
         endpoint = pcb.user_data
         if isinstance(endpoint, TCPEndpoint):
             if endpoint.state is TCPState.TIME_WAIT:
@@ -446,9 +435,6 @@ class HostStack:
 
     def count_out_of_order(self) -> None:
         self.out_of_order += 1
-
-    def trace(self, category: str, message: str, **data) -> None:
-        self._tracer.record(self.sim.now, category, message, **data)
 
     def metrics(self) -> List[tuple]:
         """Drops, accepted packets and bounded-table pressure, labelled

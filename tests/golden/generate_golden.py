@@ -5,10 +5,12 @@ Run from the repository root::
     PYTHONPATH=src python tests/golden/generate_golden.py
 
 Each golden file pins the per-packet decisions -- ``[found, examined,
-cache_hit]`` -- of every reference algorithm on one seeded TPC/A stream
-(see :mod:`repro.fastpath.conformance`).  The files are committed;
+cache_hit]`` -- of a set of specs on one seeded stream, replayed per
+call through the conformance driver
+(:func:`repro.fastpath.conformance.replay`).  The files are committed;
 regenerating them should be a no-op unless reference semantics changed
-on purpose, in which case the diff *is* the review artifact.
+on purpose, in which case the diff *is* the review artifact (CI's
+``smoke`` job fails on any diff).
 """
 
 from __future__ import annotations
@@ -17,34 +19,19 @@ import json
 import pathlib
 import sys
 
+from repro.core.registry import make_algorithm
 from repro.fastpath.conformance import (
     churn_ops,
-    decision_trace,
+    golden_ops,
     golden_stream,
-    mutation_trace,
+    replay,
 )
 
 HERE = pathlib.Path(__file__).resolve().parent
 
-#: (filename stem, stream parameters) per golden stream.  Sizes are
-#: kept modest so the JSON stays reviewable; three seeds × five
-#: algorithms still cross every cache, chain, and miss path.
-STREAMS = (
-    ("tpca_seed101", {"seed": 101, "n_users": 48, "duration": 40.0}),
-    ("tpca_seed202", {"seed": 202, "n_users": 96, "duration": 30.0}),
-    ("tpca_seed303", {"seed": 303, "n_users": 24, "duration": 60.0}),
-)
-
-#: (filename stem, churn parameters): mutation-heavy streams where
-#: inserts and removes interleave with the lookups, pinning the
-#: remove/evict path the static TPC/A streams never touch.
-CHURN_STREAMS = (
-    ("churn_seed404", {"seed": 404, "steps": 4000}),
-)
-
-#: Reference specs recorded in each file.  Every spec here must have a
-#: ``fast-`` twin; tests/test_fastpath_golden.py derives the twin by
-#: prefixing.
+#: Reference specs recorded in each top-level file.  Every spec here
+#: must have a ``fast-`` twin; the conformance matrix derives the twin
+#: by prefixing.
 ALGORITHMS = (
     "linear",
     "bsd",
@@ -54,94 +41,72 @@ ALGORITHMS = (
 )
 
 #: Cuckoo goldens live in the ``cuckoo/`` subdirectory -- they have no
-#: reference twin, so the main suite's prefixing convention does not
-#: apply (tests/test_cuckoo_golden.py owns them).  Geometries are
-#: chosen to pin different behaviours: the default table, a tiny table
-#: that must resize (and kick, and stash) under the stream, and the
-#: sharded composition.
-CUCKOO_STREAMS = (
-    ("cuckoo_seed101", {"seed": 101, "n_users": 48, "duration": 40.0}),
-    ("cuckoo_seed202", {"seed": 202, "n_users": 96, "duration": 30.0}),
-)
-
-CUCKOO_CHURN_STREAMS = (
-    ("cuckoo_churn_seed404", {"seed": 404, "steps": 4000}),
-)
-
+#: reference twin, so the prefixing convention does not apply.
+#: Geometries are chosen to pin different behaviours: the default
+#: table, a tiny table that must resize (and kick, and stash) under the
+#: stream, and the sharded composition.
 CUCKOO_ALGORITHMS = (
     "fast-cuckoo",
     "fast-cuckoo:buckets=2,slots=2,stash=2,kick=4",
     "sharded-fast-cuckoo:shards=4,buckets=4",
 )
 
+#: (path, stream parameters, specs) per golden file.  TPC/A streams
+#: (``seed``, ``n_users``, ``duration``) replay a static connection
+#: population; churn walks (``seed``, ``steps``) interleave inserts and
+#: removes with the lookups, pinning the remove/evict path the static
+#: streams never touch.  Sizes are kept modest so the JSON stays
+#: reviewable; three seeds x five algorithms still cross every cache,
+#: chain, and miss path.
+GOLDENS = (
+    ("tpca_seed101.json", {"seed": 101, "n_users": 48, "duration": 40.0},
+     ALGORITHMS),
+    ("tpca_seed202.json", {"seed": 202, "n_users": 96, "duration": 30.0},
+     ALGORITHMS),
+    ("tpca_seed303.json", {"seed": 303, "n_users": 24, "duration": 60.0},
+     ALGORITHMS),
+    ("churn_seed404.json", {"seed": 404, "steps": 4000}, ALGORITHMS),
+    ("cuckoo/cuckoo_seed101.json",
+     {"seed": 101, "n_users": 48, "duration": 40.0}, CUCKOO_ALGORITHMS),
+    ("cuckoo/cuckoo_seed202.json",
+     {"seed": 202, "n_users": 96, "duration": 30.0}, CUCKOO_ALGORITHMS),
+    ("cuckoo/cuckoo_churn_seed404.json", {"seed": 404, "steps": 4000},
+     CUCKOO_ALGORITHMS),
+)
 
-def build_golden(seed: int, n_users: int, duration: float) -> dict:
-    stream = golden_stream(seed, n_users=n_users, duration=duration)
-    return {
-        "stream": {"seed": seed, "n_users": n_users, "duration": duration},
-        "packets": len(stream.packets),
-        "decisions": {
-            spec: decision_trace(spec, stream) for spec in ALGORITHMS
-        },
+
+def header(params: dict) -> dict:
+    """A golden file's stream description, as :func:`golden_ops` reads it."""
+    if "steps" in params:
+        walk = churn_ops(params["seed"], steps=params["steps"])
+        return {
+            "mode": "churn",
+            "churn": params,
+            "lookups": sum(1 for op in walk if op[0] == "lookup"),
+        }
+    stream = golden_stream(
+        params["seed"], n_users=params["n_users"], duration=params["duration"]
+    )
+    return {"stream": params, "packets": len(stream.packets)}
+
+
+def build(params: dict, specs) -> dict:
+    golden = header(params)
+    ops = golden_ops(golden)
+    golden["decisions"] = {
+        spec: replay(make_algorithm(spec), ops)[0] for spec in specs
     }
-
-
-def build_churn_golden(seed: int, steps: int, algorithms=ALGORITHMS) -> dict:
-    ops = churn_ops(seed, steps=steps)
-    return {
-        "mode": "churn",
-        "churn": {"seed": seed, "steps": steps},
-        "lookups": sum(1 for op in ops if op[0] == "lookup"),
-        "decisions": {
-            spec: mutation_trace(spec, ops)[0] for spec in algorithms
-        },
-    }
-
-
-def build_cuckoo_golden(seed: int, n_users: int, duration: float) -> dict:
-    stream = golden_stream(seed, n_users=n_users, duration=duration)
-    return {
-        "stream": {"seed": seed, "n_users": n_users, "duration": duration},
-        "packets": len(stream.packets),
-        "decisions": {
-            spec: decision_trace(spec, stream)
-            for spec in CUCKOO_ALGORITHMS
-        },
-    }
+    return golden
 
 
 def main() -> int:
-    for stem, params in STREAMS:
-        path = HERE / f"{stem}.json"
-        golden = build_golden(**params)
+    for name, params, specs in GOLDENS:
+        path = HERE / name
+        path.parent.mkdir(exist_ok=True)
+        golden = build(params, specs)
         path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
         ndecisions = len(next(iter(golden["decisions"].values())))
-        print(f"wrote {path.name}: {golden['packets']} packets,"
-              f" {ndecisions} decisions x {len(ALGORITHMS)} algorithms")
-    for stem, params in CHURN_STREAMS:
-        path = HERE / f"{stem}.json"
-        golden = build_churn_golden(**params)
-        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-        print(f"wrote {path.name}: {golden['churn']['steps']} churn ops,"
-              f" {golden['lookups']} decisions x {len(ALGORITHMS)} algorithms")
-    cuckoo_dir = HERE / "cuckoo"
-    cuckoo_dir.mkdir(exist_ok=True)
-    for stem, params in CUCKOO_STREAMS:
-        path = cuckoo_dir / f"{stem}.json"
-        golden = build_cuckoo_golden(**params)
-        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-        ndecisions = len(next(iter(golden["decisions"].values())))
-        print(f"wrote cuckoo/{path.name}: {golden['packets']} packets,"
-              f" {ndecisions} decisions x {len(CUCKOO_ALGORITHMS)} specs")
-    for stem, params in CUCKOO_CHURN_STREAMS:
-        path = cuckoo_dir / f"{stem}.json"
-        golden = build_churn_golden(
-            **params, algorithms=CUCKOO_ALGORITHMS
-        )
-        path.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-        print(f"wrote cuckoo/{path.name}: {golden['churn']['steps']} churn"
-              f" ops, {golden['lookups']} decisions"
-              f" x {len(CUCKOO_ALGORITHMS)} specs")
+        print(f"wrote {name}: {ndecisions} decisions x {len(specs)} specs")
     return 0
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
-from repro.fastpath.conformance import churn_ops, churn_tuple, mutation_trace
+from repro.fastpath.conformance import churn_ops, churn_tuple, replay, walk_ops
 from repro.lifecycle.metrics import count_interned
 
 #: Every interning spec the registry offers, paired with its reference.
@@ -57,8 +57,8 @@ def test_churn_keeps_interned_bounded_by_live(
     fast_spec, reference_spec, params
 ):
     seed, steps = params
-    ops = churn_ops(seed, steps=steps)
-    _, algorithm = mutation_trace(fast_spec, ops)
+    ops = walk_ops(churn_ops(seed, steps=steps))
+    _, algorithm = replay(make_algorithm(fast_spec), ops)
     live = len(algorithm)
     assert interned_total(algorithm) <= live + 0, (
         f"{fast_spec}: interned keys exceed live connections"
@@ -75,8 +75,8 @@ def test_drained_structure_retains_no_interned_keys(
     fast_spec, reference_spec, params
 ):
     seed, steps = params
-    ops = churn_ops(seed, steps=steps)
-    _, algorithm = mutation_trace(fast_spec, ops)
+    ops = walk_ops(churn_ops(seed, steps=steps))
+    _, algorithm = replay(make_algorithm(fast_spec), ops)
     for pcb in list(algorithm):
         algorithm.remove(pcb.four_tuple)
     assert len(algorithm) == 0
@@ -90,10 +90,10 @@ def test_drained_structure_retains_no_interned_keys(
 @settings(max_examples=15, deadline=None)
 def test_churn_decisions_match_reference(fast_spec, reference_spec, params):
     seed, steps = params
-    ops = churn_ops(seed, steps=steps)
-    expected, _ = mutation_trace(reference_spec, ops)
-    per_call, _ = mutation_trace(fast_spec, ops)
-    batched, _ = mutation_trace(fast_spec, ops, use_batch=True, batch_size=7)
+    ops = walk_ops(churn_ops(seed, steps=steps))
+    expected, _ = replay(make_algorithm(reference_spec), ops)
+    per_call, _ = replay(make_algorithm(fast_spec), ops)
+    batched, _ = replay(make_algorithm(fast_spec), ops, chunk=7, batched=True)
     assert per_call == expected, fast_spec
     assert batched == expected, fast_spec
 

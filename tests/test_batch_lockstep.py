@@ -7,31 +7,31 @@ chunk size, the same stream is replayed twice with a span collector
 (plus traffic characterizer), a tracer, a connection reaper and a
 profiler attached -- once packet by packet, once in ``lookup_batch``
 chunks -- and everything the hooks recorded must agree: statistics,
-spans, sketch estimates, trace events (timestamps aside), reaper
+spans, sketch estimates, trace events (timestamps included), reaper
 touches and profiler counts.
 
-A virtual clock advances once per chunk in both replays, so span
-times, reaper touches and trace times line up packet for packet.
+These are the hooks rows of the conformance matrix
+(``conformance_matrix.py``): the oracle of a batched cell is the
+per-call replay of the same cell.  The driver's ``tick`` advances a
+virtual clock once per chunk and once per mutation in both replays, so
+span times, reaper touches and trace times line up packet for packet.
+Supervised rows run under a ``ShardSupervisor`` that crashes a shard
+mid-stream and recovers it warm, timed on the same virtual clock.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import pytest
 
-from repro.core.pcb import PCB
+from conformance_matrix import Mode, build, lookups, ops
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
-from repro.fastpath.conformance import churn_ops, churn_tuple, golden_stream
+from repro.fastpath.conformance import replay
 from repro.lifecycle import ConnectionReaper
 from repro.obs.profile import LookupProfiler
 from repro.obs.sketch import TrafficCharacterizer
 from repro.obs.spans import SpanCollector
 from repro.obs.trace import RingBufferSink, Tracer
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 SPECS = [
     "fast-sequent:h=19",
@@ -46,38 +46,14 @@ SPECS = [
     "sharded-fast-cuckoo:shards=4",
     "sequent:h=19",
 ]
+#: Flow-stable sharded specs, for the supervised rows.
+SUPERVISED_SPECS = [
+    "sharded-fast-sequent:shards=4,steer=sticky,h=19",
+    "sharded-fast-cuckoo:shards=4",
+]
 CHUNKS = [1, 2, 7, 256]
-
-
-def _golden(name):
-    return json.loads((GOLDEN_DIR / name).read_text())
-
-
-def tpca_ops():
-    """The seed-202 golden TPC/A stream: its population, then lookups."""
-    params = _golden("tpca_seed202.json")["stream"]
-    stream = golden_stream(
-        params["seed"], n_users=params["n_users"], duration=params["duration"]
-    )
-    ops = [("insert", tup) for tup in stream.tuples]
-    ops += [("lookup", tup, kind) for tup, kind in stream.packets]
-    return ops
-
-
-def churn_seed404_ops():
-    """The churn_seed404 golden walk, as four-tuple operations."""
-    params = _golden("churn_seed404.json")["churn"]
-    ops = []
-    for op in churn_ops(params["seed"], steps=params["steps"]):
-        if op[0] == "lookup":
-            kind = PacketKind.DATA if op[2] == "data" else PacketKind.ACK
-            ops.append(("lookup", churn_tuple(op[1]), kind))
-        else:
-            ops.append((op[0], churn_tuple(op[1])))
-    return ops
-
-
-STREAMS = {"tpca_seed202": tpca_ops(), "churn_seed404": churn_seed404_ops()}
+#: The seed-202 golden TPC/A stream and the churn_seed404 golden walk.
+STREAMS = ["churn_seed404", "tpca_seed202"]
 
 
 class Clock:
@@ -88,6 +64,9 @@ class Clock:
 
     def __call__(self) -> float:
         return self.now
+
+    def tick(self) -> None:
+        self.now += 1.0
 
 
 class RecordingReaper(ConnectionReaper):
@@ -107,10 +86,10 @@ class RecordingReaper(ConnectionReaper):
         super().note_touches(tuples)
 
 
-def observed_replay(spec, ops, chunk, batched):
-    """Replay ``ops`` with every hook attached; return what they saw."""
+def observed_replay(spec, stream, mode, batched):
+    """Replay one cell with every hook attached; return what they saw."""
     clock = Clock()
-    algorithm = make_algorithm(spec)
+    algorithm = build(spec, stream, mode, clock=clock)
     collector = SpanCollector(sample_every=5, clock=clock).attach(algorithm)
     characterizer = TrafficCharacterizer().attach(collector)
     finished = []
@@ -120,34 +99,8 @@ def observed_replay(spec, ops, chunk, batched):
     algorithm.tracer = tracer
     reaper = RecordingReaper(algorithm, idle_timeout=1e9, clock=clock)
     profiler = LookupProfiler(sample_every=3).attach(algorithm)
-
-    pending = []
-
-    def flush():
-        for start in range(0, len(pending), chunk):
-            packets = pending[start:start + chunk]
-            clock.now += 1.0
-            if batched:
-                algorithm.lookup_batch(packets)
-            else:
-                for tup, kind in packets:
-                    algorithm.lookup(tup, kind)
-        pending.clear()
-
-    for op in ops:
-        if op[0] == "lookup":
-            pending.append((op[1], op[2]))
-            continue
-        flush()
-        clock.now += 1.0
-        if op[0] == "insert":
-            algorithm.insert(PCB(op[1]))
-        else:
-            algorithm.remove(op[1])
-    flush()
-    events = [event.to_dict() for event in sink.events]
-    for event in events:
-        del event["time"]
+    replay(algorithm, ops(stream), chunk=mode.chunk, batched=batched, tick=clock.tick)
+    events = list(sink.events)
     return {
         "stats": algorithm.stats.as_dict(),
         "spans": finished,
@@ -164,43 +117,52 @@ def observed_replay(spec, ops, chunk, batched):
             for pcb in algorithm
         },
         "profiler": (profiler.lookups, profiler.samples, profiler.overflowed),
+        "recoveries": [event.mode for event in getattr(algorithm, "events", ())],
     }
 
 
-@pytest.mark.parametrize("stream", sorted(STREAMS))
-@pytest.mark.parametrize("chunk", CHUNKS)
-@pytest.mark.parametrize("spec", SPECS)
-def test_batched_hooks_match_per_call(spec, chunk, stream):
-    ops = STREAMS[stream]
-    per_call = observed_replay(spec, ops, chunk, batched=False)
-    batched = observed_replay(spec, ops, chunk, batched=True)
+def assert_lockstep(spec, stream, mode):
+    per_call = observed_replay(spec, stream, mode, batched=False)
+    batched = observed_replay(spec, stream, mode, batched=True)
     for key in per_call:
         assert batched[key] == per_call[key], key
     # The replay exercised every hook, not an idle one.
-    lookups = sum(1 for op in ops if op[0] == "lookup")
-    assert per_call["stats"]["lookups"] == lookups
-    assert per_call["span_counters"][0] == lookups
+    count = lookups(stream)
+    assert per_call["stats"]["lookups"] == count
+    assert per_call["span_counters"][0] == count
     assert per_call["spans"] and per_call["touches"]
-    assert per_call["profiler"][:2] == (lookups, lookups // 3)
-    assert sum(e["kind"] == "lookup" for e in per_call["events"]) == lookups
+    assert per_call["profiler"][:2] == (count, count // 3)
+    assert sum(e.kind == "lookup" for e in per_call["events"]) == count
+    assert per_call["recoveries"] == (["warm"] if mode.crash is not None else [])
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("spec", SPECS)
+def test_batched_hooks_match_per_call(spec, chunk, stream):
+    assert_lockstep(spec, stream, Mode(chunk=chunk))
+
+
+@pytest.mark.parametrize("stream", STREAMS)
+@pytest.mark.parametrize("spec", SUPERVISED_SPECS)
+def test_supervised_hooks_match_per_call(spec, stream):
+    """Under a supervisor that crashes a shard mid-stream and recovers
+    it warm, the hooks see the same per call and batched (the
+    supervisor times its recoveries on the virtual clock too)."""
+    assert_lockstep(spec, stream, Mode(chunk=7, crash=1))
 
 
 def test_fast_batches_count_once_with_hooks_attached():
-    ops = STREAMS["tpca_seed202"]
     algorithm = make_algorithm("fast-sequent:h=19")
     SpanCollector().attach(algorithm)
     LookupProfiler().attach(algorithm)
     algorithm.tracer = Tracer(RingBufferSink())
     ConnectionReaper(algorithm, idle_timeout=60.0)
-    for op in ops:
-        if op[0] == "insert":
-            algorithm.insert(PCB(op[1]))
-    packets = [(op[1], op[2]) for op in ops if op[0] == "lookup"]
-    algorithm.lookup_batch(packets)
+    # The population, then every lookup in one lookup_batch call.
+    count = lookups("tpca_seed202")
+    replay(algorithm, ops("tpca_seed202"), chunk=count, batched=True)
     counters = algorithm.fastpath_counters
-    assert (counters.batch_calls, counters.batched_lookups) == (
-        1, len(packets)
-    )
+    assert (counters.batch_calls, counters.batched_lookups) == (1, count)
 
 
 @pytest.mark.parametrize("spec", [
@@ -209,21 +171,16 @@ def test_fast_batches_count_once_with_hooks_attached():
 ])
 def test_batch_inside_an_outer_packet_context_joins_it(spec):
     """Under a context an outer layer opened, a batch joins its span."""
-    ops = STREAMS["tpca_seed202"]
-    tuples = [op[1] for op in ops if op[0] == "insert"]
-    packets = [(tuples[0], PacketKind.DATA), (tuples[1], PacketKind.ACK)]
+    population = [op for op in ops("tpca_seed202") if op[0] == "insert"]
+    first, second = population[0][1], population[1][1]
+    packets = [("lookup", first, PacketKind.DATA), ("lookup", second, PacketKind.ACK)]
 
     def joined(batched):
         algorithm = make_algorithm(spec)
         collector = SpanCollector(sample_every=1).attach(algorithm)
-        for tup in tuples:
-            algorithm.insert(PCB(tup))
-        collector.open_packet(tuples[0], PacketKind.DATA, owner="outer")
-        if batched:
-            algorithm.lookup_batch(packets)
-        else:
-            for tup, kind in packets:
-                algorithm.lookup(tup, kind)
+        replay(algorithm, population)
+        collector.open_packet(first, PacketKind.DATA, owner="outer")
+        replay(algorithm, packets, batched=batched)
         span = collector.close_packet("outer")
         return span.to_dict(), collector.packets_seen
 

@@ -2,50 +2,25 @@
 
 The cuckoo table has no reference twin to differential-test against, so
 its committed goldens (``tests/golden/cuckoo/*.json``) carry the full
-conformance load: per-call, batched (several sizes), and -- via the
-resumed-trace helpers -- restored-from-snapshot replays must all
-reproduce the committed decisions byte-for-byte.  The churn golden pins
-the mutation-heavy path (kickouts, stash traffic, resizes, drains) that
-static streams barely touch.
+conformance load: per-call, batched (several sizes), and
+restored-from-snapshot replays must all reproduce the committed
+decisions byte-for-byte (rows of ``conformance_matrix.py``).  The churn
+golden pins the mutation-heavy path (kickouts, stash traffic, resizes,
+drains) that static streams barely touch.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import pytest
 
-from repro.fastpath.conformance import (
-    churn_ops,
-    decision_trace,
-    golden_stream,
-    mutation_trace,
-    resumed_decision_trace,
-    resumed_mutation_trace,
-)
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden" / "cuckoo"
-GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+from conformance_matrix import CUCKOO_GOLDENS, GOLDEN_DIR, Mode, check
 
 STREAM_GOLDENS = []
 CHURN_GOLDENS = []
-for path in GOLDEN_FILES:
-    golden = json.loads(path.read_text())
-    bucket = CHURN_GOLDENS if golden.get("mode") == "churn" else STREAM_GOLDENS
-    for spec, decisions in golden["decisions"].items():
-        bucket.append(
-            pytest.param(golden, spec, decisions, id=f"{path.stem}-{spec}")
-        )
-
-
-def _stream_of(golden):
-    params = golden["stream"]
-    return golden_stream(
-        params["seed"],
-        n_users=params["n_users"],
-        duration=params["duration"],
-    )
+for stem, golden in CUCKOO_GOLDENS.items():
+    bucket = CHURN_GOLDENS if "churn" in golden else STREAM_GOLDENS
+    for spec in golden["decisions"]:
+        bucket.append(pytest.param(stem, spec, id=f"{stem}-{spec}"))
 
 
 def test_golden_files_exist():
@@ -54,66 +29,40 @@ def test_golden_files_exist():
 
 
 class TestStreamGoldens:
-    @pytest.mark.parametrize("golden,spec,decisions", STREAM_GOLDENS)
-    def test_per_call(self, golden, spec, decisions):
-        stream = _stream_of(golden)
-        assert decision_trace(spec, stream) == decisions
+    @pytest.mark.parametrize("stream,spec", STREAM_GOLDENS)
+    def test_per_call(self, stream, spec):
+        check(spec, stream)
 
-    @pytest.mark.parametrize("golden,spec,decisions", STREAM_GOLDENS)
+    @pytest.mark.parametrize("stream,spec", STREAM_GOLDENS)
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_batched(self, golden, spec, decisions, batch_size):
-        stream = _stream_of(golden)
-        trace = decision_trace(
-            spec, stream, use_batch=True, batch_size=batch_size
-        )
-        assert trace == decisions
+    def test_batched(self, stream, spec, batch_size):
+        check(spec, stream, Mode(chunk=batch_size))
 
-    @pytest.mark.parametrize("golden,spec,decisions", STREAM_GOLDENS)
+    @pytest.mark.parametrize("stream,spec", STREAM_GOLDENS)
     @pytest.mark.parametrize("split", [0.25, 0.5, 0.75])
-    def test_restored_from_snapshot(self, golden, spec, decisions, split):
-        stream = _stream_of(golden)
-        trace = resumed_decision_trace(spec, stream, split=split)
-        assert trace == decisions
+    def test_restored_from_snapshot(self, stream, spec, split):
+        check(spec, stream, Mode(restore=split))
 
-    @pytest.mark.parametrize("golden,spec,decisions", STREAM_GOLDENS)
-    def test_restored_then_batched(self, golden, spec, decisions):
-        stream = _stream_of(golden)
-        trace = resumed_decision_trace(spec, stream, use_batch=True)
-        assert trace == decisions
+    @pytest.mark.parametrize("stream,spec", STREAM_GOLDENS)
+    def test_restored_then_batched(self, stream, spec):
+        check(spec, stream, Mode(chunk=64, restore=0.5))
 
 
 class TestChurnGoldens:
-    @pytest.mark.parametrize("golden,spec,decisions", CHURN_GOLDENS)
-    def test_per_call(self, golden, spec, decisions):
-        ops = churn_ops(
-            golden["churn"]["seed"], steps=golden["churn"]["steps"]
-        )
-        trace, algorithm = mutation_trace(spec, ops)
-        assert trace == decisions
-        # The leak contract must hold at the end of the storm too.
-        interned = getattr(algorithm, "interned_entries", None)
-        if interned is not None:
-            assert interned == len(algorithm)
+    # Every churn cell also takes the leak census (``check``).
 
-    @pytest.mark.parametrize("golden,spec,decisions", CHURN_GOLDENS)
-    def test_batched(self, golden, spec, decisions):
-        ops = churn_ops(
-            golden["churn"]["seed"], steps=golden["churn"]["steps"]
-        )
-        trace, _ = mutation_trace(spec, ops, use_batch=True)
-        assert trace == decisions
+    @pytest.mark.parametrize("stream,spec", CHURN_GOLDENS)
+    def test_per_call(self, stream, spec):
+        check(spec, stream)
 
-    @pytest.mark.parametrize("golden,spec,decisions", CHURN_GOLDENS)
+    @pytest.mark.parametrize("stream,spec", CHURN_GOLDENS)
+    def test_batched(self, stream, spec):
+        check(spec, stream, Mode(chunk=32))
+
+    @pytest.mark.parametrize("stream,spec", CHURN_GOLDENS)
     @pytest.mark.parametrize("split", [0.3, 0.6])
-    def test_restored_mid_churn(self, golden, spec, decisions, split):
+    def test_restored_mid_churn(self, stream, spec, split):
         """Snapshot/restore mid-churn, then keep mutating: the layout
         (kickout placement, stash order, pre-filters) must survive
         restore exactly or the remaining churn diverges."""
-        ops = churn_ops(
-            golden["churn"]["seed"], steps=golden["churn"]["steps"]
-        )
-        trace, restored = resumed_mutation_trace(spec, ops, split=split)
-        assert trace == decisions
-        interned = getattr(restored, "interned_entries", None)
-        if interned is not None:
-            assert interned == len(restored)
+        check(spec, stream, Mode(restore=split))

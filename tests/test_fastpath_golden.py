@@ -11,128 +11,83 @@ python tests/golden/generate_golden.py``).  Two stream shapes:
   (including the fast path's intern-table eviction) that the static
   streams never touch.
 
-Each golden is asserted byte-for-byte three ways: the references still
-reproduce their own traces (semantic drift in ``repro.core`` shows up
-here first), each ``fast-`` twin reproduces them per-call, and each
-twin reproduces them through ``lookup_batch`` at awkward batch sizes.
+These rows of the conformance matrix (``conformance_matrix.py``) assert
+each golden byte-for-byte: the references still reproduce their own
+traces (semantic drift in ``repro.core`` shows up here first), each
+``fast-`` twin reproduces them per call and through ``lookup_batch`` at
+awkward chunk sizes, and the sharded fast layouts -- hash, rr and
+sticky steering -- match their sharded references.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import pytest
 
-from repro.fastpath.conformance import (
-    churn_ops,
-    decision_trace,
-    golden_stream,
-    mutation_trace,
-)
-
-GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
-GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+from conformance_matrix import GOLDENS, Mode, check, lookups, run, sharded
+from repro.lifecycle.metrics import count_interned
 
 
-def load_golden(path: pathlib.Path) -> dict:
-    return json.loads(path.read_text())
-
-
-@pytest.fixture(scope="module", params=[p.name for p in GOLDEN_FILES])
+@pytest.fixture(params=sorted(GOLDENS), ids=lambda stem: f"{stem}.json")
 def golden(request):
-    """One golden file plus a mode-appropriate replay closure.
-
-    ``replay(spec, use_batch=..., batch_size=...)`` returns the
-    decision trace of ``spec`` on this golden's stream, whatever its
-    mode, so every assertion below is mode-agnostic.
-    """
-    data = load_golden(GOLDEN_DIR / request.param)
-    if data.get("mode") == "churn":
-        ops = churn_ops(data["churn"]["seed"], steps=data["churn"]["steps"])
-
-        def replay(spec, *, use_batch=False, batch_size=64):
-            return mutation_trace(
-                spec, ops, use_batch=use_batch, batch_size=batch_size
-            )[0]
-    else:
-        stream = golden_stream(
-            data["stream"]["seed"],
-            n_users=data["stream"]["n_users"],
-            duration=data["stream"]["duration"],
-        )
-
-        def replay(spec, *, use_batch=False, batch_size=64):
-            return decision_trace(
-                spec, stream, use_batch=use_batch, batch_size=batch_size
-            )
-    return data, replay
+    """One golden stream's stem; its specs are ``GOLDENS[stem]["decisions"]``."""
+    return request.param
 
 
 def test_golden_files_exist():
-    assert len(GOLDEN_FILES) >= 4, (
+    assert len(GOLDENS) >= 4, (
         "golden traces missing; run tests/golden/generate_golden.py"
     )
-    modes = {load_golden(path).get("mode", "tpca") for path in GOLDEN_FILES}
-    assert "churn" in modes, (
+    assert any("churn" in data for data in GOLDENS.values()), (
         "churn golden missing; run tests/golden/generate_golden.py"
     )
 
 
 def test_stream_shape_matches_golden(golden):
-    data, _ = golden
-    expected = (
-        data["lookups"] if data.get("mode") == "churn" else None
-    )
-    for spec, decisions in data["decisions"].items():
-        if expected is None:
-            expected = len(decisions)
+    expected = lookups(golden)
+    assert GOLDENS[golden].get("lookups", expected) == expected
+    for spec, decisions in GOLDENS[golden]["decisions"].items():
         assert len(decisions) == expected, spec
 
 
 def test_reference_reproduces_golden(golden):
-    data, replay = golden
-    for spec, expected in data["decisions"].items():
-        assert replay(spec) == expected, spec
+    for spec in GOLDENS[golden]["decisions"]:
+        check(spec, golden)
 
 
 def test_fast_reproduces_golden_per_call(golden):
-    data, replay = golden
-    for spec, expected in data["decisions"].items():
-        assert replay(f"fast-{spec}") == expected, spec
+    for spec in GOLDENS[golden]["decisions"]:
+        check(f"fast-{spec}", golden)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 64, 256])
 def test_fast_reproduces_golden_batched(golden, batch_size):
-    data, replay = golden
-    for spec, expected in data["decisions"].items():
-        trace = replay(f"fast-{spec}", use_batch=True, batch_size=batch_size)
-        assert trace == expected, (spec, batch_size)
+    for spec in GOLDENS[golden]["decisions"]:
+        check(f"fast-{spec}", golden, Mode(chunk=batch_size))
 
 
 def test_sharded_fast_matches_sharded_reference(golden):
     # The composed prefixes: sharded facade over fast shards, batched.
     # Sharding changes examined counts (each shard scans its own slice),
-    # so the oracle is the sharded *reference*, replayed per-call.
-    data, replay = golden
-    for spec in data["decisions"]:
-        name, _, params = spec.partition(":")
-        suffix = f",{params}" if params else ""
-        reference = replay(f"sharded-{name}:shards=4" + suffix)
-        fast = replay(
-            f"sharded-fast-{name}:shards=4" + suffix, use_batch=True
-        )
-        assert fast == reference, spec
+    # so the oracle is the sharded *reference*, replayed per call.
+    for spec in GOLDENS[golden]["decisions"]:
+        check(sharded(f"fast-{spec}"), golden, Mode(chunk=64))
+
+
+@pytest.mark.parametrize("steer", ["rr", "sticky"])
+def test_steered_sharded_fast_matches_sharded_reference(golden, steer):
+    for spec in GOLDENS[golden]["decisions"]:
+        check(sharded(f"fast-{spec}", steer), golden, Mode(chunk=64))
 
 
 def test_churn_leaves_intern_tables_exactly_live(golden):
-    # Memory-bounds contract on the golden churn stream: after the
-    # walk, each fast structure holds one interned key per live
-    # connection -- no retained memos for removed or probed-only ones.
-    data, _ = golden
-    if data.get("mode") != "churn":
+    # Memory-bounds contract on the golden churn stream: every churn
+    # cell holds one interned key per live connection (``check`` takes
+    # that census), and draining the survivors leaves none behind.
+    if "churn" not in GOLDENS[golden]:
         pytest.skip("intern-table census only applies to churn goldens")
-    ops = churn_ops(data["churn"]["seed"], steps=data["churn"]["steps"])
-    for spec in data["decisions"]:
-        _, algorithm = mutation_trace(f"fast-{spec}", ops)
-        assert algorithm.interned_entries == len(algorithm), spec
+    for spec in GOLDENS[golden]["decisions"]:
+        _, algorithm = run(f"fast-{spec}", golden)
+        assert count_interned(algorithm) == len(algorithm) > 0, spec
+        for pcb in list(algorithm):
+            algorithm.remove(pcb.four_tuple)
+        assert count_interned(algorithm) == 0, spec

@@ -19,30 +19,20 @@ must return exactly what ``list.index`` returns.  These tests pin:
 
 from __future__ import annotations
 
-import json
-import pathlib
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from conformance_matrix import ops
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
-from repro.fastpath.conformance import (
-    churn_ops,
-    churn_tuple,
-    decision_trace,
-    golden_stream,
-    mutation_trace,
-    resumed_mutation_trace,
-)
+from repro.fastpath.conformance import churn_ops, churn_tuple, replay, walk_ops
 from repro.fastpath.keycache import ABSENT_KEY, OrdinalKeyCache
 from repro.fastpath.tables import MTFSlotTable, SlotTable
 from repro.recovery import ShardSupervisor, restore_bytes, snapshot_bytes
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 #: The list-shaped fast structures whose chains stay sorted, plain and
 #: sharded.
@@ -190,20 +180,11 @@ class TestSequentBatchPaths:
     short chains (96 flows over 19) and long ones (over 2); seed-202
     golden stream, 256-packet chunks, stray misses included."""
 
-    @pytest.fixture(scope="class")
-    def stream(self):
-        golden = json.loads((GOLDEN_DIR / "tpca_seed202.json").read_text())
-        params = golden["stream"]
-        return golden_stream(
-            params["seed"],
-            n_users=params["n_users"],
-            duration=params["duration"],
-        )
-
     @pytest.mark.parametrize("spec", ["fast-sequent:h=19", "fast-sequent:h=2"])
-    def test_batched_equals_per_call(self, stream, spec):
-        per_call = decision_trace(spec, stream)
-        batched = decision_trace(spec, stream, use_batch=True, batch_size=256)
+    def test_batched_equals_per_call(self, spec):
+        stream = ops("tpca_seed202")
+        per_call, _ = replay(make_algorithm(spec), stream)
+        batched, _ = replay(make_algorithm(spec), stream, chunk=256, batched=True)
         assert batched == per_call
 
 
@@ -219,21 +200,24 @@ def test_bisect_scan_matches_list_index_at_2000():
 class TestChainsStaySorted:
     @pytest.mark.parametrize("spec", ORDERED_SPECS)
     def test_after_churn_walk(self, spec):
-        _, algorithm = mutation_trace(spec, churn_ops(5, steps=1500))
+        churn = walk_ops(churn_ops(5, steps=1500))
+        _, algorithm = replay(make_algorithm(spec), churn)
         assert len(algorithm) > 0
         assert_ascending(algorithm)
 
     @pytest.mark.parametrize("spec", ORDERED_SPECS)
     def test_after_snapshot_restore(self, spec):
-        ops = churn_ops(6, steps=1200)
-        _, algorithm = mutation_trace(spec, ops)
+        churn = walk_ops(churn_ops(6, steps=1200))
+        _, algorithm = replay(make_algorithm(spec), churn)
         restored = restore_bytes(snapshot_bytes(algorithm))
         assert_ascending(restored)
         assert [pcb.four_tuple for pcb in restored] == [
             pcb.four_tuple for pcb in algorithm
         ]
         # ...and it stays sorted while the churn goes on after a restore.
-        _, resumed = resumed_mutation_trace(spec, ops, use_batch=True)
+        _, resumed = replay(
+            make_algorithm(spec), churn, chunk=32, batched=True, restore_after=300
+        )
         assert_ascending(resumed)
 
     def test_after_supervised_warm_recovery(self):
@@ -280,17 +264,17 @@ def test_ordinal_cache_numbers_tuples_down_and_never_reuses():
 
 
 def test_position_of_and_membership_after_churn_walk():
-    ops = churn_ops(8, steps=1500)
-    _, fast = mutation_trace("fast-mtf", ops)
-    _, reference = mutation_trace("mtf", ops)
+    walk = churn_ops(8, steps=1500)
+    _, fast = replay(make_algorithm("fast-mtf"), walk_ops(walk))
+    _, reference = replay(make_algorithm("mtf"), walk_ops(walk))
     live = [pcb.four_tuple for pcb in reference]
     assert live
     for tup in live:
         assert tup in fast
         assert fast.position_of(tup) == reference.position_of(tup)
-    removed = [churn_tuple(op[1]) for op in ops if op[0] == "remove"]
+    removed = [churn_tuple(op[1]) for op in walk if op[0] == "remove"]
     assert removed
-    for tup in removed + [churn_tuple(len(ops) + 1)]:
+    for tup in removed + [churn_tuple(len(walk) + 1)]:
         assert (tup in fast) == (tup in reference)
         if tup not in reference:
             with pytest.raises(KeyError):

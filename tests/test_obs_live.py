@@ -291,6 +291,13 @@ class TestServeMetricsCLI:
                     port = int(match.group(1))
                     break
             assert port, "telemetry announcement never appeared on stderr"
+            # The run is over (final publish done, summary flushed) once
+            # the hold is announced.
+            held = any(
+                "holding telemetry server" in process.stderr.readline()
+                for _ in range(200)
+            )
+            assert held, "the --serve-hold never began"
             base = f"http://127.0.0.1:{port}"
             status, _, body = _get(f"{base}/metrics")
             assert status == 200

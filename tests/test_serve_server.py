@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
-from repro.fastpath.conformance import decision_trace
+from repro.fastpath.conformance import replay, stream_ops
 from repro.serve.clock import WallClockAdapter
 from repro.serve.loadgen import LoadConfig, LoadGenerator, frame_plan
 from repro.serve.protocol import (
@@ -298,9 +298,11 @@ class TestRecordReplayBridge:
         assert first.tuples == second.tuples
         assert first.packets == second.packets
         for spec in ("bsd", "fast-sequent:h=19"):
-            assert decision_trace(spec, first) == decision_trace(
-                spec, second
-            )
+            traces = [
+                replay(make_algorithm(spec), stream_ops(stream))[0]
+                for stream in (first, second)
+            ]
+            assert traces[0] == traces[1]
 
     def test_capture_reflects_what_the_swarm_sent(self, tmp_path):
         load = LoadConfig(clients=5, frames=10, seed=4)

@@ -4,22 +4,22 @@ from repro.core.bsd import BSDDemux
 from repro.core.sendrecv import SendRecvDemux
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
+from repro.obs.trace import RingBufferSink, Tracer
 from repro.packet.addresses import FourTuple
 from repro.packet.builder import make_ack, make_data
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
-from repro.sim.trace import Tracer
 from repro.tcpstack.stack import HostStack
 
 
-def build(algorithm=None, tracer=None):
+def build(algorithm=None):
     sim = Simulator()
     net = Network(sim, default_delay=0.0005)
     # Note: empty demux structures are falsy (len() == 0), so an
     # ``algorithm or BSDDemux()`` default would silently discard them.
     if algorithm is None:
         algorithm = BSDDemux()
-    server = HostStack(sim, net, "10.0.0.1", algorithm, tracer=tracer)
+    server = HostStack(sim, net, "10.0.0.1", algorithm)
     client = HostStack(sim, net, "10.0.1.1", BSDDemux())
     return sim, net, server, client
 
@@ -118,13 +118,14 @@ class TestPortAllocation:
 
 class TestTracing:
     def test_demux_events_traced(self):
-        tracer = Tracer(enabled=True)
-        sim, net, server, client = build(tracer=tracer)
+        sim, net, server, client = build()
+        sink = RingBufferSink()
+        server.demux.tracer = Tracer(sink)
         server.listen(80)
         client.connect("10.0.0.1", 80)
         sim.run(until=1.0)
-        demux_events = tracer.by_category().get("demux", [])
-        assert len(demux_events) == server.packets_received
+        lookups = [event for event in sink.events if event.kind == "lookup"]
+        assert len(lookups) == server.packets_received > 0
 
     def test_repr(self):
         sim, net, server, client = build()
