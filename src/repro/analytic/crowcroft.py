@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate
-
 from .binomial import binomial_mean_direct
 
 __all__ = [
@@ -109,6 +107,10 @@ def entry_cost_quadrature(
     n_users: int, rate: float, response_time: float, *, examined: bool = False
 ) -> float:
     """Eq. 5 by adaptive quadrature, validating the closed form."""
+    # Imported here, not at module top: every importer of repro.analytic
+    # would otherwise pay for loading scipy.
+    from scipy import integrate
+
     _check(n_users, rate)
     if response_time < 0:
         raise ValueError(f"response time must be non-negative: {response_time}")

@@ -40,8 +40,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate
-
 __all__ = [
     "survive_probability_case1",
     "survive_probability_case2",
@@ -123,6 +121,10 @@ def case1_cost_quadrature(
     n_users: int, rate: float, response_time: float, rtt: float
 ) -> float:
     """Eq. 10 integrated numerically (validates :func:`case1_cost`)."""
+    # Imported here, not at module top: every importer of repro.analytic
+    # would otherwise pay for loading scipy.
+    from scipy import integrate
+
     _check(n_users, rate, response_time, rtt)
     a, n = rate, n_users
     s = response_time + rtt
@@ -150,6 +152,8 @@ def case2_cost_quadrature(
     n_users: int, rate: float, response_time: float, rtt: float
 ) -> float:
     """Eq. 13 integrated numerically (validates :func:`case2_cost`)."""
+    from scipy import integrate
+
     _check(n_users, rate, response_time, rtt)
     a, n = rate, n_users
     s = response_time + rtt

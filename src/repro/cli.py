@@ -1,24 +1,11 @@
 """Command-line interface: ``repro-demux``.
 
-Subcommands::
-
-    tables                regenerate the in-text result sets
-    figures               render Figures 4 / 13 / 14 as ASCII
-    validate              run the simulation-vs-analytic check
-    simulate              one workload run against one algorithm
-    obs-report            ASCII dashboard from metrics.json + span JSONL
-    compare               algorithm matrix over one workload
-    fault-matrix          robustness campaign: algorithms x faults x seeds
-    smp-sweep             sharded demux: shard count x steering x batch size
-    serve                 live asyncio front end serving real TCP clients
-    record-info           validate a recorded capture and print its header
-    canary                A/B a candidate algorithm against the incumbent
-    leak-audit            churn + SYN-flood memory-bounds audit of the fast path
-    hash-balance          chain-balance comparison of the hash functions
-    pcap                  summarize a capture written by the simulator
-    recovery-drill        crash a shard mid-run: warm restore vs cold rebuild
-    run-all               write every artifact into an output directory
-    report                print the combined markdown report
+Each subcommand is declared once, in :func:`build_parser`: its name,
+help and options, with ``set_defaults(handler=...)`` binding the
+function that runs it.  An option that sets a library parameter is
+declared with ``default=SUPPRESS`` and a ``dest`` naming that
+parameter, so an option the user did not give is not passed on
+(:func:`_given`) and the library's own default applies.
 
 All output goes to stdout unless ``--out`` is given.
 """
@@ -26,19 +13,14 @@ All output goes to stdout unless ``--out`` is given.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from argparse import SUPPRESS
 from typing import List, Optional
 
 from .core.registry import available_algorithms, make_algorithm
-from .experiments.figures import figure4, figure13, figure14
-from .experiments.report import build_report
-from .experiments.runner import run_all
-from .experiments.simulate import validate_against_analytic
-from .experiments.text_results import all_text_results
-from .hashing.analysis import compare_functions
-from .hashing.functions import HASH_FUNCTIONS
-from .workload.thinktime import make_think_model
-from .workload.tpca import TPCAConfig, TPCADemuxSimulation
+from .obs.profile import DEFAULT_SAMPLE_EVERY
+from .obs.spans import DEFAULT_SPAN_SAMPLE_EVERY
 
 __all__ = ["main", "build_parser"]
 
@@ -52,10 +34,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    spec_help = f"spec, e.g. {', '.join(available_algorithms())}"
 
-    sub.add_parser("tables", help="regenerate the paper's in-text results")
+    tables = sub.add_parser(
+        "tables", help="regenerate the paper's in-text results"
+    )
+    tables.set_defaults(handler=_cmd_tables)
 
     figures = sub.add_parser("figures", help="render Figures 4, 13, 14")
+    figures.set_defaults(handler=_cmd_figures)
+    # 41 points, as report.md renders them; the library's default is 51.
     figures.add_argument("--points", type=int, default=41)
     figures.add_argument(
         "--figure", choices=("4", "13", "14"), help="just one figure"
@@ -64,32 +52,38 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="simulation vs. analytic model"
     )
-    validate.add_argument("--users", type=int, default=500)
-    validate.add_argument("--seed", type=int, default=7)
-    validate.add_argument("--duration", type=float, default=120.0)
+    validate.set_defaults(handler=_cmd_validate)
+    validate.add_argument("--users", type=int, dest="n_users", default=SUPPRESS)
+    validate.add_argument("--seed", type=int, default=SUPPRESS)
+    validate.add_argument("--duration", type=float, default=SUPPRESS)
     validate.add_argument(
         "--algorithms",
         nargs="+",
-        help="subset to run (default: all)",
+        default=SUPPRESS,
+        help="subset to run",
     )
 
     simulate = sub.add_parser(
         "simulate", help="one TPC/A run against one algorithm"
     )
+    simulate.set_defaults(handler=_cmd_simulate)
     simulate.add_argument(
         "--algorithm",
         default="sequent:h=19",
-        help=f"spec, e.g. {', '.join(available_algorithms())}",
+        help=spec_help,
     )
-    simulate.add_argument("--users", type=int, default=500)
-    simulate.add_argument("--response-time", type=float, default=0.2)
-    simulate.add_argument("--rtt", type=float, default=0.001)
-    simulate.add_argument("--duration", type=float, default=120.0)
-    simulate.add_argument("--seed", type=int, default=1)
+    # 500, not TPCAConfig's 2,000: the population validate and run-all use.
+    simulate.add_argument("--users", type=int, dest="n_users", default=500)
+    simulate.add_argument("--response-time", type=float, default=SUPPRESS)
+    simulate.add_argument(
+        "--rtt", type=float, dest="round_trip", default=SUPPRESS
+    )
+    simulate.add_argument("--duration", type=float, default=SUPPRESS)
+    simulate.add_argument("--seed", type=int, default=SUPPRESS)
     simulate.add_argument(
         "--think-model",
         choices=("exponential", "truncated", "deterministic"),
-        default="exponential",
+        default=SUPPRESS,
     )
     simulate.add_argument(
         "--full-stack",
@@ -118,15 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     simulate.add_argument(
-        "--crash-shards",
-        metavar="SPEC",
-        help=(
-            "kill shards mid-run: 'S@P,...' crashes shard S before"
-            " packet P, or 'K[:W]' crashes K seeded shards within the"
-            " first W packets (default window 1000)"
-        ),
-    )
-    simulate.add_argument(
         "--detect-after",
         type=int,
         default=0,
@@ -144,18 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
             " (keys: p99, drop, imbalance, retained)"
         ),
     )
-    simulate.add_argument(
-        "--max-connections",
-        type=int,
-        default=None,
-        help="bound the server's PCB table (full-stack only)",
-    )
-    simulate.add_argument(
-        "--overflow-policy",
-        choices=("reject-new", "evict-oldest-embryonic"),
-        default="reject-new",
-        help="what a full bounded table does with new SYNs",
-    )
+    _add_table_bound(simulate)
     simulate.add_argument(
         "--idle-timeout",
         type=float,
@@ -191,15 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--profile",
-        action="store_true",
-        help="sampled perf_counter timing of the lookup hot path",
-    )
-    simulate.add_argument(
-        "--profile-sample-every",
         type=int,
-        default=None,
+        nargs="?",
+        const=DEFAULT_SAMPLE_EVERY,
         metavar="N",
-        help="time one lookup in N (default 64; implies --profile)",
+        help=(
+            "sampled perf_counter timing of the lookup hot path, one"
+            " lookup in N (default %(const)s)"
+        ),
     )
     simulate.add_argument(
         "--spans-out",
@@ -211,7 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="record one packet span in N (default 64; implies spans)",
+        help=(
+            f"record one packet span in N (default"
+            f" {DEFAULT_SPAN_SAMPLE_EVERY}; implies spans)"
+        ),
     )
     simulate.add_argument(
         "--sketch",
@@ -226,18 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="virtual seconds between sketch publishes (default 5)",
+        help="virtual seconds between sketch publishes (default %(default)g)",
     )
-    simulate.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve /metrics, /snapshot.json and /healthz over HTTP"
-            " during the run (0 picks a free port)"
-        ),
-    )
+    _add_serve_metrics(simulate)
     simulate.add_argument(
         "--serve-hold",
         type=float,
@@ -250,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs-report",
         help="ASCII dashboard from a metrics snapshot (+ optional spans)",
     )
+    obs_report.set_defaults(handler=_cmd_obs_report)
     obs_report.add_argument(
         "--metrics",
         required=True,
@@ -270,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="algorithm matrix over one workload"
     )
+    compare.set_defaults(handler=_cmd_compare)
     compare.add_argument(
         "--workload",
         choices=("tpca", "trains", "polling", "mixed", "churn"),
@@ -288,34 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
         "fault-matrix",
         help="robustness campaign: algorithms x fault mixes x seeds",
     )
-    matrix.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=None,
-        help="algorithm specs (default: bsd sendrecv sequent:h=19)",
-    )
+    matrix.set_defaults(handler=_cmd_fault_matrix)
+    matrix.add_argument("--algorithms", nargs="+", default=SUPPRESS)
     matrix.add_argument(
         "--mixes",
         nargs="+",
-        default=None,
+        default=SUPPRESS,
         help=(
             "standard mix names (clean iid5 ge10 chaos) or custom"
             " name=SPEC entries"
         ),
     )
-    matrix.add_argument("--seeds", nargs="+", type=int, default=[1])
-    matrix.add_argument("--users", type=int, default=20)
-    matrix.add_argument("--duration", type=float, default=30.0)
-    matrix.add_argument("--max-connections", type=int, default=None)
-    matrix.add_argument(
-        "--overflow-policy",
-        choices=("reject-new", "evict-oldest-embryonic"),
-        default="reject-new",
-    )
+    matrix.add_argument("--seeds", nargs="+", type=int, default=SUPPRESS)
+    matrix.add_argument("--users", type=int, dest="n_users", default=SUPPRESS)
+    matrix.add_argument("--duration", type=float, default=SUPPRESS)
+    _add_table_bound(matrix)
     matrix.add_argument(
         "--out",
         metavar="DIR",
-        default=None,
         help="write fault_matrix.txt and fault_matrix.json into DIR",
     )
 
@@ -323,53 +282,40 @@ def build_parser() -> argparse.ArgumentParser:
         "smp-sweep",
         help="sharded demux sweep: shard count x steering x batch size",
     )
+    smp.set_defaults(handler=_cmd_smp_sweep)
     smp.add_argument(
         "--algorithms",
         nargs="+",
-        default=None,
-        help="inner algorithm specs (default: bsd sequent:h=19)",
-    )
-    smp.add_argument("--users", type=int, default=1000)
-    smp.add_argument("--duration", type=float, default=30.0)
-    smp.add_argument(
-        "--shards",
-        nargs="+",
-        type=int,
-        default=None,
-        help="shard counts to sweep (default: 1 2 4 8)",
+        default=SUPPRESS,
+        help="inner algorithm specs",
     )
     smp.add_argument(
-        "--steerings",
-        nargs="+",
-        default=None,
-        help="steering policies (default: hash rr sticky)",
+        "--users", type=int, dest="n_connections", default=SUPPRESS
     )
+    smp.add_argument("--duration", type=float, default=SUPPRESS)
+    smp.add_argument(
+        "--shards", nargs="+", type=int, dest="shard_counts", default=SUPPRESS
+    )
+    smp.add_argument("--steerings", nargs="+", default=SUPPRESS)
     smp.add_argument(
         "--batch-sizes",
         nargs="+",
         type=int,
-        default=None,
-        help="coalescing batch sizes, 1 = unbatched (default: 1 64)",
+        default=SUPPRESS,
+        help="coalescing batch sizes, 1 = unbatched",
     )
-    smp.add_argument("--seeds", nargs="+", type=int, default=[7])
+    smp.add_argument("--seeds", nargs="+", type=int, default=SUPPRESS)
     smp.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=SUPPRESS,
         help="worker processes (results are identical for any value)",
     )
-    smp.add_argument("--utilization", type=float, default=0.6)
+    smp.add_argument("--utilization", type=float, default=SUPPRESS)
     smp.add_argument(
         "--out",
         metavar="DIR",
-        default=None,
         help="write smp_sweep.txt and smp_sweep.json into DIR",
-    )
-    smp.add_argument(
-        "--bench-out",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON payload to PATH (e.g. BENCH_smp.json)",
     )
 
     serve = sub.add_parser(
@@ -380,71 +326,59 @@ def build_parser() -> argparse.ArgumentParser:
             " client swarm"
         ),
     )
+    serve.set_defaults(handler=_cmd_serve)
+    serve.add_argument("--algorithm", default=SUPPRESS, help=spec_help)
+    serve.add_argument("--host", default=SUPPRESS)
     serve.add_argument(
-        "--algorithm",
-        default="fast-sequent:h=19",
-        help=f"spec, e.g. {', '.join(available_algorithms())}",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=0, help="0 picks a free port"
+        "--port", type=int, default=SUPPRESS, help="0 picks a free port"
     )
     serve.add_argument(
-        "--clients", type=int, default=10, help="loop-back swarm size"
+        "--clients", type=int, default=SUPPRESS, help="loop-back swarm size"
     )
     serve.add_argument(
-        "--frames", type=int, default=20, help="frames per client"
+        "--frames", type=int, default=SUPPRESS, help="frames per client"
     )
-    serve.add_argument("--seed", type=int, default=7)
+    serve.add_argument("--seed", type=int, default=SUPPRESS)
     serve.add_argument(
         "--concurrency",
         type=int,
-        default=None,
-        help="max clients connected at once (default: all)",
+        default=SUPPRESS,
+        help="max clients connected at once",
     )
     serve.add_argument(
         "--max-sessions",
         type=int,
-        default=None,
+        default=SUPPRESS,
         help="shed connections beyond this many live sessions",
     )
     serve.add_argument(
         "--drain-timeout",
         type=float,
-        default=5.0,
+        default=SUPPRESS,
         metavar="SECONDS",
         help="graceful-shutdown drain before cancelling handlers",
     )
     serve.add_argument(
         "--record",
         metavar="PATH",
-        default=None,
         help="write the served traffic as a recorded-stream capture",
     )
     serve.add_argument(
         "--record-order",
         choices=("canonical", "arrival"),
-        default="canonical",
+        default=SUPPRESS,
         help=(
             "capture ordering: canonical replays byte-identically"
             " across runs; arrival keeps true interleaving"
         ),
     )
-    serve.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "serve /metrics, /snapshot.json and /healthz over HTTP"
-            " during the run (0 picks a free port)"
-        ),
-    )
+    _add_serve_metrics(serve)
 
     record_info = sub.add_parser(
         "record-info",
         help="validate a recorded capture and print its header",
     )
+    record_info.set_defaults(handler=_cmd_record_info)
     record_info.add_argument("file", help="path to a capture .json")
 
     canary = sub.add_parser(
@@ -454,17 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
             " capture; exit 1 blocks the promotion"
         ),
     )
+    canary.set_defaults(handler=_cmd_canary)
     canary.add_argument("candidate", help="candidate algorithm spec")
     canary.add_argument(
         "--incumbent",
         metavar="SPEC",
-        default="fast-sequent:h=19",
+        default=SUPPRESS,
         help="incumbent spec the candidate must beat",
     )
     canary.add_argument(
         "--capture",
         metavar="PATH",
-        default=None,
         help=(
             "recorded capture to replay (e.g. from 'serve --record');"
             " default: a synthetic TPC/A stream"
@@ -486,19 +420,19 @@ def build_parser() -> argparse.ArgumentParser:
     canary.add_argument(
         "--repeats",
         type=int,
-        default=3,
+        default=SUPPRESS,
         help="timed replays per side (best-of-R)",
     )
     canary.add_argument(
         "--pps-margin",
         type=float,
-        default=0.05,
+        default=SUPPRESS,
         help="fractional packets/sec shortfall tolerated",
     )
     canary.add_argument(
         "--examined-margin",
         type=float,
-        default=0.10,
+        default=SUPPRESS,
         help="fractional p99-examined excess tolerated",
     )
     canary.add_argument(
@@ -514,20 +448,21 @@ def build_parser() -> argparse.ArgumentParser:
             " algorithm, then audit interned keys vs live connections"
         ),
     )
+    leak.set_defaults(handler=_cmd_leak_audit)
     leak.add_argument(
         "--algorithms",
         nargs="+",
-        default=None,
+        default=["fast-sequent:h=19", "sharded-fast-sequent:shards=4,h=19"],
         help=(
-            "specs to audit (default: fast-sequent:h=19"
-            " sharded-fast-sequent:shards=4,h=19)"
+            "specs to audit; by default the plain fast path and the"
+            " sharded facade, whose shards intern independently"
         ),
     )
     leak.add_argument("--seeds", nargs="+", type=int, default=[1])
     leak.add_argument(
         "--steps",
         type=int,
-        default=10000,
+        default=SUPPRESS,
         help="churn-storm mutation steps per cell",
     )
     leak.add_argument(
@@ -545,12 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     balance = sub.add_parser(
         "hash-balance", help="hash function balance comparison"
     )
+    balance.set_defaults(handler=_cmd_hash_balance)
     balance.add_argument("--users", type=int, default=2000)
     balance.add_argument("--chains", type=int, default=19)
 
     pcap = sub.add_parser(
         "pcap", help="summarize a capture written by the simulator"
     )
+    pcap.set_defaults(handler=_cmd_pcap)
     pcap.add_argument("file", help="path to a .pcap file")
     pcap.add_argument(
         "--flows", action="store_true", help="per-flow breakdown"
@@ -563,52 +500,97 @@ def build_parser() -> argparse.ArgumentParser:
             " rebuild (writes recovery_drill.{txt,json})"
         ),
     )
+    drill.set_defaults(handler=_cmd_recovery_drill)
     drill.add_argument(
         "--algorithms",
         nargs="+",
         metavar="SPEC",
-        help="sharded specs to drill (default: the acceptance pair)",
+        default=SUPPRESS,
+        help="sharded specs to drill",
     )
+    drill.add_argument("--seeds", type=int, nargs="+", default=SUPPRESS)
+    drill.add_argument("--users", type=int, dest="n_users", default=SUPPRESS)
     drill.add_argument(
-        "--seeds", type=int, nargs="+", help="drill seeds (default: 1 2)"
+        "--packets", type=int, dest="n_packets", default=SUPPRESS
     )
-    drill.add_argument("--users", type=int, default=None)
-    drill.add_argument("--packets", type=int, default=None)
     drill.add_argument(
         "--checkpoint-every",
         type=int,
-        default=None,
+        default=SUPPRESS,
         metavar="N",
         help="warm copy's checkpoint cadence in operations",
     )
     drill.add_argument(
         "--mttr-budget",
         type=float,
-        default=None,
+        dest="mttr_budget_ms",
+        default=SUPPRESS,
         metavar="MS",
         help="fail the drill if any recovery takes longer (milliseconds)",
     )
     drill.add_argument("--out", default="results")
 
     runall = sub.add_parser("run-all", help="write all artifacts to a directory")
+    runall.set_defaults(handler=_cmd_run_all)
     runall.add_argument("--out", default="results")
-    runall.add_argument("--users", type=int, default=500)
-    runall.add_argument("--seed", type=int, default=7)
+    runall.add_argument(
+        "--users", type=int, dest="sim_users", default=SUPPRESS
+    )
+    runall.add_argument("--seed", type=int, default=SUPPRESS)
     runall.add_argument(
         "--no-simulation", action="store_true", help="analytic artifacts only"
-    )
-
-    report = sub.add_parser("report", help="print the combined report")
-    report.add_argument("--users", type=int, default=500)
-    report.add_argument("--seed", type=int, default=7)
-    report.add_argument(
-        "--no-simulation", action="store_true", help="analytic results only"
     )
 
     return parser
 
 
-def _cmd_tables() -> int:
+def _add_table_bound(parser: argparse.ArgumentParser) -> None:
+    """The server PCB-table bound, shared by simulate and fault-matrix."""
+    parser.add_argument(
+        "--max-connections",
+        type=int,
+        default=SUPPRESS,
+        help="bound the server's PCB table (full-stack only)",
+    )
+    parser.add_argument(
+        "--overflow-policy",
+        choices=("reject-new", "evict-oldest-embryonic"),
+        default=SUPPRESS,
+        help="what a full bounded table does with new SYNs",
+    )
+
+
+def _add_serve_metrics(parser: argparse.ArgumentParser) -> None:
+    """The live telemetry endpoint, shared by simulate and serve."""
+    parser.add_argument(
+        "--serve-metrics",
+        type=int,
+        metavar="PORT",
+        help=(
+            "serve /metrics, /snapshot.json and /healthz over HTTP"
+            " during the run (0 picks a free port)"
+        ),
+    )
+
+
+def _given(args: argparse.Namespace, callee) -> dict:
+    """The given options that name a parameter of ``callee``, as keywords.
+
+    Such options default to ``SUPPRESS``: one the user did not give is
+    absent from ``args``, so ``callee`` applies its own default.
+    ``nargs`` lists become tuples.
+    """
+    parameters = inspect.signature(callee).parameters
+    return {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in parameters
+    }
+
+
+def _cmd_tables(args) -> int:
+    from .experiments.text_results import all_text_results
+
     ok = True
     for table in all_text_results():
         print(table.render())
@@ -618,6 +600,8 @@ def _cmd_tables() -> int:
 
 
 def _cmd_figures(args) -> int:
+    from .experiments.figures import figure4, figure13, figure14
+
     wanted = {
         "4": figure4,
         "13": figure13,
@@ -631,12 +615,11 @@ def _cmd_figures(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .experiments.simulate import validate_against_analytic
+
     result = validate_against_analytic(
-        n_users=args.users,
-        seed=args.seed,
-        duration=args.duration,
-        algorithms=args.algorithms,
         progress=lambda msg: print(f"  ... {msg}", file=sys.stderr),
+        **_given(args, validate_against_analytic),
     )
     print(result.render())
     return 0 if result.all_ok else 1
@@ -645,9 +628,8 @@ def _cmd_validate(args) -> int:
 class _SimRun:
     """``simulate``'s run facts as a metrics source (``sim_run``)."""
 
-    def __init__(self, simulation, args) -> None:
+    def __init__(self, simulation) -> None:
         self.simulation = simulation
-        self.facts = {"users": args.users, "seed": args.seed}
 
     def metrics(self):
         simulation = self.simulation
@@ -655,7 +637,8 @@ class _SimRun:
             "events_run": simulation.sim.events_run,
             "transactions": simulation.transactions_completed,
             "virtual_time_seconds": simulation.sim.now,
-            **self.facts,
+            "users": simulation.config.n_users,
+            "seed": simulation.config.seed,
         }
         return [(
             "sim_run", "gauge", "simulation run facts",
@@ -667,16 +650,14 @@ def _cmd_simulate(args) -> int:
     from .obs.metrics import DEFAULT_EXPORT_BUCKETS, MetricsRegistry
     from .obs.profile import LookupProfiler
     from .obs.trace import JsonlSink, Tracer
+    from .workload.thinktime import make_think_model
+    from .workload.tpca import TPCAConfig, TPCADemuxSimulation
 
     algorithm = make_algorithm(args.algorithm)
-    config = TPCAConfig(
-        n_users=args.users,
-        response_time=args.response_time,
-        round_trip=args.rtt,
-        duration=args.duration,
-        seed=args.seed,
-        think_model=make_think_model(args.think_model),
-    )
+    workload = _given(args, TPCAConfig)
+    if "think_model" in workload:
+        workload["think_model"] = make_think_model(workload["think_model"])
+    config = TPCAConfig(**workload)
 
     # -- fault spec: network terms drive the injector, infrastructure
     # terms (crash/stall/snapcorrupt) drive the shard supervisor.
@@ -688,23 +669,22 @@ def _cmd_simulate(args) -> int:
         fault_models, infra_faults = parse_mixed_spec(args.faults)
 
     supervisor = None
-    if args.checkpoint_every or args.crash_shards or infra_faults:
+    if args.checkpoint_every or infra_faults:
         from .faults.infra import ShardCrash, ShardStall, SnapshotCorruption
         from .recovery import ShardSupervisor
         from .smp.sharded import ShardedDemux
 
         if not isinstance(algorithm, ShardedDemux):
             print(
-                f"error: --checkpoint-every/--crash-shards and"
-                f" crash/stall/snapcorrupt faults need a sharded"
-                f" algorithm, got {args.algorithm!r}",
+                f"error: --checkpoint-every and crash/stall/snapcorrupt"
+                f" faults need a sharded algorithm, got {args.algorithm!r}",
                 file=sys.stderr,
             )
             return 2
         snapshot_fault = None
         for fault in infra_faults:
             if isinstance(fault, SnapshotCorruption):
-                fault.bind_seed(args.seed)
+                fault.bind_seed(config.seed)
                 snapshot_fault = fault
         try:
             supervisor = ShardSupervisor(
@@ -716,31 +696,20 @@ def _cmd_simulate(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.crash_shards:
-            try:
-                supervisor.arm_crashes(
-                    _parse_crash_shards(
-                        args.crash_shards, algorithm.nshards, args.seed
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                print(f"error: --crash-shards: {exc}", file=sys.stderr)
-                return 2
         for fault in infra_faults:
             if isinstance(fault, ShardCrash):
                 supervisor.arm_crashes(
-                    fault.schedule(algorithm.nshards, args.seed)
+                    fault.schedule(algorithm.nshards, config.seed)
                 )
             elif isinstance(fault, ShardStall):
                 supervisor.arm_stalls(
-                    fault.schedule(algorithm.nshards, args.seed)
+                    fault.schedule(algorithm.nshards, config.seed)
                 )
         algorithm = supervisor
     elif args.detect_after:
         print(
             "warning: --detect-after has no effect without"
-            " --checkpoint-every, --crash-shards, or a"
-            " crash/stall/snapcorrupt fault",
+            " --checkpoint-every or a crash/stall/snapcorrupt fault",
             file=sys.stderr,
         )
 
@@ -760,7 +729,7 @@ def _cmd_simulate(args) -> int:
     )
     collector = None
     if wants_spans:
-        from .obs.spans import DEFAULT_SPAN_SAMPLE_EVERY, SpanCollector
+        from .obs.spans import SpanCollector
 
         collector = SpanCollector(
             sample_every=args.span_sample_every or DEFAULT_SPAN_SAMPLE_EVERY
@@ -780,15 +749,19 @@ def _cmd_simulate(args) -> int:
     if full_stack:
         from .workload.tpca import TPCAFullStackSimulation
 
+        table_bound = {
+            name: value
+            for name, value in vars(args).items()
+            if name in ("max_connections", "overflow_policy")
+        }
         simulation = TPCAFullStackSimulation(
             config,
             algorithm,
             fault_models=fault_models,
-            max_connections=args.max_connections,
-            overflow_policy=args.overflow_policy,
             idle_timeout=args.idle_timeout,
             time_wait_timeout=args.time_wait,
             spans=collector,
+            **table_bound,
         )
     else:
         simulation = TPCADemuxSimulation(config, algorithm)
@@ -800,11 +773,8 @@ def _cmd_simulate(args) -> int:
         tracer.attach_simulator(simulation.sim)
 
     profiler = None
-    if args.profile or args.profile_sample_every is not None:
-        if args.profile_sample_every is not None:
-            profiler = LookupProfiler(args.profile_sample_every)
-        else:
-            profiler = LookupProfiler()
+    if args.profile is not None:
+        profiler = LookupProfiler(args.profile)
         profiler.attach(algorithm)
 
     # -- registry sources --------------------------------------------
@@ -813,7 +783,7 @@ def _cmd_simulate(args) -> int:
     # publisher and the final flush add only what is new.
     sources = []
     if registry is not None:
-        sources = [(algorithm, {}), (_SimRun(simulation, args), {})]
+        sources = [(algorithm, {}), (_SimRun(simulation), {})]
         if full_stack:
             stack = simulation.server
             sources.append((stack, {}))
@@ -859,9 +829,9 @@ def _cmd_simulate(args) -> int:
             registry,
             watchdog=watchdog,
             port=args.serve_metrics,
-            extra_snapshot=run_snapshot,
             clock=lambda: simulation.sim.now,
         )
+        server.register_section("run", run_snapshot)
         port = server.start()
         print(
             f"  telemetry: http://127.0.0.1:{port}/metrics"
@@ -910,7 +880,7 @@ def _cmd_simulate(args) -> int:
         stack = simulation.server
         print(
             f"  transactions: {simulation.transactions_completed},"
-            f" users completed: {simulation.users_completed}/{args.users}"
+            f" users completed: {simulation.users_completed}/{config.n_users}"
         )
         drops = ", ".join(f"{k}={v}" for k, v in stack.drops.items())
         print(f"  drops: {drops}")
@@ -1000,7 +970,7 @@ def _cmd_compare(args) -> int:
     from .workload.churn import ChurnConfig, ChurnWorkload
     from .workload.mixed import MixedConfig, MixedWorkload
     from .workload.polling import PollingConfig, PollingWorkload
-    from .workload.tpca import TPCADemuxSimulation
+    from .workload.tpca import TPCAConfig, TPCADemuxSimulation
     from .workload.trains import PacketTrainWorkload, TrainConfig
 
     def run(spec: str):
@@ -1049,12 +1019,13 @@ def _cmd_fault_matrix(args) -> int:
     import os
 
     from .faults.config import STANDARD_MIXES, FaultSpecError
-    from .faults.matrix import DEFAULT_ALGORITHMS, run_fault_matrix
+    from .faults.matrix import run_fault_matrix
 
-    standard = dict(STANDARD_MIXES)
-    if args.mixes:
+    campaign = _given(args, run_fault_matrix)
+    if "mixes" in campaign:
+        standard = dict(STANDARD_MIXES)
         mixes = []
-        for entry in args.mixes:
+        for entry in campaign["mixes"]:
             if entry in standard:
                 mixes.append((entry, standard[entry]))
             elif "=" in entry:
@@ -1065,22 +1036,15 @@ def _cmd_fault_matrix(args) -> int:
                 raise FaultSpecError(
                     f"unknown mix {entry!r}; known: {known} (or name=SPEC)"
                 )
-    else:
-        mixes = list(STANDARD_MIXES)
+        campaign["mixes"] = mixes
 
     result = run_fault_matrix(
-        algorithms=args.algorithms or DEFAULT_ALGORITHMS,
-        mixes=mixes,
-        seeds=args.seeds,
-        n_users=args.users,
-        duration=args.duration,
-        max_connections=args.max_connections,
-        overflow_policy=args.overflow_policy,
         progress=lambda cell: print(
             f"  ... {cell.algorithm} / {cell.mix} / seed {cell.seed}:"
             f" {'ok' if cell.ok else 'FAIL'}",
             file=sys.stderr,
         ),
+        **campaign,
     )
     text = result.render_text()
     print(text)
@@ -1115,41 +1079,17 @@ def _cmd_fault_matrix(args) -> int:
 def _cmd_smp_sweep(args) -> int:
     from .smp.sweep import SMPSweepConfig, run_smp_sweep, write_sweep_artifacts
 
-    kwargs = {
-        "n_connections": args.users,
-        "duration": args.duration,
-        "seeds": tuple(args.seeds),
-        "jobs": args.jobs,
-        "utilization": args.utilization,
-    }
-    if args.algorithms:
-        kwargs["algorithms"] = tuple(args.algorithms)
-    if args.shards:
-        kwargs["shard_counts"] = tuple(args.shards)
-    if args.steerings:
-        kwargs["steerings"] = tuple(args.steerings)
-    if args.batch_sizes:
-        kwargs["batch_sizes"] = tuple(args.batch_sizes)
-    config = SMPSweepConfig(**kwargs)
-
     result = run_smp_sweep(
-        config,
+        SMPSweepConfig(**_given(args, SMPSweepConfig)),
         progress=lambda name: print(f"  ... {name}", file=sys.stderr),
     )
     print(result.render_text())
     if args.out:
-        outdir = write_sweep_artifacts(
-            result, args.out, bench_path=args.bench_out
+        outdir = write_sweep_artifacts(result, args.out)
+        print(
+            f"report written to {outdir}/smp_sweep.txt and"
+            f" {outdir}/smp_sweep.json"
         )
-        written = f"{outdir}/smp_sweep.txt and {outdir}/smp_sweep.json"
-        if args.bench_out:
-            written += f" (bench: {args.bench_out})"
-        print(f"report written to {written}")
-    elif args.bench_out:
-        import pathlib
-
-        pathlib.Path(args.bench_out).write_text(result.to_json() + "\n")
-        print(f"bench payload written to {args.bench_out}")
     return 0 if result.ok else 1
 
 
@@ -1171,13 +1111,7 @@ def _cmd_canary(args) -> int:
         )
         return 2
     try:
-        config = CanaryConfig(
-            candidate=args.candidate,
-            incumbent=args.incumbent,
-            repeats=args.repeats,
-            pps_margin=args.pps_margin,
-            examined_margin=args.examined_margin,
-        )
+        config = CanaryConfig(**_given(args, CanaryConfig))
         if args.capture is not None:
             stream = load_stream(args.capture)
         else:
@@ -1222,21 +1156,9 @@ def _cmd_serve(args) -> int:
     from .serve import LoadConfig, ServeConfig, run_self_drive
 
     try:
-        serve_config = ServeConfig(
-            algorithm=args.algorithm,
-            host=args.host,
-            port=args.port,
-            max_sessions=args.max_sessions,
-            drain_timeout=args.drain_timeout,
-            record_order=args.record_order,
-        )
-        load = LoadConfig(
-            clients=args.clients,
-            frames=args.frames,
-            seed=args.seed,
-            concurrency=args.concurrency,
-        )
-        algorithm = make_algorithm(args.algorithm)
+        serve_config = ServeConfig(**_given(args, ServeConfig))
+        load = LoadConfig(**_given(args, LoadConfig))
+        algorithm = make_algorithm(serve_config.algorithm)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1264,14 +1186,6 @@ def _cmd_serve(args) -> int:
     return 0 if report.ok else 1
 
 
-#: Default structures the leak audit exercises: the plain fast path
-#: and the sharded facade (whose shards intern independently).
-LEAK_AUDIT_ALGORITHMS = (
-    "fast-sequent:h=19",
-    "sharded-fast-sequent:shards=4,h=19",
-)
-
-
 def _cmd_leak_audit(args) -> int:
     from .faults.audit import audit_leaks, audit_stack
     from .lifecycle.metrics import Retention, count_interned
@@ -1279,7 +1193,7 @@ def _cmd_leak_audit(args) -> int:
     from .obs.watchdog import HealthWatchdog, default_rules
     from .workload.adversarial import ChurnStormWorkload, SynFloodWorkload
 
-    specs = args.algorithms or list(LEAK_AUDIT_ALGORITHMS)
+    storm = _given(args, ChurnStormWorkload)
     failures = []
 
     # Every cell's live-vs-interned pair also lands in a registry, so
@@ -1300,14 +1214,12 @@ def _cmd_leak_audit(args) -> int:
         if not audit.ok:
             failures.append(label)
 
-    for spec in specs:
+    for spec in args.algorithms:
         for seed in args.seeds:
             label = f"{spec} seed={seed}"
             print(f"churn-storm: {label}")
             algorithm = make_algorithm(spec)
-            result = ChurnStormWorkload(
-                algorithm, steps=args.steps, seed=seed
-            ).run()
+            result = ChurnStormWorkload(algorithm, seed=seed, **storm).run()
             print(f"  {result.summary()}")
             record_retention(algorithm, spec, seed, "churn")
             check(f"churn {label}", audit_leaks(algorithm, grace=args.grace))
@@ -1356,6 +1268,10 @@ def _cmd_leak_audit(args) -> int:
 
 
 def _cmd_hash_balance(args) -> int:
+    from .hashing.analysis import compare_functions
+    from .hashing.functions import HASH_FUNCTIONS
+    from .workload.tpca import TPCAConfig
+
     config = TPCAConfig(n_users=args.users)
     keys = [config.user_tuple(i) for i in range(args.users)]
     print(
@@ -1407,58 +1323,13 @@ def _cmd_pcap(args) -> int:
     return 0
 
 
-def _parse_crash_shards(spec: str, nshards: int, seed: int):
-    """``--crash-shards``: explicit ``S@P,...`` pairs, or a seeded
-    ``K[:W]`` count routed through :class:`~repro.faults.infra.ShardCrash`
-    so the CLI and the fault grammar crash identically."""
-    from .faults.infra import ShardCrash
-
-    spec = spec.strip()
-    if "@" in spec:
-        schedule = []
-        for term in spec.split(","):
-            term = term.strip()
-            if not term:
-                continue
-            try:
-                shard_text, packet_text = term.split("@")
-                shard, packet = int(shard_text), int(packet_text)
-            except ValueError:
-                raise ValueError(
-                    f"bad --crash-shards term {term!r}: expected SHARD@PACKET"
-                ) from None
-            schedule.append((packet, shard))
-        return sorted(schedule)
-    count, _, window = spec.partition(":")
-    try:
-        crash = ShardCrash(
-            count=int(count), window=int(window) if window else 1000
-        )
-    except ValueError as exc:
-        raise ValueError(f"bad --crash-shards spec {spec!r}: {exc}") from None
-    return crash.schedule(nshards, seed)
-
-
 def _cmd_recovery_drill(args) -> int:
     import json as json_module
     import pathlib
 
     from .recovery import DrillConfig, run_recovery_drill
 
-    overrides = {}
-    if args.algorithms:
-        overrides["algorithms"] = tuple(args.algorithms)
-    if args.seeds:
-        overrides["seeds"] = tuple(args.seeds)
-    if args.users is not None:
-        overrides["n_users"] = args.users
-    if args.packets is not None:
-        overrides["n_packets"] = args.packets
-    if args.checkpoint_every is not None:
-        overrides["checkpoint_every"] = args.checkpoint_every
-    if args.mttr_budget is not None:
-        overrides["mttr_budget_ms"] = args.mttr_budget
-    result = run_recovery_drill(DrillConfig(**overrides))
+    result = run_recovery_drill(DrillConfig(**_given(args, DrillConfig)))
 
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -1473,51 +1344,21 @@ def _cmd_recovery_drill(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
+    from .experiments.runner import run_all
+
     outdir = run_all(
         args.out,
         include_simulation=not args.no_simulation,
-        sim_users=args.users,
-        seed=args.seed,
         progress=lambda msg: print(f"  ... {msg}", file=sys.stderr),
+        **_given(args, run_all),
     )
     print(f"artifacts written to {outdir}/")
     return 0
 
 
-def _cmd_report(args) -> int:
-    print(
-        build_report(
-            include_simulation=not args.no_simulation,
-            sim_users=args.users,
-            seed=args.seed,
-            progress=lambda msg: print(f"  ... {msg}", file=sys.stderr),
-        )
-    )
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "tables": lambda: _cmd_tables(),
-        "figures": lambda: _cmd_figures(args),
-        "validate": lambda: _cmd_validate(args),
-        "simulate": lambda: _cmd_simulate(args),
-        "obs-report": lambda: _cmd_obs_report(args),
-        "compare": lambda: _cmd_compare(args),
-        "fault-matrix": lambda: _cmd_fault_matrix(args),
-        "smp-sweep": lambda: _cmd_smp_sweep(args),
-        "serve": lambda: _cmd_serve(args),
-        "record-info": lambda: _cmd_record_info(args),
-        "canary": lambda: _cmd_canary(args),
-        "leak-audit": lambda: _cmd_leak_audit(args),
-        "hash-balance": lambda: _cmd_hash_balance(args),
-        "pcap": lambda: _cmd_pcap(args),
-        "recovery-drill": lambda: _cmd_recovery_drill(args),
-        "run-all": lambda: _cmd_run_all(args),
-        "report": lambda: _cmd_report(args),
-    }
-    return handlers[args.command]()
+    return args.handler(args)
 
 
 if __name__ == "__main__":

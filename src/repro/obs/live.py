@@ -10,7 +10,8 @@ it up from the CLI), exposing:
     default) so scraped series never drift between scrapes.
 ``/snapshot.json``
     The full exact-count registry snapshot, plus the watchdog's latest
-    health report and any extra run context the host registered.
+    health report and each section the host registered
+    (:meth:`TelemetryServer.register_section`).
 ``/healthz``
     The SLO watchdog's folded state -- HTTP 200 for ``ok`` /
     ``degraded``, 503 for ``failing`` -- so an orchestrator's liveness
@@ -48,7 +49,6 @@ class TelemetryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         histogram_buckets: Sequence[float] = DEFAULT_EXPORT_BUCKETS,
-        extra_snapshot: Optional[Callable[[], Dict[str, Any]]] = None,
         clock: Optional[Callable[[], float]] = None,
     ):
         self.registry = registry
@@ -56,7 +56,6 @@ class TelemetryServer:
         self.host = host
         self.port = port
         self.histogram_buckets = tuple(histogram_buckets)
-        self.extra_snapshot = extra_snapshot
         self.clock = clock
         # Named snapshot sections (register_section); ordered by
         # registration so /snapshot.json output is stable.
@@ -122,7 +121,7 @@ class TelemetryServer:
     # -- snapshot sections ---------------------------------------------
 
     #: Section names the server itself produces; never registrable.
-    RESERVED_SECTIONS = ("metrics", "health", "run")
+    RESERVED_SECTIONS = ("metrics", "health")
 
     def register_section(
         self, name: str, provider: Callable[[], Dict[str, Any]]
@@ -133,10 +132,10 @@ class TelemetryServer:
         the same publisher-lock contract registry writers follow, so a
         section provider may read state that publishers mutate.  Names
         must be unique and must not shadow the built-in sections
-        (``metrics``, ``health``, ``run``).  Hosts use this to expose
-        run-specific state -- e.g. the serving front end's socket and
-        session stats -- without the server growing a field per
-        subsystem.
+        (``metrics``, ``health``).  Hosts use this to expose
+        run-specific state -- e.g. ``simulate``'s ``run`` facts, or the
+        serving front end's socket and session stats -- without the
+        server growing a field per subsystem.
         """
         if name in self.RESERVED_SECTIONS:
             raise ValueError(
@@ -151,10 +150,6 @@ class TelemetryServer:
                 f" got {type(provider).__name__}"
             )
         self._sections[name] = provider
-
-    def unregister_section(self, name: str) -> None:
-        """Remove a registered section; unknown names raise KeyError."""
-        del self._sections[name]
 
     # -- rendering (all under self.lock) -------------------------------
 
@@ -174,8 +169,6 @@ class TelemetryServer:
                 snapshot["metrics"], now=self._now()
             )
             snapshot["health"] = report.to_dict()
-        if self.extra_snapshot is not None:
-            snapshot["run"] = self.extra_snapshot()
         for name, provider in self._sections.items():
             snapshot[name] = provider()
         return snapshot

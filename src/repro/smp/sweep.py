@@ -11,7 +11,7 @@ pure functions of their parameters, so the sweep fans out over
 byte-identical for any ``--jobs`` value.
 
 The sweep evaluates three acceptance criteria in-band and records the
-verdicts in its JSON (``BENCH_smp.json``):
+verdicts in its JSON (``smp_sweep.json``):
 
 1. hash steering keeps the load imbalance factor <= 1.25 at the
    largest shard count;
@@ -399,16 +399,11 @@ def run_smp_sweep(
 
 
 def write_sweep_artifacts(
-    result: SweepResult,
-    outdir: Union[str, pathlib.Path],
-    *,
-    bench_path: Union[str, pathlib.Path, None] = "BENCH_smp.json",
+    result: SweepResult, outdir: Union[str, pathlib.Path]
 ) -> pathlib.Path:
-    """Write ``smp_sweep.{txt,json}`` into ``outdir`` plus the BENCH file."""
+    """Write ``smp_sweep.{txt,json}`` into ``outdir``; returns the path."""
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "smp_sweep.txt").write_text(result.render_text() + "\n")
     (outdir / "smp_sweep.json").write_text(result.to_json() + "\n")
-    if bench_path is not None:
-        pathlib.Path(bench_path).write_text(result.to_json() + "\n")
     return outdir

@@ -25,8 +25,23 @@ class TestConsoleScript:
         proc = run_cli("--help")
         assert proc.returncode == 0
         for command in ("tables", "figures", "validate", "simulate",
-                        "compare", "hash-balance", "run-all", "report"):
+                        "compare", "hash-balance", "run-all"):
             assert command in proc.stdout
+
+    def test_entry_points_import_no_scipy(self):
+        # scipy is for the analytic quadratures alone; loading it at
+        # import would slow every CLI call and every serve start.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.fastpath, repro.cli, repro.serve;"
+             " print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_tables_exit_zero_and_clean(self):
         proc = run_cli("tables")

@@ -1,5 +1,8 @@
 """Tests for the repro-demux command-line interface."""
 
+import functools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -19,7 +22,6 @@ class TestParser:
             ["simulate"],
             ["hash-balance"],
             ["run-all"],
-            ["report"],
             ["canary", "fast-cuckoo"],
         ):
             args = parser.parse_args(command)
@@ -102,10 +104,11 @@ class TestCommands:
         assert code == 0
         assert (tmp_path / "out" / "report.md").exists()
 
-    def test_report_no_simulation(self, capsys):
-        assert main(["report", "--no-simulation"]) == 0
-        out = capsys.readouterr().out
-        assert "# Reproduction report" in out
+    def test_report_no_simulation(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run-all", "--out", str(out), "--no-simulation"]) == 0
+        report = (out / "report.md").read_text()
+        assert report.startswith("# Reproduction report")
 
     def test_bad_algorithm_spec_raises(self):
         with pytest.raises(ValueError):
@@ -185,8 +188,7 @@ class TestObservabilityFlags:
     def test_simulate_profile(self, capsys):
         code = main(
             ["simulate", "--algorithm", "bsd", "--users", "20",
-             "--duration", "10", "--profile",
-             "--profile-sample-every", "8"]
+             "--duration", "10", "--profile", "8"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -301,13 +303,14 @@ class TestRecoveryFlags:
         args = build_parser().parse_args(["recovery-drill"])
         assert args.command == "recovery-drill"
         assert args.out == "results"
-        assert args.algorithms is None and args.seeds is None
+        # Options not given stay unset, so DrillConfig's defaults apply.
+        assert not {"algorithms", "seeds"} & set(vars(args))
 
     def test_simulate_seeded_crashes_recover(self, capsys):
         code = main(
             ["simulate", "--algorithm", "sharded-fast-mtf:shards=4",
              "--users", "120", "--duration", "20",
-             "--checkpoint-every", "200", "--crash-shards", "2:300"]
+             "--checkpoint-every", "200", "--faults", "crash=2:300"]
         )
         out = capsys.readouterr().out
         assert code == 0, out
@@ -342,12 +345,12 @@ class TestRecoveryFlags:
         }
         assert populations == {"live_pcbs", "interned_keys"}
 
-    def test_simulate_explicit_crash_schedule_cold(self, capsys):
+    def test_simulate_crashes_without_checkpoints_rebuild_cold(self, capsys):
         # No checkpoints: both recoveries must fall to a cold rebuild.
         code = main(
             ["simulate", "--algorithm", "sharded-mtf:shards=4",
              "--users", "120", "--duration", "20",
-             "--crash-shards", "1@100,3@250"]
+             "--faults", "crash=2:300"]
         )
         out = capsys.readouterr().out
         assert code == 0, out
@@ -356,7 +359,7 @@ class TestRecoveryFlags:
     def test_crash_shards_requires_sharded_algorithm(self, capsys):
         code = main(
             ["simulate", "--algorithm", "bsd", "--users", "20",
-             "--duration", "10", "--crash-shards", "1:100"]
+             "--duration", "10", "--faults", "crash=1:100"]
         )
         assert code == 2
         assert "sharded" in capsys.readouterr().err
@@ -367,7 +370,7 @@ class TestRecoveryFlags:
         code = main(
             ["simulate", "--algorithm", "sharded-mtf:shards=4,steer=rr",
              "--users", "20", "--duration", "10",
-             "--crash-shards", "1:100"]
+             "--faults", "crash=1:100"]
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -381,15 +384,6 @@ class TestRecoveryFlags:
         )
         assert code == 0
         assert "--detect-after" in capsys.readouterr().err
-
-    def test_bad_crash_spec_is_a_clean_error(self, capsys):
-        code = main(
-            ["simulate", "--algorithm", "sharded-mtf:shards=4",
-             "--users", "20", "--duration", "10",
-             "--crash-shards", "9@50"]  # shard 9 of 4
-        )
-        assert code == 2
-        assert "--crash-shards" in capsys.readouterr().err
 
     def test_infra_fault_term_in_faults_spec(self, capsys):
         code = main(
@@ -446,3 +440,78 @@ class TestRecoveryFlags:
         cell = report["cells"][0]
         assert cell["warm_divergence"] == 0
         assert cell["cold_penalty"] > 1.0
+
+
+class TestLibraryDefaults:
+    """A bare invocation passes the library's own defaults: the CLI
+    restates none of them, so the two cannot drift apart."""
+
+    def test_smp_sweep(self, monkeypatch, capsys):
+        from repro.smp import sweep
+
+        seen = []
+
+        def fake_sweep(config, progress=None):
+            seen.append(config)
+            return SimpleNamespace(render_text=str, ok=True)
+
+        monkeypatch.setattr(sweep, "run_smp_sweep", fake_sweep)
+        assert main(["smp-sweep"]) == 0
+        assert seen == [sweep.SMPSweepConfig()]
+
+    def test_recovery_drill(self, monkeypatch, tmp_path, capsys):
+        import repro.recovery as recovery
+
+        seen = []
+
+        def fake_drill(config):
+            seen.append(config)
+            return SimpleNamespace(render_text=str, to_json=dict, ok=True)
+
+        monkeypatch.setattr(recovery, "run_recovery_drill", fake_drill)
+        assert main(["recovery-drill", "--out", str(tmp_path)]) == 0
+        assert seen == [recovery.DrillConfig()]
+
+    def test_canary(self, monkeypatch, capsys):
+        from repro.fastpath import gate
+        from repro.workload import record
+
+        seen = []
+
+        def fake_canary(stream, config, progress=None):
+            seen.append(config)
+            return SimpleNamespace(render_text=str, promoted=True)
+
+        monkeypatch.setattr(record, "record_tpca_stream", dict)
+        monkeypatch.setattr(gate, "run_canary", fake_canary)
+        assert main(["canary", "fast-cuckoo"]) == 0
+        assert seen == [gate.CanaryConfig(candidate="fast-cuckoo")]
+
+    def test_serve(self, monkeypatch, capsys):
+        import repro.serve as serve
+
+        seen = []
+
+        async def fake_drive(config, load, **kwargs):
+            seen.append((config, load))
+            return SimpleNamespace(render_text=str, ok=True)
+
+        monkeypatch.setattr(serve, "run_self_drive", fake_drive)
+        assert main(["serve"]) == 0
+        assert seen == [(serve.ServeConfig(), serve.LoadConfig())]
+
+    def test_fault_matrix(self, monkeypatch, capsys):
+        from repro.faults import matrix
+
+        seen = []
+
+        # wraps() keeps run_fault_matrix's signature, which the CLI
+        # reads to decide which options to pass.
+        @functools.wraps(matrix.run_fault_matrix)
+        def fake_matrix(**kwargs):
+            seen.append(sorted(kwargs))
+            return SimpleNamespace(render_text=str, cells=[], ok=True)
+
+        monkeypatch.setattr(matrix, "run_fault_matrix", fake_matrix)
+        assert main(["fault-matrix"]) == 0
+        assert seen == [["progress"]]

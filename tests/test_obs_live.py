@@ -48,15 +48,15 @@ class TestTelemetryServer:
     def test_serves_snapshot_json(self, registry):
         extra = {"algorithm": "bsd", "virtual_time": 12.0}
         server = TelemetryServer(
-            registry,
-            watchdog=HealthWatchdog(default_rules()),
-            extra_snapshot=lambda: dict(extra),
+            registry, watchdog=HealthWatchdog(default_rules())
         )
+        server.register_section("run", lambda: dict(extra))
         with server:
             status, headers, body = _get(server.url("/snapshot.json"))
         assert status == 200
         assert headers["Content-Type"].startswith("application/json")
         data = json.loads(body)
+        assert list(data) == ["metrics", "health", "run"]
         assert data["run"] == extra
         assert data["health"]["state"] == "ok"
         assert data["metrics"]["packets_received_total"]["type"] == "counter"
@@ -157,7 +157,7 @@ class TestSnapshotSections:
 
     def test_reserved_names_rejected(self, registry):
         server = TelemetryServer(registry)
-        for name in ("metrics", "health", "run"):
+        for name in ("metrics", "health"):
             with pytest.raises(ValueError, match="reserved"):
                 server.register_section(name, dict)
 
@@ -172,29 +172,16 @@ class TestSnapshotSections:
         with pytest.raises(TypeError):
             server.register_section("serve", {"not": "callable"})
 
-    def test_unregister(self, registry):
-        server = TelemetryServer(registry)
-        server.register_section("serve", lambda: {"x": 1})
-        server.unregister_section("serve")
-        assert "serve" not in server.render_snapshot()
-        with pytest.raises(KeyError):
-            server.unregister_section("serve")
-
     def test_snapshot_unchanged_when_no_sections_registered(self, registry):
         """Regression: with no sections registered, /snapshot.json is
-        exactly the shape earlier consumers (obs-report, dashboards)
-        were built against -- metrics, health, run, nothing else."""
-        extra = {"algorithm": "bsd"}
+        the server's own sections -- metrics, health, nothing else."""
         server = TelemetryServer(
-            registry,
-            watchdog=HealthWatchdog(default_rules()),
-            extra_snapshot=lambda: dict(extra),
+            registry, watchdog=HealthWatchdog(default_rules())
         )
         with server:
             _, _, body = _get(server.url("/snapshot.json"))
         data = json.loads(body)
-        assert set(data) == {"metrics", "health", "run"}
-        assert data["run"] == extra
+        assert list(data) == ["metrics", "health"]
         assert data["metrics"]["packets_received_total"]["type"] == "counter"
 
 
@@ -305,6 +292,7 @@ class TestServeMetricsCLI:
             assert "traffic_skew" in body.decode()
             assert _get(f"{base}/healthz")[0] == 200
             snapshot = json.loads(_get(f"{base}/snapshot.json")[2])
+            assert list(snapshot) == ["metrics", "health", "run"]
             assert snapshot["health"]["state"] == "ok"
         finally:
             process.terminate()

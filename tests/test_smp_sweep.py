@@ -112,13 +112,13 @@ class TestSweepResult:
         assert parallel.render_text() == small_result.render_text()
 
     def test_artifacts_written(self, small_result, tmp_path):
-        bench = tmp_path / "BENCH_smp.json"
-        outdir = write_sweep_artifacts(
-            small_result, tmp_path / "results", bench_path=bench
-        )
+        outdir = write_sweep_artifacts(small_result, tmp_path / "results")
+        assert sorted(path.name for path in outdir.iterdir()) == [
+            "smp_sweep.json", "smp_sweep.txt"
+        ]
         assert (outdir / "smp_sweep.txt").read_text().startswith("SMP sweep")
         sweep = json.loads((outdir / "smp_sweep.json").read_text())
-        assert sweep == json.loads(bench.read_text())
+        assert sweep == json.loads(small_result.to_json())
 
 
 class TestCLI:
@@ -140,12 +140,8 @@ class TestCLI:
         assert "criterion" in out
 
     def test_smp_sweep_writes_artifacts(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_smp.json"
-        code = main(
-            self.ARGS
-            + ["--out", str(tmp_path / "r"), "--bench-out", str(bench)]
-        )
+        code = main(self.ARGS + ["--out", str(tmp_path / "r")])
         assert code == 0
-        assert (tmp_path / "r" / "smp_sweep.json").exists()
-        payload = json.loads(bench.read_text())
+        assert (tmp_path / "r" / "smp_sweep.txt").exists()
+        payload = json.loads((tmp_path / "r" / "smp_sweep.json").read_text())
         assert payload["ok"] is True
