@@ -550,13 +550,16 @@ def _add_table_bound(parser: argparse.ArgumentParser) -> None:
         "--max-connections",
         type=int,
         default=SUPPRESS,
-        help="bound the server's PCB table (full-stack only)",
+        help="bound the server's PCB table (implies --full-stack on simulate)",
     )
     parser.add_argument(
         "--overflow-policy",
         choices=("reject-new", "evict-oldest-embryonic"),
         default=SUPPRESS,
-        help="what a full bounded table does with new SYNs",
+        help=(
+            "what a full bounded table does with new SYNs"
+            " (implies --full-stack on simulate)"
+        ),
     )
 
 
@@ -716,7 +719,15 @@ def _cmd_simulate(args) -> int:
     lifecycle = (
         args.idle_timeout is not None or args.time_wait is not None
     )
-    full_stack = args.full_stack or bool(fault_models) or lifecycle
+    # The demux-level simulation has no PCB table to bound.
+    table_bound = {
+        name: value
+        for name, value in vars(args).items()
+        if name in ("max_connections", "overflow_policy")
+    }
+    full_stack = (
+        args.full_stack or bool(fault_models) or lifecycle or bool(table_bound)
+    )
 
     # -- telemetry plane: spans, sketches, registry ------------------
     # The span collector must exist before the simulation is built:
@@ -749,11 +760,6 @@ def _cmd_simulate(args) -> int:
     if full_stack:
         from .workload.tpca import TPCAFullStackSimulation
 
-        table_bound = {
-            name: value
-            for name, value in vars(args).items()
-            if name in ("max_connections", "overflow_policy")
-        }
         simulation = TPCAFullStackSimulation(
             config,
             algorithm,

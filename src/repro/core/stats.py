@@ -162,12 +162,27 @@ class KindStats:
         )
 
 
+#: Module-level members: reading an enum member off its class goes
+#: through ``enum.property`` on 3.11, and hashing one runs
+#: ``Enum.__hash__`` in Python.
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
+
 class DemuxStats:
-    """Statistics for one demux algorithm instance, split by packet kind."""
+    """Statistics for one demux algorithm instance, split by packet kind.
+
+    ``by_kind`` maps each kind to its :class:`KindStats`; the same two
+    objects live for the instance's whole life (``reset``, ``merge``
+    and ``from_dict`` write into them), so the per-lookup accounting
+    holds them directly.
+    """
 
     def __init__(self) -> None:
+        self._data = KindStats()
+        self._ack = KindStats()
         self.by_kind: Dict[PacketKind, KindStats] = {
-            kind: KindStats() for kind in PacketKind
+            _DATA: self._data, _ACK: self._ack,
         }
 
     def record(self, rec: LookupRecord) -> None:
@@ -183,9 +198,9 @@ class DemuxStats:
         gain their buckets in the same order), but without building the
         records: counts collect in locals and land once per kind.
         """
-        ack_kind = PacketKind.ACK
-        data = self.by_kind[PacketKind.DATA]
-        ack = self.by_kind[ack_kind]
+        ack_kind = _ACK
+        data = self._data
+        ack = self._ack
         data_histogram = data.histogram
         ack_histogram = ack.histogram
         data_lookups = data_examined = data_hits = data_misses = 0
@@ -238,17 +253,17 @@ class DemuxStats:
         :meth:`from_dict`) merge into one object whose means, hit
         rates, and percentiles equal those of a single combined stream.
         """
-        for kind, stats in other.by_kind.items():
-            self.by_kind[kind].merge(stats)
+        self._data.merge(other._data)
+        self._ack.merge(other._ack)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DemuxStats":
         """Rebuild from an :meth:`as_dict` snapshot (JSON round trip)."""
         stats = cls()
         by_kind = dict(data["by_kind"])
-        for kind in PacketKind:
+        for kind, target in stats.by_kind.items():
             if kind.value in by_kind:
-                stats.by_kind[kind] = KindStats.from_dict(by_kind[kind.value])
+                target.merge(KindStats.from_dict(by_kind[kind.value]))
         return stats
 
     # -- aggregate views -----------------------------------------------
@@ -307,8 +322,8 @@ class DemuxStats:
     def summary(self, label: Optional[str] = None) -> str:
         """One-line human-readable summary."""
         prefix = f"{label}: " if label else ""
-        data = self.by_kind[PacketKind.DATA]
-        ack = self.by_kind[PacketKind.ACK]
+        data = self._data
+        ack = self._ack
         return (
             f"{prefix}{self.lookups} lookups,"
             f" mean examined {self.mean_examined:.2f}"

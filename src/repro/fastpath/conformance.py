@@ -28,7 +28,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple, IPv4Address
+from ..workload.adversarial import churn_tuple
 from ..workload.record import RecordedStream, record_tpca_stream
+from ..workload.tpca import SERVER_ADDRESS, SERVER_PORT
 
 __all__ = [
     "Decision",
@@ -60,16 +62,21 @@ def golden_stream(
     return record_tpca_stream(n_users, duration, seed)
 
 
+#: Stray remotes sit in the 203.0.113.0/24 documentation block.
+_STRAY_BASE = IPv4Address("203.0.113.0")
+
+
 def stray_tuple(index: int) -> FourTuple:
     """A deterministic four-tuple that is never installed.
 
-    Uses the 203.0.113.0/24 documentation block, disjoint from the
-    workload's 10/8 clients, so these keys always miss.
+    Addressed to the TPC/A server from the 203.0.113.0/24
+    documentation block, disjoint from the workload's 10/8 clients, so
+    these keys always miss.
     """
     return FourTuple(
-        IPv4Address("10.0.0.1"),
-        1521,
-        IPv4Address("203.0.113.0") + (index % 251),
+        SERVER_ADDRESS,
+        SERVER_PORT,
+        _STRAY_BASE + (index % 251),
         45000 + (index % 1000),
     )
 
@@ -105,16 +112,6 @@ ChurnOp = Tuple
 #: Caps on the churn id space: above these the address/port folding in
 #: :func:`churn_tuple` starts reusing four-tuples for distinct ids.
 _CHURN_ID_LIMIT = 20000
-
-
-def churn_tuple(index: int) -> FourTuple:
-    """The four-tuple for churn connection id ``index`` (stable)."""
-    return FourTuple(
-        IPv4Address("10.0.0.1"),
-        1521,
-        IPv4Address("10.2.0.0") + (index % 65534 + 1),
-        40000 + index % 20000,
-    )
 
 
 def churn_ops(seed: int, *, steps: int = 4000) -> List[ChurnOp]:

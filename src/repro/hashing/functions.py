@@ -150,9 +150,7 @@ def crc16_hash(tup: FourTuple, nbuckets: int) -> int:
     key byte (see :func:`_position_tables`).
     """
     _check_buckets(nbuckets)
-    local_addr, local_port, remote_addr, remote_port = tup
-    local = local_addr.value
-    remote = remote_addr.value
+    local, local_port, remote, remote_port = tup
     return (
         _CRC16_B0[local >> 24] ^ _CRC16_B1[local >> 16 & 255]
         ^ _CRC16_B2[local >> 8 & 255] ^ _CRC16_B3[local & 255]
@@ -170,9 +168,7 @@ def crc32_hash(tup: FourTuple, nbuckets: int) -> int:
     computed the same way as :func:`crc16_hash`.
     """
     _check_buckets(nbuckets)
-    local_addr, local_port, remote_addr, remote_port = tup
-    local = local_addr.value
-    remote = remote_addr.value
+    local, local_port, remote, remote_port = tup
     return (
         _CRC32_B0[local >> 24] ^ _CRC32_B1[local >> 16 & 255]
         ^ _CRC32_B2[local >> 8 & 255] ^ _CRC32_B3[local & 255]

@@ -7,10 +7,27 @@ rule out simple direct indexing.  This module provides the 96-bit key
 (:class:`FourTuple`) plus a small IPv4 address value type used throughout
 the packet, stack, and workload layers.
 
-Addresses are deliberately lightweight: immutable, hashable, cheap to
-construct, and convertible to and from both dotted-quad strings and raw
-32-bit integers, because the demultiplexing data structures hash and
-compare millions of them per simulation run.
+Handling the key is a fixed cost of every lookup: each dict keyed by a
+:class:`FourTuple` (the fast path's intern table, the sharded home
+table, serve's sessions, the reaper, the telemetry sketches) hashes
+the tuple, and compares it whenever the probing tuple is not the stored
+object.  So the key is built from C-level parts:
+
+* :class:`IPv4Address` is an ``int`` subclass whose hash is
+  ``int.__hash__``, so hashing a four-tuple runs no Python code (the
+  hash values equal those of the plain integers);
+* a tuple compare skips fields that are the *same object*, so code
+  that builds many tuples shares their address objects -- the capture
+  reader parses each distinct address text once, the synthetic
+  generators (``TPCAConfig.user_tuple``, ``churn_tuple``,
+  ``logical_tuple``) keep their fixed addresses as module constants,
+  and ``IPv4Address(addr)`` returns ``addr`` itself, so headers built
+  from a connection's addresses carry the same objects.  Two equal
+  tuples with distinct address objects still compare correctly,
+  through ``IPv4Address.__eq__`` in Python.
+
+No table anywhere interns every address the program sees: memory stays
+bounded by live state (docs/fastpath.md, "Memory bounds").
 """
 
 from __future__ import annotations
@@ -37,17 +54,32 @@ class AddressError(ValueError):
     """Raised for malformed IP addresses, ports, or four-tuples."""
 
 
-class IPv4Address:
-    """An immutable IPv4 address.
+class IPv4Address(int):
+    """An immutable IPv4 address, stored as a 32-bit ``int``.
 
-    Stored internally as a 32-bit integer so equality, hashing, and
-    serialization are single integer operations.
+    An ``int`` subclass, so hashing runs in C (``__hash__`` is
+    ``int.__hash__``: an address hashes exactly as its integer value
+    does) and the shifts and masks the hash functions apply read the
+    value directly.  The rest of the contract is explicit, so an
+    address never passes for a number:
+
+    * it equals only another address with the same value -- never a
+      bare ``int`` or ``str``, in either operand order;
+    * it orders only against other addresses (``TypeError`` otherwise);
+    * it is always truthy, ``0.0.0.0`` included;
+    * ``str``, ``repr`` and ``format`` give the dotted quad;
+    * ``+ offset`` gives the address ``offset`` hosts later; every
+      other arithmetic operator returns a plain ``int``.
+
+    Constructing from an address returns that same object: addresses
+    are immutable, and four-tuples that share their address objects
+    compare on identity in C.
 
     Parameters
     ----------
     value:
         Either a dotted-quad string (``"10.0.0.1"``), a 32-bit integer,
-        another :class:`IPv4Address` (copied), or 4 raw bytes.
+        another :class:`IPv4Address`, or 4 raw bytes.
 
     Examples
     --------
@@ -55,89 +87,130 @@ class IPv4Address:
     True
     >>> str(IPv4Address(0x0A000001))
     '10.0.0.1'
+    >>> IPv4Address("10.0.0.1") == 0x0A000001
+    False
     """
 
-    __slots__ = ("_value",)
+    __slots__ = ()
 
-    def __init__(self, value: Union[str, int, bytes, "IPv4Address"]):
+    def __new__(cls, value: Union[str, int, bytes, "IPv4Address"]):
         if isinstance(value, IPv4Address):
-            self._value = value._value
-        elif isinstance(value, str):
-            self._value = _parse_dotted_quad(value)
-        elif isinstance(value, bytes):
+            if type(value) is cls:
+                return value
+            return _int_new(cls, value)
+        if isinstance(value, str):
+            return _int_new(cls, _parse_dotted_quad(value))
+        if isinstance(value, bytes):
             if len(value) != 4:
                 raise AddressError(
                     f"IPv4 address must be exactly 4 bytes, got {len(value)}"
                 )
-            self._value = int.from_bytes(value, "big")
-        elif isinstance(value, int):
+            return _int_new(cls, int.from_bytes(value, "big"))
+        if isinstance(value, int):
             if not 0 <= value <= 0xFFFFFFFF:
                 raise AddressError(f"IPv4 address out of range: {value:#x}")
-            self._value = value
-        else:
-            raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
+            return _int_new(cls, value)
+        raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
 
     @property
     def value(self) -> int:
-        """The address as an unsigned 32-bit integer."""
-        return self._value
+        """The address as an unsigned 32-bit integer (a plain ``int``)."""
+        return int(self)
 
     @property
     def packed(self) -> bytes:
         """The address as 4 network-order bytes."""
-        return self._value.to_bytes(4, "big")
+        return self.to_bytes(4, "big")
 
     @property
     def octets(self) -> Tuple[int, int, int, int]:
         """The four octets, most significant first."""
-        v = self._value
-        return ((v >> 24) & 0xFF, (v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+        return (self >> 24, self >> 16 & 0xFF, self >> 8 & 0xFF, self & 0xFF)
 
     def is_loopback(self) -> bool:
         """True for 127.0.0.0/8."""
-        return (self._value >> 24) == 127
+        return (self >> 24) == 127
 
     def is_multicast(self) -> bool:
         """True for 224.0.0.0/4."""
-        return (self._value >> 28) == 0xE
+        return (self >> 28) == 0xE
 
     def is_private(self) -> bool:
         """True for RFC 1918 space (10/8, 172.16/12, 192.168/16)."""
-        v = self._value
         return (
-            (v >> 24) == 10
-            or (v >> 20) == 0xAC1  # 172.16.0.0/12
-            or (v >> 16) == 0xC0A8  # 192.168.0.0/16
+            (self >> 24) == 10
+            or (self >> 20) == 0xAC1  # 172.16.0.0/12
+            or (self >> 16) == 0xC0A8  # 192.168.0.0/16
         )
 
     def __add__(self, offset: int) -> "IPv4Address":
         """Return the address ``offset`` hosts later (wraps at 2**32)."""
         if not isinstance(offset, int):
             return NotImplemented
-        return IPv4Address((self._value + offset) & 0xFFFFFFFF)
+        return _int_new(IPv4Address, _int_add(self, offset) & 0xFFFFFFFF)
+
+    # Comparisons: an operand that is not an address is never equal
+    # and never ordered.  Each method answers for a bare int itself
+    # instead of returning NotImplemented, because Python would then
+    # ask ``int``, which compares the values.  Equality XORs the two
+    # values -- int's own operator, run in C -- which costs half of a
+    # call to ``int.__eq__`` through its slot wrapper.
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
-            return self._value == other._value
+            return not (self ^ other)
+        if isinstance(other, int):
+            return False
+        return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, IPv4Address):
+            return (self ^ other) != 0
+        if isinstance(other, int):
+            return True
         return NotImplemented
 
     def __lt__(self, other: "IPv4Address") -> bool:
-        if isinstance(other, IPv4Address):
-            return self._value < other._value
-        return NotImplemented
+        _require_address(self, other, "<")
+        return int.__lt__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._value)
+    def __le__(self, other: "IPv4Address") -> bool:
+        _require_address(self, other, "<=")
+        return int.__le__(self, other)
 
-    def __int__(self) -> int:
-        return self._value
+    def __gt__(self, other: "IPv4Address") -> bool:
+        _require_address(self, other, ">")
+        return int.__gt__(self, other)
+
+    def __ge__(self, other: "IPv4Address") -> bool:
+        _require_address(self, other, ">=")
+        return int.__ge__(self, other)
+
+    __hash__ = int.__hash__
+
+    def __bool__(self) -> bool:
+        return True
 
     def __str__(self) -> str:
-        v = self._value
-        return f"{v >> 24}.{(v >> 16) & 0xFF}.{(v >> 8) & 0xFF}.{v & 0xFF}"
+        return f"{self >> 24}.{self >> 16 & 0xFF}.{self >> 8 & 0xFF}.{self & 0xFF}"
+
+    def __format__(self, spec: str) -> str:
+        return format(str(self), spec)
 
     def __repr__(self) -> str:
-        return f"IPv4Address('{self}')"
+        return f"IPv4Address('{self!s}')"
+
+
+_int_new = int.__new__
+_int_add = int.__add__
+
+
+def _require_address(address: IPv4Address, other: object, op: str) -> None:
+    if not isinstance(other, IPv4Address):
+        raise TypeError(
+            f"'{op}' not supported between instances of"
+            f" {type(address).__name__!r} and {type(other).__name__!r}"
+        )
 
 
 def _parse_dotted_quad(text: str) -> int:
@@ -160,7 +233,7 @@ def ip(value: Union[str, int, bytes, IPv4Address]) -> IPv4Address:
 
 
 def _check_port(port: int, label: str) -> int:
-    if not isinstance(port, int) or isinstance(port, bool):
+    if not isinstance(port, int) or isinstance(port, (bool, IPv4Address)):
         raise AddressError(f"{label} port must be an int, got {type(port).__name__}")
     if not 0 <= port <= MAX_PORT:
         raise AddressError(f"{label} port out of range: {port}")
@@ -250,11 +323,12 @@ class FourTuple(_FourTupleBase):
         remote addr, remote port.  Hash functions in
         :mod:`repro.hashing` operate on this value.
         """
+        local_addr, local_port, remote_addr, remote_port = self
         return (
-            (int(self.local_addr) << 64)
-            | (self.local_port << 48)
-            | (int(self.remote_addr) << 16)
-            | self.remote_port
+            (local_addr << 64)
+            | (local_port << 48)
+            | (remote_addr << 16)
+            | remote_port
         )
 
     def words16(self) -> Iterator[int]:
@@ -271,6 +345,6 @@ class FourTuple(_FourTupleBase):
 
     def __str__(self) -> str:
         return (
-            f"{self.local_addr}:{self.local_port}"
-            f" <- {self.remote_addr}:{self.remote_port}"
+            f"{self.local_addr!s}:{self.local_port}"
+            f" <- {self.remote_addr!s}:{self.remote_port}"
         )

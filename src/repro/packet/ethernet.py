@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Union
 
+from .addresses import IPv4Address
 from .ip import PacketError
 
 __all__ = ["MACAddress", "EtherType", "EthernetFrame", "crc32_ieee"]
@@ -71,7 +72,7 @@ class MACAddress:
             if len(value) != 6:
                 raise PacketError(f"MAC address must be 6 bytes, got {len(value)}")
             self._value = int.from_bytes(value, "big")
-        elif isinstance(value, int):
+        elif isinstance(value, int) and not isinstance(value, IPv4Address):
             if not 0 <= value <= 0xFFFFFFFFFFFF:
                 raise PacketError(f"MAC address out of range: {value:#x}")
             self._value = value

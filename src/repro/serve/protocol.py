@@ -76,6 +76,9 @@ MAX_PAYLOAD = 0xFFFF
 SERVE_LOCAL_ADDR = IPv4Address("10.9.0.1")
 SERVE_LOCAL_PORT = 9009
 
+#: Handshaken clients' logical addresses count up from here.
+_CLIENT_BASE = IPv4Address("10.9.0.0")
+
 #: Client-id ceiling: ids map into a /16 of client subnets below.
 MAX_CLIENT_ID = 0xFFFFFFFF
 
@@ -166,7 +169,7 @@ def logical_tuple(client_id: int) -> FourTuple:
     """
     if not 0 <= client_id <= MAX_CLIENT_ID:
         raise FrameError(f"client id out of range: {client_id}")
-    host = IPv4Address("10.9.0.0") + (
+    host = _CLIENT_BASE + (
         256 + (client_id // 250) * 256 + client_id % 250 + 1
     )
     port = 40000 + client_id % 20000

@@ -38,6 +38,7 @@ from ..sim.network import Network
 from ..sim.rng import RngRegistry
 from ..tcpstack.stack import HostStack
 from .base import bind_tracer_clock
+from .tpca import SERVER_ADDRESS, SERVER_PORT
 
 __all__ = [
     "ChurnStormResult",
@@ -46,6 +47,7 @@ __all__ = [
     "MalformedStreamWorkload",
     "SynFloodResult",
     "SynFloodWorkload",
+    "churn_tuple",
 ]
 
 
@@ -191,6 +193,29 @@ def _fresh_bsd() -> DemuxAlgorithm:
 # ---------------------------------------------------------------------------
 # Connection churn storm
 
+#: Churn remotes: one address per slot of 10.2/16, slots 1..65,534.
+_CHURN_REMOTE_BASE = IPv4Address("10.2.0.0")
+_CHURN_REMOTE_SLOTS = 65534
+
+#: Each slot's remote address, made on first use and shared by every
+#: tuple of that slot.  Bounded by the slot count, never by the ids.
+_churn_remotes: Dict[int, IPv4Address] = {}
+
+
+def churn_tuple(index: int) -> FourTuple:
+    """The four-tuple for churn connection id ``index`` (stable).
+
+    Connections of the TPC/A server, one remote address per id modulo
+    65,534 and one port per id modulo 20,000.  Every call makes a new
+    tuple, but tuples of one id share their address objects, so
+    comparing two of them runs no Python code.
+    """
+    slot = index % _CHURN_REMOTE_SLOTS + 1
+    remote = _churn_remotes.get(slot)
+    if remote is None:
+        remote = _churn_remotes[slot] = _CHURN_REMOTE_BASE + slot
+    return FourTuple(SERVER_ADDRESS, SERVER_PORT, remote, 40000 + index % 20000)
+
 
 @dataclasses.dataclass
 class ChurnStormResult:
@@ -245,12 +270,7 @@ class ChurnStormWorkload:
     def _fresh_tuple(self) -> FourTuple:
         index = self._next_id
         self._next_id += 1
-        return FourTuple(
-            IPv4Address("10.0.0.1"),
-            1521,
-            IPv4Address("10.2.0.0") + (index % 65534 + 1),
-            40000 + index % 20000,
-        )
+        return churn_tuple(index)
 
     def run(self) -> ChurnStormResult:
         rng = self._rng

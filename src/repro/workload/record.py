@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from ..core.base import DemuxAlgorithm, DuplicateConnectionError, LookupResult
 from ..core.pcb import PCB
 from ..core.stats import PacketKind
-from ..packet.addresses import AddressError, FourTuple
+from ..packet.addresses import AddressError, FourTuple, IPv4Address
 from .thinktime import ThinkTimeModel
 from .tpca import TPCAConfig, TPCADemuxSimulation
 
@@ -154,7 +154,8 @@ def record_tpca_stream(
     if max_packets is not None:
         packets = packets[:max_packets]
     return RecordedStream(
-        tuples=tuple(config.user_tuple(i) for i in range(n_users)),
+        # The installed tuples themselves, which the packets hold too.
+        tuples=tuple(pcb.four_tuple for pcb in recorder),
         packets=tuple(packets),
         n_users=n_users,
         duration=duration,
@@ -252,13 +253,29 @@ def _parse_capture(document: Any, *, source: str) -> RecordedStream:
             f"{source}: missing or malformed {field!r} field",
         )
 
+    # One address object per distinct text, so that every tuple naming
+    # an address shares it (and tuple compares stop at identity).  The
+    # table lives as long as this parse.
+    addresses: Dict[str, IPv4Address] = {}
+
+    def parse_address(text: object) -> IPv4Address:
+        if type(text) is not str:
+            return IPv4Address(text)
+        address = addresses.get(text)
+        if address is None:
+            address = addresses[text] = IPv4Address(text)
+        return address
+
     def parse_tuple(payload: object, what: str) -> FourTuple:
         _require(
             isinstance(payload, list) and len(payload) == 4,
             f"{source}: malformed {what} {payload!r}",
         )
         try:
-            return FourTuple(payload[0], payload[1], payload[2], payload[3])
+            return FourTuple(
+                parse_address(payload[0]), payload[1],
+                parse_address(payload[2]), payload[3],
+            )
         except (AddressError, TypeError) as exc:
             raise CaptureFormatError(
                 f"{source}: bad {what} {payload!r}: {exc}"

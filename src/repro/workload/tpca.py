@@ -62,6 +62,9 @@ __all__ = [
 SERVER_ADDRESS = IPv4Address("10.0.0.1")
 SERVER_PORT = 1521
 
+#: Users' addresses count up from here (see ``TPCAConfig.user_tuple``).
+_USER_BASE = IPv4Address("10.1.0.0")
+
 
 @dataclasses.dataclass(frozen=True)
 class TPCAConfig:
@@ -118,7 +121,7 @@ class TPCAConfig:
         """
         if not 0 <= index < self.n_users:
             raise ValueError(f"user index {index} out of range")
-        host = IPv4Address("10.1.0.0") + (256 + (index // 250) * 256 + index % 250 + 1)
+        host = _USER_BASE + (256 + (index // 250) * 256 + index % 250 + 1)
         port = 40000 + index % 20000
         return FourTuple(SERVER_ADDRESS, SERVER_PORT, host, port)
 

@@ -1,5 +1,8 @@
 """Tests for repro.packet.addresses: IPv4Address and FourTuple."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.packet.addresses import (
@@ -81,12 +84,76 @@ class TestIPv4AddressBehaviour:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_hashes_in_c_as_its_integer(self):
+        assert IPv4Address.__hash__ is int.__hash__
+        for value in (0, 1, 0x0A000001, 0x7FFFFFFF, 0xFFFFFFFF):
+            assert hash(IPv4Address(value)) == hash(value)
+
     def test_not_equal_to_other_types(self):
         assert IPv4Address("10.0.0.1") != "10.0.0.1"
         assert IPv4Address("10.0.0.1") != 0x0A000001
+        # An address is an int underneath; neither operand order may
+        # fall back to int's value compare.
+        assert IPv4Address(5) != 5
+        assert 5 != IPv4Address(5)
+        assert (5 == IPv4Address(5)) is False
+        assert (IPv4Address(5) == 5) is False
+        assert {IPv4Address(5): "address"}.get(5) is None
+        assert {5: "int"}.get(IPv4Address(5)) is None
+
+    def test_always_truthy(self):
+        assert IPv4Address("0.0.0.0")
+        assert bool(IPv4Address(0)) is True
 
     def test_ordering(self):
         assert IPv4Address("10.0.0.1") < IPv4Address("10.0.0.2")
+        assert IPv4Address("10.0.0.2") >= IPv4Address("10.0.0.2")
+        assert sorted([IPv4Address(3), IPv4Address(1)]) == [
+            IPv4Address(1), IPv4Address(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "compare",
+        [
+            lambda a: a < 5,
+            lambda a: 5 < a,
+            lambda a: a <= 5,
+            lambda a: a > 5,
+            lambda a: a >= 5,
+            lambda a: a < "1.2.3.5",
+        ],
+    )
+    def test_orders_only_against_addresses(self, compare):
+        with pytest.raises(TypeError):
+            compare(IPv4Address("1.2.3.4"))
+
+    def test_format_gives_dotted_quad(self):
+        addr = IPv4Address("10.250.3.77")
+        assert f"{addr}" == "10.250.3.77"
+        assert f"{addr:>13}" == "  10.250.3.77"
+        assert "%s" % addr == "10.250.3.77"
+
+    def test_value_is_a_plain_int(self):
+        value = IPv4Address("10.0.0.1").value
+        assert type(value) is int and value == 0x0A000001
+
+    def test_from_address_shares_the_object(self):
+        addr = IPv4Address("10.0.0.1")
+        assert IPv4Address(addr) is addr
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_keeps_the_type(self, protocol):
+        addr = IPv4Address("192.168.1.1")
+        back = pickle.loads(pickle.dumps(addr, protocol))
+        assert type(back) is IPv4Address and back == addr
+        tup = FourTuple(addr, 80, "10.0.0.2", 40000)
+        back = pickle.loads(pickle.dumps(tup, protocol))
+        assert type(back.remote_addr) is IPv4Address and back == tup
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copy_keeps_the_type(self, clone):
+        addr = IPv4Address("192.168.1.1")
+        assert type(clone(addr)) is IPv4Address and clone(addr) == addr
 
     def test_addition_and_wraparound(self):
         assert IPv4Address("10.0.0.255") + 1 == IPv4Address("10.0.1.0")
@@ -221,6 +288,8 @@ class TestFourTupleConstructorValidation:
             FourTuple("10.0.0.1", "80", "10.0.0.2", 40000)
         with pytest.raises(AddressError):
             FourTuple("10.0.0.1", True, "10.0.0.2", 40000)
+        with pytest.raises(AddressError):  # an int, but not a port
+            FourTuple("10.0.0.1", IPv4Address(80), "10.0.0.2", 40000)
 
     def test_replace_validates(self):
         tup = FourTuple("10.0.0.1", 80, "10.0.0.2", 40000)

@@ -270,6 +270,22 @@ class TestLifecycleFlags:
         assert "lifecycle_reaper" in data
         assert "lifecycle_retention" in data
 
+    @pytest.mark.parametrize(
+        "bound",
+        [["--max-connections", "5"],
+         ["--max-connections", "5", "--overflow-policy", "reject-new"]],
+    )
+    def test_table_bound_implies_full_stack(self, bound, capsys):
+        code = main(
+            ["simulate", "--algorithm", "bsd", "--users", "50",
+             "--duration", "10", *bound]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out.startswith("tpca-fullstack/bsd")
+        drops = out.split("table-full=", 1)[1].split(",", 1)[0]
+        assert int(drops) > 0
+
 
 class TestLeakAuditCommand:
     def test_parser_knows_leak_audit(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.packet.addresses import IPv4Address
 from repro.packet.ethernet import (
     BROADCAST,
     EthernetFrame,
@@ -48,6 +49,11 @@ class TestMACAddress:
             MACAddress(1 << 48)
         with pytest.raises(PacketError):
             MACAddress(b"\x00" * 5)
+
+    def test_ip_address_rejected(self):
+        # An IPv4Address is an int, but never a MAC address.
+        with pytest.raises(PacketError):
+            MACAddress(IPv4Address("10.0.0.1"))
 
     def test_hashable(self):
         assert len({MACAddress(1), MACAddress(1), MACAddress(2)}) == 2

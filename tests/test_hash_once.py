@@ -7,7 +7,9 @@ steering hash (or to the sticky director's ``shard_of``) and to
 ``repro.fastpath.cuckoo._spread`` -- around replays of live-flow and
 unknown-tuple lookups, per call and through ``lookup_batch``.  A
 remove releases the flow's intern entry in one dict operation, so it
-hashes the removed four-tuple once.
+hashes the removed four-tuple once.  Churn tuples of one connection
+share their address objects, so the dicts keyed by them compare
+no address in Python.
 """
 
 import dataclasses
@@ -17,10 +19,10 @@ import pytest
 from repro.core.pcb import PCB
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
-from repro.fastpath import FastCuckooDemux, cuckoo
+from repro.fastpath import FastCuckooDemux, conformance, cuckoo
 from repro.fastpath.conformance import churn_tuple, stray_tuple
 from repro.hashing import default_hash
-from repro.packet.addresses import IPv4Address
+from repro.packet.addresses import FourTuple, IPv4Address
 from repro.recovery import ShardSupervisor
 from repro.smp import HashSteering, ShardedDemux, StickyFlowSteering
 
@@ -238,3 +240,33 @@ class TestRemoveHashesOnce:
             assert tup not in released._keycache
             assert len(released._keycache) == len(probed._keycache)
             assert released.fastpath_counters == probed.fastpath_counters
+
+
+@pytest.fixture
+def address_compares(monkeypatch):
+    """Count ``IPv4Address.__eq__`` calls."""
+    counted = CallCounter(IPv4Address.__eq__)
+
+    def counting_eq(self, other):
+        return counted(self, other)
+
+    monkeypatch.setattr(IPv4Address, "__eq__", counting_eq)
+    # Equal tuples with distinct address objects compare in Python.
+    fresh = [FourTuple("10.0.0.1", 80, "10.0.0.2", 4000) for _ in range(2)]
+    assert fresh[0] == fresh[1]
+    assert counted.calls == 2
+    counted.calls = 0
+    return counted
+
+
+class TestSharedAddresses:
+    @pytest.mark.parametrize("spec", ["fast-sequent:h=19", "fast-cuckoo"])
+    def test_batched_churn_replay_compares_no_address(
+        self, spec, address_compares
+    ):
+        ops = conformance.walk_ops(conformance.churn_ops(5, steps=3000))
+        decisions, _ = conformance.replay(
+            make_algorithm(spec), ops, chunk=64, batched=True
+        )
+        assert any(found for found, _, _ in decisions)
+        assert address_compares.calls == 0

@@ -272,6 +272,13 @@ class TestJsonlRoundTrip:
         records = self._recorded(tmp_path)
         assert len(records) == 8
         assert all(r["outcome"] == "found" for r in records)
+        # Addresses are ints underneath; the dump names them as text.
+        assert [r["four_tuple"] for r in records[:4]] == [
+            [str(tup.local_addr), tup.local_port,
+             str(tup.remote_addr), tup.remote_port]
+            for tup in map(make_tuple, range(4))
+        ]
+        assert records[0]["four_tuple"][0] == "10.0.0.1"
         # Each line is standalone JSON.
         lines = (tmp_path / "spans.jsonl").read_text().splitlines()
         assert all(json.loads(line) for line in lines)

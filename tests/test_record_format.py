@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_tuple
 from repro.core.stats import PacketKind
+from repro.fastpath.conformance import golden_stream
 from repro.workload.record import (
     CAPTURE_FORMAT,
     CAPTURE_VERSION,
@@ -69,6 +70,8 @@ class TestRoundTrip:
         loaded = load_stream(path)
         assert loaded.packets == stream.packets
         assert loaded.kind == "live-capture"
+        # The inline stray shares the parse's address objects.
+        assert loaded.packets[1][0].local_addr is loaded.tuples[0].local_addr
 
     def test_digest_is_content_only(self, stream):
         # Same tuples+packets under different header facts hash equal:
@@ -87,6 +90,35 @@ class TestRoundTrip:
             stream, packets=stream.packets[:-1]
         )
         assert stream_digest(truncated) != stream_digest(stream)
+
+    def test_golden_stream_digest_is_pinned(self):
+        # Equal digests replay identically: the seed-101 golden stream
+        # must keep the digest it had before addresses became ints.
+        assert stream_digest(golden_stream(101)) == (
+            "c2756a4284811f3ab2ff6c5c069dd5f247e4d93effcb657c74d0f32a12f133c4"
+        )
+
+    def test_addresses_travel_as_dotted_quads(self, stream, tmp_path):
+        # An address is an int underneath, which json.dumps would write
+        # as a bare number without complaint.
+        path = str(tmp_path / "cap.json")
+        save_stream(stream, path)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        for wire, tup in zip(document["tuples"], stream.tuples):
+            assert wire == [
+                str(tup.local_addr), tup.local_port,
+                str(tup.remote_addr), tup.remote_port,
+            ]
+        assert document["tuples"][0][0] == "10.0.0.1"
+
+    def test_loaded_tuples_share_address_objects(self, stream, tmp_path):
+        path = str(tmp_path / "cap.json")
+        save_stream(stream, path)
+        loaded = load_stream(path)
+        assert len({id(tup.local_addr) for tup in loaded.tuples}) == 1
+        remotes = {tup.remote_addr for tup in loaded.tuples}
+        assert len({id(addr) for addr in remotes}) == len(remotes)
 
 
 class TestValidation:

@@ -162,6 +162,20 @@ class TestRoundTrip:
         miss = restored.lookup(stray_tuple(0), PacketKind.DATA)
         assert miss.pcb is None
 
+    @pytest.mark.parametrize(
+        "spec", ["bsd", "fast-sequent:h=5", "sharded-fast-sequent:shards=3,h=5"]
+    )
+    def test_addresses_travel_as_dotted_quads(self, spec):
+        """An address is an int underneath, which ``json.dumps`` would
+        write as a bare number without complaint."""
+        algorithm = make_algorithm(spec)
+        live = churn(algorithm, ops=40, population=8)
+        blob = snapshot_bytes(algorithm, spec)
+        for tup in live:
+            for addr in (tup.local_addr, tup.remote_addr):
+                assert f'"{addr}"'.encode() in blob
+                assert str(int(addr)).encode() not in blob
+
 
 class TestFastCacheRestore:
     """Restored cache slots hold the restored structure's own interned
