@@ -25,6 +25,7 @@ import tempfile
 import urllib.request
 
 from repro.fastpath.gate import CanaryConfig, run_canary
+from repro.obs.watchdog import gauge_max
 from repro.serve import LoadConfig, ServeConfig, run_self_drive
 from repro.workload.record import load_stream, stream_info
 
@@ -46,9 +47,11 @@ def scrape(telemetry) -> None:
     print("scraped mid-run (HTTP):")
     for line in lookups:
         print(f"  {line}")
-    serve = snapshot["serve"]
-    print(f"  sessions: active={serve['active_sessions']} "
-          f"accepted={serve['accepted']} peak={serve['peak_sessions']}")
+    metrics = snapshot["metrics"]
+    active = gauge_max(metrics, "serve_sessions", state="active")
+    peak = gauge_max(metrics, "serve_sessions", state="peak")
+    accepted = gauge_max(metrics, "serve_totals", what="accepted")
+    print(f"  sessions: active={active:g} accepted={accepted:g} peak={peak:g}")
     print(f"  /healthz -> {health['state']}")
 
 

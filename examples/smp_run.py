@@ -33,7 +33,7 @@ INNER = "sequent:h=19"
 
 def replay(algorithm, packets, batch):
     if batch > 1:
-        BatchCoalescer(algorithm, batch, sort=True).replay(packets)
+        BatchCoalescer(algorithm, batch).replay(packets)
     else:
         for tup, kind in packets:
             algorithm.lookup(tup, kind)

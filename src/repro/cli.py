@@ -823,21 +823,12 @@ def _cmd_simulate(args) -> int:
     if serve:
         from .obs.live import TelemetryServer
 
-        def run_snapshot():
-            return {
-                "algorithm": algorithm.name,
-                "events_run": simulation.sim.events_run,
-                "virtual_time": simulation.sim.now,
-                "transactions": simulation.transactions_completed,
-            }
-
         server = TelemetryServer(
             registry,
             watchdog=watchdog,
             port=args.serve_metrics,
             clock=lambda: simulation.sim.now,
         )
-        server.register_section("run", run_snapshot)
         port = server.start()
         print(
             f"  telemetry: http://127.0.0.1:{port}/metrics"
@@ -958,10 +949,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_obs_report(args) -> int:
     from .obs.report import load_metrics_snapshot, render_dashboard
-    from .obs.spans import read_spans_jsonl
+    from .obs.trace import read_jsonl
 
     snapshot = load_metrics_snapshot(args.metrics)
-    spans = read_spans_jsonl(args.spans) if args.spans else None
+    spans = read_jsonl(args.spans) if args.spans else None
     text = render_dashboard(snapshot, spans=spans)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -17,7 +17,6 @@ million-connection tier:
 * :mod:`~repro.fastpath.algorithms` -- the five ``fast-*`` structures;
 * :mod:`~repro.fastpath.cuckoo` -- the two-choice cuckoo table with
   per-bucket pre-filters (``fast-cuckoo``, no reference twin);
-* :mod:`~repro.fastpath.batch` -- the fast structures' batch counters;
 * :mod:`~repro.fastpath.conformance` -- the one replay driver behind
   golden decision traces;
 * :mod:`~repro.fastpath.gate` -- the ``canary`` promotion verdict and
@@ -40,7 +39,6 @@ from .algorithms import (
     FastMTFDemux,
     FastSequentDemux,
 )
-from .batch import BatchLookupMixin, as_packets
 from .conformance import golden_stream, replay, stray_tuple, stream_ops
 from .cuckoo import CuckooCounters, FastCuckooDemux
 from .gate import MAX_SWEEP_USERS, Measurement, measure_replay
@@ -48,7 +46,6 @@ from .keycache import FastpathCounters, KeyCache, OrdinalKeyCache
 from .tables import CachedSlot, MTFSlotTable, SlotTable
 
 __all__ = [
-    "BatchLookupMixin",
     "CachedSlot",
     "CuckooCounters",
     "FAST_ALGORITHMS",
@@ -65,7 +62,6 @@ __all__ = [
     "MTFSlotTable",
     "Measurement",
     "SlotTable",
-    "as_packets",
     "golden_stream",
     "measure_replay",
     "replay",

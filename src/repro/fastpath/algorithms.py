@@ -36,9 +36,11 @@ from ..core.sequent import DEFAULT_HASH_CHAINS
 from ..core.stats import PacketKind
 from ..hashing.functions import HashFunction, default_hash
 from ..packet.addresses import FourTuple
-from .batch import BatchLookupMixin, Packet
 from .keycache import ABSENT_KEY, FastpathCounters, KeyCache, OrdinalKeyCache
 from .tables import CachedSlot, MTFSlotTable, SlotTable
+
+#: One inbound packet as the batch API consumes it.
+Packet = Tuple[FourTuple, PacketKind]
 
 __all__ = [
     "FastLinearDemux",
@@ -51,7 +53,7 @@ __all__ = [
 ]
 
 
-class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
+class _FastDemuxBase(DemuxAlgorithm):
     """Fast-path plumbing every backend shares: key cache, population.
 
     Subclasses add their own storage -- :class:`_FastDemux` the
@@ -91,6 +93,15 @@ class _FastDemuxBase(BatchLookupMixin, DemuxAlgorithm):
     def __contains__(self, tup: FourTuple) -> bool:
         """Membership without perturbing caches, stats, or counters."""
         return tup in self._keycache
+
+    def lookup_batch(self, packets: Sequence[Packet]) -> List[LookupResult]:
+        """:meth:`DemuxAlgorithm.lookup_batch`, counting the batches
+        served (``fastpath_counters``)."""
+        results = super().lookup_batch(packets)
+        counters = self.fastpath_counters
+        counters.batch_calls += 1
+        counters.batched_lookups += len(results)
+        return results
 
     def metrics(self) -> List[tuple]:
         """``demux_*`` plus the ``fastpath_counters`` gauges."""

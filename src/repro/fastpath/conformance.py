@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple, IPv4Address
-from ..workload.adversarial import churn_tuple
+from ..workload.adversarial import ChurnOp, churn_tuple, churn_walk
 from ..workload.record import RecordedStream, record_tpca_stream
 from ..workload.tpca import SERVER_ADDRESS, SERVER_PORT
 
@@ -103,53 +103,20 @@ def stream_ops(stream: RecordedStream) -> List[Op]:
     return ops
 
 
-#: One churn operation: ``("insert", id)``, ``("remove", id)``, or
-#: ``("lookup", id, "data"|"ack")`` -- connection ids are stable ints
-#: that :func:`churn_tuple` maps to four-tuples, so an op list is a
-#: plain JSON-able value any structure can replay.
-ChurnOp = Tuple
-
 #: Caps on the churn id space: above these the address/port folding in
 #: :func:`churn_tuple` starts reusing four-tuples for distinct ids.
 _CHURN_ID_LIMIT = 20000
 
 
 def churn_ops(seed: int, *, steps: int = 4000) -> List[ChurnOp]:
-    """A deterministic churn walk mirroring ``ChurnStormWorkload``.
-
-    Each step is a biased coin flip: insert a fresh connection, remove
-    a random live one, or look one up (half the lookups target live
-    connections, half target fresh never-inserted ids -- guaranteed
-    misses, exercising the non-interning probe path).  The op list is
-    valid by construction: every remove names a live connection.
-    """
+    """The seeded churn walk (:func:`~repro.workload.adversarial.
+    churn_walk`, the one ``ChurnStormWorkload`` applies) at an even
+    grow bias, drawn from ``random.Random(seed)``."""
     if not 1 <= steps <= _CHURN_ID_LIMIT:
         raise ValueError(
             f"steps must be in [1, {_CHURN_ID_LIMIT}], got {steps}"
         )
-    rng = random.Random(seed)
-    ops: List[ChurnOp] = []
-    live: List[int] = []
-    next_id = 0
-    for _ in range(steps):
-        action = rng.random()
-        if action < 0.25 or not live:
-            ops.append(("insert", next_id))
-            live.append(next_id)
-            next_id += 1
-        elif action < 0.5:
-            victim = rng.randrange(len(live))
-            live[victim], live[-1] = live[-1], live[victim]
-            ops.append(("remove", live.pop()))
-        else:
-            if rng.random() < 0.5:
-                target = live[rng.randrange(len(live))]
-            else:
-                target = next_id  # never inserted: a guaranteed miss
-                next_id += 1
-            kind = "data" if rng.random() < 0.5 else "ack"
-            ops.append(("lookup", target, kind))
-    return ops
+    return list(churn_walk(random.Random(seed), steps))
 
 
 def walk_ops(walk: Sequence[ChurnOp]) -> List[Op]:

@@ -21,7 +21,6 @@ from .infra import (
     ShardCrash,
     ShardStall,
     SnapshotCorruption,
-    parse_infra_spec,
     parse_mixed_spec,
 )
 from .injector import FaultInjector, FaultyLink
@@ -70,7 +69,6 @@ __all__ = [
     "audit_stack",
     "describe_models",
     "parse_fault_spec",
-    "parse_infra_spec",
     "parse_mixed_spec",
     "run_fault_cell",
     "run_fault_matrix",

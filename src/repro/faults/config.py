@@ -22,7 +22,7 @@ across runs (models carry per-run Markov/rng state).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
 from .models import (
     Blackhole,
@@ -111,25 +111,39 @@ _MAKERS: Dict[str, Callable[[str], FaultModel]] = {
 }
 
 
-def parse_fault_spec(spec: str) -> List[FaultModel]:
-    """Build a fresh model pipeline from a spec string.
+def _parse_terms(spec: str, *tables: Dict[str, Callable[[str], Any]]):
+    """Build each comma-separated ``name=values`` term of ``spec``.
 
-    Raises :class:`FaultSpecError` for unknown terms or bad values;
-    an empty/whitespace spec yields an empty pipeline.
+    Each term goes to the first table that knows its name; returns one
+    list per table, each in the order written.  An unknown name raises
+    :class:`FaultSpecError` listing every table's vocabulary.
     """
-    models: List[FaultModel] = []
+    built: List[list] = [[] for _ in tables]
     for term in spec.split(","):
         term = term.strip()
         if not term:
             continue
         name, sep, value = term.partition("=")
         name = name.strip().lower()
-        if name not in _MAKERS:
-            known = ", ".join(sorted(_MAKERS))
+        for table, terms in zip(tables, built):
+            if name in table:
+                break
+        else:
+            known = ", ".join(sorted(set().union(*tables)))
             raise FaultSpecError(f"unknown fault {name!r}; known: {known}")
         if not sep:
             raise FaultSpecError(f"fault {name!r} needs =values, got {term!r}")
-        models.append(_MAKERS[name](value.strip()))
+        terms.append(table[name](value.strip()))
+    return built
+
+
+def parse_fault_spec(spec: str) -> List[FaultModel]:
+    """Build a fresh model pipeline from a spec string.
+
+    Raises :class:`FaultSpecError` for unknown terms or bad values;
+    an empty/whitespace spec yields an empty pipeline.
+    """
+    (models,) = _parse_terms(spec, _MAKERS)
     return models
 
 

@@ -18,10 +18,10 @@ these corrupt the demultiplexing machinery itself -- the failure domain
 
 Like the link models, every stochastic decision is seeded and
 deterministic: an identical (seed, spec) pair replays an identical
-crash/stall/corruption schedule.  The spec grammar composes with the
-link grammar -- :func:`parse_mixed_spec` splits one comma-separated
-string (``"ge=0.05:0.45,crash=1:500,snapcorrupt=0.2"``) into its link
-and infrastructure pipelines, sharing
+crash/stall/corruption schedule.  The terms extend the link grammar of
+:mod:`repro.faults.config` -- :func:`parse_mixed_spec` splits one
+comma-separated string (``"ge=0.05:0.45,crash=1:500,snapcorrupt=0.2"``)
+into its link and infrastructure pipelines, sharing
 :class:`~repro.faults.config.FaultSpecError` for malformed terms.
 """
 
@@ -31,7 +31,7 @@ import random
 from typing import Callable, Dict, List, Tuple
 
 from ..sim.rng import derive_seed
-from .config import FaultSpecError, _floats, _MAKERS
+from .config import FaultSpecError, _floats, _MAKERS, _parse_terms
 from .models import FaultModel
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "ShardCrash",
     "ShardStall",
     "SnapshotCorruption",
-    "parse_infra_spec",
     "parse_mixed_spec",
 ]
 
@@ -207,33 +206,6 @@ _INFRA_MAKERS: Dict[str, Callable[[str], InfraFault]] = {
 }
 
 
-def parse_infra_spec(spec: str) -> List[InfraFault]:
-    """Build infrastructure faults from a spec string.
-
-    Same grammar as :func:`~repro.faults.config.parse_fault_spec`
-    (comma-separated ``name=v1:v2`` terms); link-fault terms are
-    rejected here -- use :func:`parse_mixed_spec` to accept both.
-    """
-    faults: List[InfraFault] = []
-    for term in spec.split(","):
-        term = term.strip()
-        if not term:
-            continue
-        name, sep, value = term.partition("=")
-        name = name.strip().lower()
-        if name not in _INFRA_MAKERS:
-            known = ", ".join(sorted(_INFRA_MAKERS))
-            raise FaultSpecError(
-                f"unknown infrastructure fault {name!r}; known: {known}"
-            )
-        if not sep:
-            raise FaultSpecError(
-                f"fault {name!r} needs =values, got {term!r}"
-            )
-        faults.append(_INFRA_MAKERS[name](value.strip()))
-    return faults
-
-
 def parse_mixed_spec(
     spec: str,
 ) -> Tuple[List[FaultModel], List[InfraFault]]:
@@ -248,23 +220,5 @@ def parse_mixed_spec(
     unknown names raise :class:`FaultSpecError` listing both
     vocabularies.
     """
-    link_terms: List[str] = []
-    infra_terms: List[str] = []
-    for term in spec.split(","):
-        stripped = term.strip()
-        if not stripped:
-            continue
-        name = stripped.partition("=")[0].strip().lower()
-        if name in _INFRA_MAKERS:
-            infra_terms.append(stripped)
-        elif name in _MAKERS:
-            link_terms.append(stripped)
-        else:
-            known = ", ".join(sorted(set(_MAKERS) | set(_INFRA_MAKERS)))
-            raise FaultSpecError(f"unknown fault {name!r}; known: {known}")
-    from .config import parse_fault_spec
-
-    return (
-        parse_fault_spec(",".join(link_terms)),
-        parse_infra_spec(",".join(infra_terms)),
-    )
+    link, infra = _parse_terms(spec, _MAKERS, _INFRA_MAKERS)
+    return link, infra

@@ -193,17 +193,12 @@ def remote_port_only(tup: FourTuple, nbuckets: int) -> int:
 def python_builtin(tup: FourTuple, nbuckets: int) -> int:
     """Python's own tuple hash, as an idealized reference point.
 
-    Deterministic here because the key folds to integers (int hashing is
-    not randomized by ``PYTHONHASHSEED``).
+    Deterministic because every field hashes as an integer (an address
+    hashes as its value), and int hashing is not randomized by
+    ``PYTHONHASHSEED``: the tuple hashes as its four-int form.
     """
     _check_buckets(nbuckets)
-    key = (
-        int(tup.local_addr),
-        tup.local_port,
-        int(tup.remote_addr),
-        tup.remote_port,
-    )
-    return hash(key) % nbuckets
+    return hash(tup) % nbuckets
 
 
 #: Registry used by the CLI, experiments, and the Sequent constructor.

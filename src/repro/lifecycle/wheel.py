@@ -1,50 +1,50 @@
-"""A hierarchical timer wheel over virtual time.
+"""Connection timers over virtual time: a heap of tick-quantized deadlines.
 
-The reaper needs one timer per live connection -- potentially millions
--- with three cheap operations: schedule, cancel, and "hand me
-everything that has expired".  A priority queue makes each of those
-``O(log n)``; the classic hierarchical timer wheel (Varghese & Lauck's
-hashed/hierarchical timing wheels, the scheme BSD ``callout`` tables
-and Linux ``timer_list`` descend from) makes them amortized ``O(1)``
-by hashing deadlines into circular buckets of ticks.
+The reaper needs one timer per live connection with three operations:
+schedule, cancel, and "hand me everything that has expired".  Each
+timer's deadline is rounded up to a whole ``tick`` and pushed on a
+binary heap, so :meth:`schedule` and each expiry cost ``O(log n)`` and
+:meth:`advance` touches only the timers it fires, however far time
+jumps.  Cancelling or rescheduling leaves the old heap entry behind;
+:meth:`advance` skips entries that are no longer their key's live
+timer, and when stale entries outnumber live ones the heap is rebuilt
+from the live timers, so memory stays ``O(live timers)``.
 
-This wheel is *virtual-time*: nothing here reads a real clock.  Time is
+The class keeps the name ``TimerWheel`` from the hierarchical timing
+wheel it replaced, so the reaper's ``wheel`` attribute and the
+snapshot envelope's ``wheel_tick`` key stay as they were.
+
+This store is *virtual-time*: nothing here reads a real clock.  Time is
 whatever the caller says it is (:meth:`advance`), which keeps the
 reaper deterministic under :class:`repro.sim.engine.Simulator` and
 trivially testable without one.
 
-Shape: ``levels`` wheels of ``slots`` buckets each.  Level 0 buckets
-span one ``tick``; each higher level spans ``slots`` times the level
-below.  A deadline lands in the lowest level that can still resolve it;
-when the cursor crosses a higher-level bucket its entries *cascade*
-down, so every timer is touched at most ``levels`` times before it
-fires.  Deadlines beyond the top level's horizon are clamped to the
-furthest top-level bucket and simply cascade again -- correctness does
-not depend on the horizon, only constant-factor efficiency does.
-
 Guarantees:
 
 * a timer never fires before its deadline;
-* it fires on the first :meth:`advance` whose time is at least one
-  tick-quantization past the deadline (late by less than one tick);
+* it fires on the first :meth:`advance` whose ``floor(now / tick)``
+  reaches its deadline tick, ``max(ceil(when / tick), cursor)``, where
+  the cursor is the first tick no earlier advance covered (so it is
+  late by less than one tick, plus the caller's advance granularity);
 * expired keys are returned in deterministic ``(deadline, schedule
   order)`` order, so downstream reaping is reproducible.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["TimerWheel"]
 
-#: (absolute deadline, schedule sequence, level, slot) per scheduled key.
-_Entry = Tuple[float, int, int, int]
+#: (absolute deadline, schedule sequence) of one scheduled timer.
+_Timer = Tuple[float, int]
 
 
 class TimerWheel:
-    """Hierarchical bucket-of-ticks timer store keyed by hashable keys.
+    """Tick-quantized timer store keyed by hashable keys.
 
     Scheduling an already-scheduled key replaces its deadline (the
     "reschedule" every lazy-touch reaper needs).  ``advance(now)``
@@ -52,27 +52,14 @@ class TimerWheel:
     callbacks -- policy stays with the caller.
     """
 
-    def __init__(
-        self, *, tick: float = 0.1, slots: int = 64, levels: int = 4
-    ) -> None:
+    def __init__(self, *, tick: float = 0.1) -> None:
         if tick <= 0:
             raise ValueError(f"tick must be positive, got {tick}")
-        if slots < 2:
-            raise ValueError(f"need at least 2 slots, got {slots}")
-        if levels < 1:
-            raise ValueError(f"need at least 1 level, got {levels}")
         self._tick = tick
-        self._slots = slots
-        self._levels = levels
-        #: Ticks spanned by one bucket of each level: 1, S, S^2, ...
-        self._spans = [slots ** level for level in range(levels)]
-        #: Ticks covered by all of level <= k: S, S^2, ..., S^levels.
-        self._horizons = [slots ** (level + 1) for level in range(levels)]
-        #: buckets[level][slot] -> {key: entry}, insertion-ordered.
-        self._buckets: List[List[Dict[Hashable, _Entry]]] = [
-            [{} for _ in range(slots)] for _ in range(levels)
-        ]
-        self._where: Dict[Hashable, _Entry] = {}
+        #: key -> its live timer.
+        self._live: Dict[Hashable, _Timer] = {}
+        #: (deadline tick, timer, key); may hold stale entries.
+        self._heap: List[Tuple[int, _Timer, Hashable]] = []
         self._seq = itertools.count()
         #: All ticks strictly below the cursor have been processed.
         self._cursor = 0
@@ -90,66 +77,55 @@ class TimerWheel:
         return self._now
 
     def __len__(self) -> int:
-        return len(self._where)
+        return len(self._live)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._where
+        return key in self._live
 
     def deadline_of(self, key: Hashable) -> float:
         """The scheduled deadline for ``key`` (KeyError if absent)."""
-        return self._where[key][0]
+        return self._live[key][0]
 
     def next_deadline(self) -> Optional[float]:
         """Earliest scheduled deadline, or ``None`` when empty (O(n))."""
-        if not self._where:
+        if not self._live:
             return None
-        return min(entry[0] for entry in self._where.values())
+        return min(timer[0] for timer in self._live.values())
 
     # -- scheduling --------------------------------------------------------
 
     def schedule(self, key: Hashable, when: float) -> None:
         """(Re)schedule ``key`` to expire at absolute time ``when``."""
-        self.cancel(key)
-        deadline_tick = max(
-            int(math.ceil(when / self._tick)), self._cursor
-        )
-        level, slot = self._place(deadline_tick)
-        entry = (when, next(self._seq), level, slot)
-        self._buckets[level][slot][key] = entry
-        self._where[key] = entry
+        timer = (when, next(self._seq))
+        self._live[key] = timer
+        deadline_tick = max(math.ceil(when / self._tick), self._cursor)
+        heapq.heappush(self._heap, (deadline_tick, timer, key))
+        self._compact()
 
     def cancel(self, key: Hashable) -> bool:
         """Forget ``key``'s timer; True if one was pending."""
-        entry = self._where.pop(key, None)
-        if entry is None:
+        if self._live.pop(key, None) is None:
             return False
-        _, _, level, slot = entry
-        del self._buckets[level][slot][key]
+        self._compact()
         return True
 
-    def _place(self, deadline_tick: int) -> Tuple[int, int]:
-        """The (level, slot) bucket a deadline tick belongs in *now*."""
-        delta = deadline_tick - self._cursor
-        for level in range(self._levels):
-            if delta < self._horizons[level]:
-                span = self._spans[level]
-                return level, (deadline_tick // span) % self._slots
-        # Beyond the horizon: park in the furthest top-level bucket; it
-        # will cascade (and re-place) as the cursor approaches.
-        top = self._levels - 1
-        span = self._spans[top]
-        far = self._cursor + self._horizons[top] - span
-        return top, (far // span) % self._slots
+    def _compact(self) -> None:
+        """Rebuild the heap from the live timers once stale entries
+        outnumber them."""
+        live = self._live
+        if len(self._heap) > 2 * len(live):
+            self._heap = [
+                entry for entry in self._heap if live.get(entry[2]) is entry[1]
+            ]
+            heapq.heapify(self._heap)
 
     # -- expiry ------------------------------------------------------------
 
     def advance(self, now: float) -> List[Hashable]:
         """Move time forward; return keys whose deadlines have passed.
 
-        Processes every tick up to ``floor(now / tick)`` inclusive,
-        cascading higher-level buckets as their boundaries are crossed.
-        Empty stretches are skipped in O(1), so idle wheels cost
-        nothing no matter how far time jumps.
+        Pops every entry due by tick ``floor(now / tick)`` inclusive and
+        returns the live ones sorted by ``(deadline, schedule order)``.
         """
         if now < self._now:
             raise ValueError(
@@ -157,38 +133,16 @@ class TimerWheel:
             )
         self._now = now
         target = int(now / self._tick)  # last tick to process
-        expired: List[Tuple[float, int, Hashable]] = []
-        while self._cursor <= target:
-            if not self._where:
-                self._cursor = target + 1
-                break
-            self._cascade(self._cursor)
-            bucket = self._buckets[0][self._cursor % self._slots]
-            if bucket:
-                for key, (deadline, seq, _, _) in bucket.items():
-                    del self._where[key]
-                    expired.append((deadline, seq, key))
-                bucket.clear()
-            self._cursor += 1
+        heap = self._heap
+        live = self._live
+        expired: List[Tuple[_Timer, Hashable]] = []
+        while heap and heap[0][0] <= target:
+            _, timer, key = heapq.heappop(heap)
+            if live.get(key) is timer:
+                del live[key]
+                expired.append((timer, key))
+        self._cursor = max(self._cursor, target + 1)
+        self._compact()
+        # Schedule sequences are unique, so keys are never compared.
         expired.sort()
-        return [key for _, _, key in expired]
-
-    def _cascade(self, tick: int) -> None:
-        """Pull higher-level buckets down when ``tick`` crosses them."""
-        for level in range(1, self._levels):
-            span = self._spans[level]
-            if tick % span != 0:
-                break  # higher levels only turn when this one does
-            bucket = self._buckets[level][(tick // span) % self._slots]
-            if not bucket:
-                continue
-            entries = list(bucket.items())
-            bucket.clear()
-            for key, (deadline, seq, _, _) in entries:
-                deadline_tick = max(
-                    int(math.ceil(deadline / self._tick)), self._cursor
-                )
-                new_level, new_slot = self._place(deadline_tick)
-                entry = (deadline, seq, new_level, new_slot)
-                self._buckets[new_level][new_slot][key] = entry
-                self._where[key] = entry
+        return [key for _, key in expired]

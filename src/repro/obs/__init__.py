@@ -64,7 +64,6 @@ from .spans import (
     SpanCollector,
     SpanStage,
     diff_spans,
-    read_spans_jsonl,
     write_spans_jsonl,
 )
 from .trace import (
@@ -122,6 +121,5 @@ __all__ = [
     "measure_build",
     "parse_slo_spec",
     "read_jsonl",
-    "read_spans_jsonl",
     "write_spans_jsonl",
 ]

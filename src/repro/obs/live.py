@@ -9,9 +9,10 @@ it up from the CLI), exposing:
     boundaries (:data:`~repro.obs.metrics.DEFAULT_EXPORT_BUCKETS` by
     default) so scraped series never drift between scrapes.
 ``/snapshot.json``
-    The full exact-count registry snapshot, plus the watchdog's latest
-    health report and each section the host registered
-    (:meth:`TelemetryServer.register_section`).
+    The full exact-count registry snapshot (``metrics``) plus the
+    watchdog's latest health report (``health``).  Run facts reach it
+    the way they reach ``/metrics``: as samples a source's
+    ``metrics()`` reports.
 ``/healthz``
     The SLO watchdog's folded state -- HTTP 200 for ``ok`` /
     ``degraded``, 503 for ``failing`` -- so an orchestrator's liveness
@@ -57,9 +58,6 @@ class TelemetryServer:
         self.port = port
         self.histogram_buckets = tuple(histogram_buckets)
         self.clock = clock
-        # Named snapshot sections (register_section); ordered by
-        # registration so /snapshot.json output is stable.
-        self._sections: Dict[str, Callable[[], Dict[str, Any]]] = {}
         #: Publishers must hold this around registry writes; the
         #: handler holds it around rendering.
         self.lock = threading.Lock()
@@ -118,39 +116,6 @@ class TelemetryServer:
     def url(self, path: str = "/metrics") -> str:
         return f"http://{self.host}:{self.port}{path}"
 
-    # -- snapshot sections ---------------------------------------------
-
-    #: Section names the server itself produces; never registrable.
-    RESERVED_SECTIONS = ("metrics", "health")
-
-    def register_section(
-        self, name: str, provider: Callable[[], Dict[str, Any]]
-    ) -> None:
-        """Add a named section to ``/snapshot.json``.
-
-        ``provider()`` is called per render, under :attr:`lock` --
-        the same publisher-lock contract registry writers follow, so a
-        section provider may read state that publishers mutate.  Names
-        must be unique and must not shadow the built-in sections
-        (``metrics``, ``health``).  Hosts use this to expose
-        run-specific state -- e.g. ``simulate``'s ``run`` facts, or the
-        serving front end's socket and session stats -- without the
-        server growing a field per subsystem.
-        """
-        if name in self.RESERVED_SECTIONS:
-            raise ValueError(
-                f"section name {name!r} is reserved"
-                f" (reserved: {list(self.RESERVED_SECTIONS)})"
-            )
-        if name in self._sections:
-            raise ValueError(f"section {name!r} already registered")
-        if not callable(provider):
-            raise TypeError(
-                f"section provider must be callable,"
-                f" got {type(provider).__name__}"
-            )
-        self._sections[name] = provider
-
     # -- rendering (all under self.lock) -------------------------------
 
     def _now(self) -> float:
@@ -169,8 +134,6 @@ class TelemetryServer:
                 snapshot["metrics"], now=self._now()
             )
             snapshot["health"] = report.to_dict()
-        for name, provider in self._sections.items():
-            snapshot[name] = provider()
         return snapshot
 
     def render_health(self) -> Tuple[int, Dict[str, Any]]:

@@ -66,7 +66,6 @@ __all__ = [
     "SpanCollector",
     "SpanStage",
     "diff_spans",
-    "read_spans_jsonl",
     "write_spans_jsonl",
 ]
 
@@ -130,15 +129,9 @@ class PacketSpan:
 
     def to_dict(self) -> Dict[str, Any]:
         tup = self.four_tuple
-        serialized = None
-        if tup is not None:
-            serialized = [
-                str(tup.local_addr), tup.local_port,
-                str(tup.remote_addr), tup.remote_port,
-            ]
         return {
             "span_id": self.span_id,
-            "four_tuple": serialized,
+            "four_tuple": None if tup is None else tup.to_wire(),
             "kind": self.kind,
             "start": self.start,
             "end": self.end,
@@ -519,17 +512,6 @@ def write_spans_jsonl(
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             count += 1
     return count
-
-
-def read_spans_jsonl(path: object) -> List[Dict[str, Any]]:
-    """Read a span JSONL dump back into a list of dicts."""
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
 
 
 def _normalize(record: Dict[str, Any],

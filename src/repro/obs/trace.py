@@ -36,9 +36,10 @@ from typing import (
     IO,
     List,
     Optional,
-    Tuple,
     Union,
 )
+
+from ..packet.addresses import FourTuple
 
 __all__ = [
     "TraceEvent",
@@ -69,9 +70,8 @@ class TraceEvent:
     kind: str
     #: ``DemuxAlgorithm.name`` of the emitting structure, if any.
     algorithm: str = ""
-    #: The 96-bit demux key involved, as a 4-tuple
-    #: ``(local_addr, local_port, remote_addr, remote_port)``.
-    four_tuple: Optional[Tuple[Any, int, Any, int]] = None
+    #: The 96-bit demux key involved.
+    four_tuple: Optional[FourTuple] = None
     #: ``"data"`` or ``"ack"`` for lookup events.
     packet_kind: Optional[str] = None
     #: PCBs examined (lookup events; the paper's figure of merit).
@@ -87,8 +87,7 @@ class TraceEvent:
         if self.algorithm:
             record["algorithm"] = self.algorithm
         if self.four_tuple is not None:
-            la, lp, ra, rp = self.four_tuple
-            record["four_tuple"] = [str(la), lp, str(ra), rp]
+            record["four_tuple"] = self.four_tuple.to_wire()
         if self.packet_kind is not None:
             record["packet_kind"] = self.packet_kind
         if self.kind == "lookup":
@@ -203,7 +202,8 @@ class CallbackSink(TraceSink):
 
 
 def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
-    """Load a JSONL trace back as a list of dicts (for replay/diff)."""
+    """Load a JSONL dump -- a trace, or a span dump -- back as a list
+    of dicts (for replay/diff)."""
     records = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import collections
 import re
-from typing import Iterator, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 __all__ = [
     "AddressError",
@@ -330,6 +330,14 @@ class FourTuple(_FourTupleBase):
             | (remote_addr << 16)
             | remote_port
         )
+
+    def to_wire(self) -> List[Union[str, int]]:
+        """The JSON wire form every artifact writes: ``[local dotted
+        quad, local port, remote dotted quad, remote port]``."""
+        return [
+            str(self.local_addr), self.local_port,
+            str(self.remote_addr), self.remote_port,
+        ]
 
     def words16(self) -> Iterator[int]:
         """Yield the key as six 16-bit words (for folding hash functions)."""

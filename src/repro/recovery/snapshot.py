@@ -121,13 +121,6 @@ _PCB_FIELDS = (
 )
 
 
-def _tuple_to_wire(tup: FourTuple) -> List[Any]:
-    return [
-        str(tup.local_addr), tup.local_port,
-        str(tup.remote_addr), tup.remote_port,
-    ]
-
-
 def _tuple_from_wire(wire: List[Any]) -> FourTuple:
     try:
         return FourTuple(wire[0], wire[1], wire[2], wire[3])
@@ -136,7 +129,7 @@ def _tuple_from_wire(wire: List[Any]) -> FourTuple:
 
 
 def _pcb_to_wire(pcb: PCB) -> Dict[str, Any]:
-    wire: Dict[str, Any] = {"tuple": _tuple_to_wire(pcb.four_tuple)}
+    wire: Dict[str, Any] = {"tuple": pcb.four_tuple.to_wire()}
     for field in _PCB_FIELDS:
         wire[field] = getattr(pcb, field)
     return wire
@@ -216,7 +209,7 @@ def _capture_single(algorithm: DemuxAlgorithm, spec: str) -> Dict[str, Any]:
 
 
 def _cache_wire(pcb: Optional[PCB]) -> Optional[List[Any]]:
-    return None if pcb is None else _tuple_to_wire(pcb.four_tuple)
+    return None if pcb is None else pcb.four_tuple.to_wire()
 
 
 def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
@@ -229,11 +222,11 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
     elif isinstance(algorithm, MultiCacheDemux):
         # OrderedDict iterates LRU -> MRU; preserved verbatim.
         extra["cache_lru"] = [
-            _tuple_to_wire(tup) for tup in algorithm._cache.keys()
+            tup.to_wire() for tup in algorithm._cache.keys()
         ]
     elif isinstance(algorithm, (SequentDemux, HashedMTFDemux)):
         extra["chain_caches"] = [
-            [index, _tuple_to_wire(chain.cache.four_tuple)]
+            [index, chain.cache.four_tuple.to_wire()]
             for index, chain in enumerate(algorithm._chains)
             if chain.cache is not None
         ]
@@ -248,7 +241,7 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
         extra["cache"] = _cache_wire(algorithm.cached_pcb)
     elif isinstance(algorithm, (FastSequentDemux, FastHashedMTFDemux)):
         extra["chain_caches"] = [
-            [index, _tuple_to_wire(slot.pcb.four_tuple)]
+            [index, slot.pcb.four_tuple.to_wire()]
             for index, slot in enumerate(algorithm._caches)
             if slot.key is not None
         ]
@@ -264,12 +257,12 @@ def _capture_extra(algorithm: DemuxAlgorithm) -> Dict[str, Any]:
             "bucket_size": algorithm.bucket_size,
             "kick_cursor": algorithm._kick_cursor,
             "slots": [
-                [index, _tuple_to_wire(pcb.four_tuple)]
+                [index, pcb.four_tuple.to_wire()]
                 for index, pcb in enumerate(algorithm._slot_pcbs)
                 if algorithm._slot_fps[index]
             ],
             "stash": [
-                _tuple_to_wire(pcb.four_tuple)
+                pcb.four_tuple.to_wire()
                 for _key, pcb, _fp in algorithm._stash
             ],
             "counters": algorithm.cuckoo_counters.as_dict(),
@@ -298,7 +291,7 @@ def _capture_lifecycle(algorithm: DemuxAlgorithm) -> Optional[Dict[str, Any]]:
         deadline = (
             reaper.wheel.deadline_of(tup) if tup in reaper.wheel else None
         )
-        entries.append([_tuple_to_wire(tup), last_touch, deadline])
+        entries.append([tup.to_wire(), last_touch, deadline])
     return {
         "idle_timeout": reaper.idle_timeout,
         "time_wait": reaper.time_wait,
@@ -338,7 +331,7 @@ def _capture_sharded(algorithm: ShardedDemux, spec: str) -> Dict[str, Any]:
         steering_state["rr_next"] = steering._next
     elif isinstance(steering, StickyFlowSteering):
         steering_state["sticky_flows"] = [
-            [_tuple_to_wire(tup), shard]
+            [tup.to_wire(), shard]
             for tup, shard in steering._flows.items()
         ]
         steering_state["sticky_assigned"] = steering.assigned_loads()
@@ -349,7 +342,7 @@ def _capture_sharded(algorithm: ShardedDemux, spec: str) -> Dict[str, Any]:
         "inner_spec": inner_spec,
         "nshards": algorithm.nshards,
         "home": [
-            [_tuple_to_wire(tup), shard]
+            [tup.to_wire(), shard]
             for tup, shard in algorithm.home_table().items()
         ],
         "steering": steering_state,

@@ -257,50 +257,48 @@ class DemuxServer:
 
     # -- telemetry -----------------------------------------------------
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The ``serve`` section for /snapshot.json."""
-        facts = self.sessions.snapshot()
-        facts.update(
-            {
-                "algorithm": self.algorithm.name,
-                "protocol_errors": self.protocol_errors,
-                "handler_failures": self.handler_failures,
-                "uptime_seconds": round(self.elapsed, 6),
-                "recording": self.recorder is not None,
-                "recorded_packets": (
-                    self.recorder.packet_count
-                    if self.recorder is not None
-                    else 0
-                ),
-            }
-        )
-        return facts
-
     def metrics(self) -> List[tuple]:
-        """Serve gauges: sessions by state and the cumulative totals.
+        """Serve gauges: sessions by state, the cumulative totals and
+        the uptime.
 
         Absolutes, not deltas, so re-publishing is idempotent; the
-        publisher holds the telemetry publisher lock.
+        publisher holds the telemetry publisher lock.  ``errors`` folds
+        the table's handler errors with ``protocol_errors`` and
+        ``handler_failures``; ``rejected`` folds ``rejected_capacity``
+        and ``rejected_duplicate``.  A bounded table adds its
+        ``max_sessions`` as the ``limit`` state.
         """
         table = self.sessions
+        sessions = [({"state": "active"}, table.active),
+                    ({"state": "peak"}, table.peak_active)]
+        if table.max_sessions is not None:
+            sessions.append(({"state": "limit"}, table.max_sessions))
         totals = {
             "accepted": table.accepted,
             "rejected": table.rejected_capacity + table.rejected_duplicate,
+            "rejected_capacity": table.rejected_capacity,
+            "rejected_duplicate": table.rejected_duplicate,
             "closed": table.closed,
             "errors": (
                 table.errors + self.protocol_errors + self.handler_failures
             ),
+            "protocol_errors": self.protocol_errors,
+            "handler_failures": self.handler_failures,
             "frames_in": table.total_frames_in,
             "frames_out": table.total_frames_out,
             "bytes_in": table.total_bytes_in,
             "bytes_out": table.total_bytes_out,
+            "recorded_packets": (
+                self.recorder.packet_count if self.recorder is not None else 0
+            ),
         }
         return [
-            ("serve_sessions", "gauge", "live serving sessions",
-             [({"state": "active"}, table.active),
-              ({"state": "peak"}, table.peak_active)]),
+            ("serve_sessions", "gauge", "live serving sessions", sessions),
             ("serve_totals", "gauge", "cumulative serving counters",
              [({"what": what}, value) for what, value in totals.items()]),
+            ("serve_uptime_seconds", "gauge",
+             "serving seconds since the listener started",
+             [({}, self.elapsed)]),
         ]
 
 
@@ -405,7 +403,6 @@ async def run_self_drive(
             port=telemetry_port,
             clock=server.clock.now,
         )
-        telemetry.register_section("serve", server.snapshot)
         telemetry.start()
 
         def publish() -> None:

@@ -24,7 +24,7 @@ Shard-level observability is :meth:`ShardedDemux.metrics`, which a
 :class:`repro.obs.MetricsRegistry` publishes.
 """
 
-from .coalesce import BatchCoalescer, CoalesceComparison, measure_coalescing
+from .coalesce import BatchCoalescer
 from .contention import (
     ContentionModel,
     DEFAULT_CONTENTION,
@@ -36,7 +36,6 @@ from .parallel import (
     ParallelTaskError,
     RetryLog,
     Task,
-    attempt_seed,
     run_tasks,
     task_seed,
 )
@@ -58,7 +57,6 @@ from .sweep import (
 
 __all__ = [
     "BatchCoalescer",
-    "CoalesceComparison",
     "ContentionModel",
     "DEFAULT_CONTENTION",
     "HashSteering",
@@ -73,11 +71,9 @@ __all__ = [
     "StickyFlowSteering",
     "SweepResult",
     "Task",
-    "attempt_seed",
     "available_steerings",
     "build_report",
     "make_steering",
-    "measure_coalescing",
     "run_smp_sweep",
     "run_tasks",
     "task_seed",

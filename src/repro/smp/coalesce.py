@@ -13,23 +13,21 @@ batch hit the BSD/Sequent single-entry caches instead of re-scanning
 :class:`BatchCoalescer` buffers ``(four_tuple, kind)`` arrivals, sorts
 each full batch by the flow key (Python's stable sort keeps a flow's
 packets in arrival order, so ACK-follows-DATA ordering survives), and
-replays it into any :class:`~repro.core.base.DemuxAlgorithm`.
-:func:`measure_coalescing` runs the same recorded stream unbatched and
-batched against fresh structures and reports the before/after cost --
-the paired comparison the sweep and benchmarks assert on.
+replays it into any :class:`~repro.core.base.DemuxAlgorithm`.  The
+paired before/after cost is the ``smp-sweep``'s to measure: its batch-1
+and largest-batch cells replay one recorded stream unbatched and
+batched (:mod:`repro.smp.sweep`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.base import DemuxAlgorithm
-from ..core.pcb import PCB
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
 
-__all__ = ["BatchCoalescer", "CoalesceComparison", "measure_coalescing"]
+__all__ = ["BatchCoalescer"]
 
 #: One inbound packet, as recorded by :mod:`repro.workload.record`.
 Packet = Tuple[FourTuple, PacketKind]
@@ -38,9 +36,9 @@ Packet = Tuple[FourTuple, PacketKind]
 class BatchCoalescer:
     """Buffer arrivals into batches; sort each batch by flow key.
 
-    ``batch_size=1`` (or ``sort=False``) degenerates to pass-through
-    delivery in arrival order, which is the honest baseline: batching
-    without reordering cannot change what a demux structure examines.
+    ``batch_size=1`` degenerates to pass-through delivery in arrival
+    order, which is the honest baseline: batching without reordering
+    cannot change what a demux structure examines.
     """
 
     def __init__(
@@ -48,14 +46,12 @@ class BatchCoalescer:
         algorithm: DemuxAlgorithm,
         batch_size: int = 32,
         *,
-        sort: bool = True,
         spans: Optional[object] = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.algorithm = algorithm
         self.batch_size = batch_size
-        self.sort = sort
         #: Optional :class:`repro.obs.SpanCollector`.  Spans open at
         #: *flush* time: span (and packet-observer) order is delivery
         #: order, which is what the train-ness detector must see --
@@ -87,7 +83,7 @@ class BatchCoalescer:
         self._buffer = []
         spans = self.spans
         if spans is None:
-            if self.sort and len(batch) > 1:
+            if len(batch) > 1:
                 batch.sort(key=lambda packet: packet[0].key_bits())
             previous = None
             for tup, _ in batch:
@@ -101,7 +97,7 @@ class BatchCoalescer:
         else:
             arrivals = self._arrivals
             self._arrivals = []
-            if self.sort and len(batch) > 1:
+            if len(batch) > 1:
                 # Index sort: sorted() is stable with the same key as
                 # list.sort above, so delivery order is identical to
                 # the span-less path -- arrivals just ride along.
@@ -141,86 +137,3 @@ class BatchCoalescer:
         for tup, kind in packets:
             self.offer(tup, kind)
         self.flush()
-
-
-@dataclasses.dataclass(frozen=True)
-class CoalesceComparison:
-    """Paired before/after cost of coalescing one packet stream."""
-
-    algorithm: str
-    batch_size: int
-    packets: int
-    unbatched_mean_examined: float
-    batched_mean_examined: float
-    unbatched_hit_rate: float
-    batched_hit_rate: float
-    train_followers: int
-
-    @property
-    def reduction(self) -> float:
-        """Fractional drop in mean PCBs examined (positive = batching won)."""
-        if not self.unbatched_mean_examined:
-            return 0.0
-        return 1.0 - self.batched_mean_examined / self.unbatched_mean_examined
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "algorithm": self.algorithm,
-            "batch_size": self.batch_size,
-            "packets": self.packets,
-            "unbatched_mean_examined": round(self.unbatched_mean_examined, 4),
-            "batched_mean_examined": round(self.batched_mean_examined, 4),
-            "unbatched_hit_rate": round(self.unbatched_hit_rate, 4),
-            "batched_hit_rate": round(self.batched_hit_rate, 4),
-            "train_followers": self.train_followers,
-            "reduction": round(self.reduction, 4),
-        }
-
-    def summary(self) -> str:
-        return (
-            f"{self.algorithm} B={self.batch_size}:"
-            f" {self.unbatched_mean_examined:.2f} ->"
-            f" {self.batched_mean_examined:.2f} PCBs/pkt"
-            f" ({self.reduction:+.1%}, {self.train_followers} train followers)"
-        )
-
-
-def _populate(algorithm: DemuxAlgorithm, tuples: Sequence[FourTuple]) -> None:
-    for tup in tuples:
-        algorithm.insert(PCB(tup))
-
-
-def measure_coalescing(
-    algorithm_factory: Callable[[], DemuxAlgorithm],
-    tuples: Sequence[FourTuple],
-    packets: Sequence[Packet],
-    batch_size: int,
-    *,
-    sort: bool = True,
-) -> CoalesceComparison:
-    """Replay ``packets`` unbatched and batched; report both costs.
-
-    Both arms get a fresh structure from ``algorithm_factory`` with the
-    same ``tuples`` installed, so the comparison is paired: the only
-    difference is delivery order inside each batch.
-    """
-    baseline = algorithm_factory()
-    _populate(baseline, tuples)
-    for tup, kind in packets:
-        baseline.lookup(tup, kind)
-
-    batched = algorithm_factory()
-    _populate(batched, tuples)
-    coalescer = BatchCoalescer(batched, batch_size, sort=sort)
-    coalescer.replay(packets)
-
-    return CoalesceComparison(
-        algorithm=baseline.name,
-        batch_size=batch_size,
-        packets=len(packets),
-        unbatched_mean_examined=baseline.stats.mean_examined,
-        batched_mean_examined=batched.stats.mean_examined,
-        unbatched_hit_rate=baseline.stats.hit_rate,
-        batched_hit_rate=batched.stats.hit_rate,
-        train_followers=coalescer.train_followers,
-    )

@@ -21,15 +21,12 @@ What must *not* change with the worker count is the answer:
   the one named.
 * **Retry** -- a long sweep should not lose an hour of work to one
   OOM-killed worker.  ``retries=N`` re-executes failed tasks up to N
-  extra times (rebuilding the pool when a worker death broke it, with
-  optional exponential backoff between rounds) before surfacing the
-  error.  A retried task re-runs with *the same* arguments -- its seed
-  is a pure function of (master seed, task name), not of the attempt
-  -- so a run that needed retries produces byte-identical artifacts to
-  one that did not.  Retry counts land in a :class:`RetryLog` so
-  artifacts can report how bumpy the road was
-  (:func:`attempt_seed` exists for tasks that *want* per-attempt
-  variation, e.g. probing a flaky scenario from a different angle).
+  extra times (rebuilding the pool when a worker death broke it)
+  before surfacing the error.  A retried task re-runs with *the same*
+  arguments -- its seed is a pure function of (master seed, task
+  name), not of the attempt -- so a run that needed retries produces
+  byte-identical artifacts to one that did not.  Retry counts land in
+  a :class:`RetryLog` so artifacts can report how bumpy the road was.
 
 Task callables must be module-level functions and their arguments
 picklable (the multiprocessing contract).  ``jobs=1`` runs inline --
@@ -39,7 +36,6 @@ same code path a worker would run, no pool, easier debugging.
 from __future__ import annotations
 
 import dataclasses
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -50,7 +46,6 @@ __all__ = [
     "Task",
     "ParallelTaskError",
     "RetryLog",
-    "attempt_seed",
     "run_tasks",
     "task_seed",
 ]
@@ -87,21 +82,6 @@ def task_seed(master_seed: int, task_name: str) -> int:
     return derive_seed(master_seed, f"task:{task_name}")
 
 
-def attempt_seed(master_seed: int, task_name: str, attempt: int) -> int:
-    """A deterministic seed for one (task, attempt) pair.
-
-    Attempt 0 equals :func:`task_seed`, so callers that thread the
-    attempt number through their task arguments reproduce the plain
-    seed on the first try and get fresh -- but replayable -- streams
-    on each retry.
-    """
-    if attempt < 0:
-        raise ValueError(f"attempt must be >= 0, got {attempt}")
-    if attempt == 0:
-        return task_seed(master_seed, task_name)
-    return derive_seed(master_seed, f"task:{task_name}:attempt{attempt}")
-
-
 @dataclasses.dataclass
 class RetryLog:
     """Where retries went during one :func:`run_tasks` call.
@@ -123,11 +103,6 @@ class RetryLog:
 
     def as_dict(self) -> Dict[str, Any]:
         return {"total": self.total, "by_task": dict(self.by_task)}
-
-
-def _backoff_sleep(backoff: float, completed_rounds: int) -> None:
-    if backoff > 0.0:
-        time.sleep(backoff * (2.0 ** (completed_rounds - 1)))
 
 
 def _probe() -> None:
@@ -225,7 +200,6 @@ def run_tasks(
     *,
     progress: Optional[Callable[[str], None]] = None,
     retries: int = 0,
-    backoff: float = 0.0,
     retry_log: Optional[RetryLog] = None,
 ) -> List[Any]:
     """Run every task; return results in submission order.
@@ -235,8 +209,7 @@ def run_tasks(
     returned list is indexed like ``tasks``.
 
     ``retries`` bounds how many *extra* attempts each failed task
-    gets; ``backoff`` seconds (doubling per round) separate retry
-    rounds.  A worker death (``BrokenProcessPool``) poisons every
+    gets.  A worker death (``BrokenProcessPool``) poisons every
     uncollected future in the pool, so the pool is rebuilt and only
     the tasks without results re-run.  Because the poison hides which
     task died, each task still failing that way after the last round
@@ -251,8 +224,6 @@ def run_tasks(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if backoff < 0.0:
-        raise ValueError(f"backoff must be >= 0, got {backoff}")
     names = [task.name for task in tasks]
     if len(set(names)) != len(names):
         raise ValueError("task names must be unique (they key seeds and errors)")
@@ -273,15 +244,12 @@ def run_tasks(
                     if attempt == retries:
                         raise ParallelTaskError(task.name, str(exc)) from exc
                     log.record(task.name)
-                    _backoff_sleep(backoff, attempt + 1)
             note(task.name)
         return results
 
     results: List[Any] = [None] * len(tasks)
     pending = list(range(len(tasks)))
     for round_number in range(retries + 1):
-        if round_number:
-            _backoff_sleep(backoff, round_number)
         failures = _run_pool(tasks, pending, jobs, results, note)
         if not failures:
             return results

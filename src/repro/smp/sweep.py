@@ -49,6 +49,11 @@ __all__ = [
 #: Steering label used for unsharded baseline cells.
 BASELINE = "none"
 
+#: Extra attempts a failed/crashed cell gets before the sweep fails.
+#: Cells are pure and attempt-independent, so retried results are
+#: byte-identical -- the count is recorded, not hidden.
+RETRIES = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class SMPSweepConfig:
@@ -65,12 +70,6 @@ class SMPSweepConfig:
     seeds: Tuple[int, ...] = (7,)
     jobs: int = 1
     utilization: float = 0.6
-    #: Extra attempts a failed/crashed cell gets before the sweep fails.
-    #: Cells are pure and attempt-independent, so retried results are
-    #: byte-identical -- the count is recorded, not hidden.
-    retries: int = 2
-    #: Seconds between retry rounds (doubling per round).
-    retry_backoff: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.algorithms:
@@ -87,10 +86,6 @@ class SMPSweepConfig:
             raise ValueError("need at least one seed")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -102,8 +97,6 @@ class SMPSweepConfig:
             "batch_sizes": list(self.batch_sizes),
             "seeds": list(self.seeds),
             "utilization": self.utilization,
-            "retries": self.retries,
-            "retry_backoff": self.retry_backoff,
         }
 
 
@@ -135,7 +128,7 @@ def _run_cell(params: Dict[str, object]) -> Dict[str, object]:
 
     train_followers = 0
     if batch_size > 1:
-        coalescer = BatchCoalescer(algorithm, batch_size, sort=True)
+        coalescer = BatchCoalescer(algorithm, batch_size)
         coalescer.replay(stream.packets)
         train_followers = coalescer.train_followers
     else:
@@ -387,8 +380,7 @@ def run_smp_sweep(
         tasks,
         config.jobs,
         progress=progress,
-        retries=config.retries,
-        backoff=config.retry_backoff,
+        retries=RETRIES,
         retry_log=retry_log,
     )
     return SweepResult(

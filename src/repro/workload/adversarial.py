@@ -24,7 +24,8 @@ streams, so an attack replays exactly.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import random
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.base import DemuxAlgorithm
 from ..core.pcb import PCB
@@ -48,6 +49,7 @@ __all__ = [
     "SynFloodResult",
     "SynFloodWorkload",
     "churn_tuple",
+    "churn_walk",
 ]
 
 
@@ -217,6 +219,46 @@ def churn_tuple(index: int) -> FourTuple:
     return FourTuple(SERVER_ADDRESS, SERVER_PORT, remote, 40000 + index % 20000)
 
 
+#: One churn operation: ``("insert", id)``, ``("remove", id)`` or
+#: ``("lookup", id, "data"|"ack")`` -- connection ids are stable ints
+#: that :func:`churn_tuple` maps to four-tuples, so a walk is a plain
+#: JSON-able value any structure can replay.
+ChurnOp = Tuple
+
+
+def churn_walk(
+    rng: random.Random, steps: int, grow_bias: float = 0.5
+) -> Iterator[ChurnOp]:
+    """The churn walk: ``steps`` biased coin flips drawn from ``rng``.
+
+    Each step inserts a fresh connection (probability ``grow_bias /
+    2``, and always while none is live), removes a random live one
+    (``grow_bias / 2``), or looks one up -- half the lookups target a
+    live connection, half a fresh never-inserted id, a guaranteed
+    miss.  Valid by construction: every remove names a live
+    connection.
+    """
+    live: List[int] = []
+    next_id = 0
+    for _ in range(steps):
+        action = rng.random()
+        if action < grow_bias * 0.5 or not live:
+            live.append(next_id)
+            yield ("insert", next_id)
+            next_id += 1
+        elif action < grow_bias:
+            victim = rng.randrange(len(live))
+            live[victim], live[-1] = live[-1], live[victim]
+            yield ("remove", live.pop())
+        else:
+            if rng.random() < 0.5:
+                target = live[rng.randrange(len(live))]
+            else:
+                target = next_id  # never inserted: a guaranteed miss
+                next_id += 1
+            yield ("lookup", target, "data" if rng.random() < 0.5 else "ack")
+
+
 @dataclasses.dataclass
 class ChurnStormResult:
     """Mutation-storm outcome: operation counts and a final census."""
@@ -264,51 +306,30 @@ class ChurnStormWorkload:
         self.steps = steps
         self.grow_bias = grow_bias
         self._rng = RngRegistry(seed).stream("churnstorm")
-        self._live: List[FourTuple] = []
-        self._next_id = 0
-
-    def _fresh_tuple(self) -> FourTuple:
-        index = self._next_id
-        self._next_id += 1
-        return churn_tuple(index)
 
     def run(self) -> ChurnStormResult:
-        rng = self._rng
+        algorithm = self.algorithm
         inserts = removes = lookups = found = 0
-        for _ in range(self.steps):
-            action = rng.random()
-            if action < self.grow_bias * 0.5 or not self._live:
-                tup = self._fresh_tuple()
-                self.algorithm.insert(PCB(tup))
-                self._live.append(tup)
+        for op in churn_walk(self._rng, self.steps, self.grow_bias):
+            tup = churn_tuple(op[1])
+            if op[0] == "insert":
+                algorithm.insert(PCB(tup))
                 inserts += 1
-            elif action < self.grow_bias:
-                victim = rng.randrange(len(self._live))
-                self._live[victim], self._live[-1] = (
-                    self._live[-1],
-                    self._live[victim],
-                )
-                self.algorithm.remove(self._live.pop())
+            elif op[0] == "remove":
+                algorithm.remove(tup)
                 removes += 1
             else:
-                if rng.random() < 0.5:
-                    tup = self._live[rng.randrange(len(self._live))]
-                else:
-                    tup = self._fresh_tuple()  # a guaranteed miss
-                kind = (
-                    PacketKind.DATA if rng.random() < 0.5 else PacketKind.ACK
-                )
-                result = self.algorithm.lookup(tup, kind)
+                kind = PacketKind.DATA if op[2] == "data" else PacketKind.ACK
                 lookups += 1
-                if result.found:
+                if algorithm.lookup(tup, kind).found:
                     found += 1
-        stats = self.algorithm.stats.combined()
+        stats = algorithm.stats.combined()
         return ChurnStormResult(
             inserts=inserts,
             removes=removes,
             lookups=lookups,
             lookups_found=found,
-            pcbs_remaining=len(self.algorithm),
+            pcbs_remaining=len(algorithm),
             mean_examined=stats.mean_examined,
         )
 

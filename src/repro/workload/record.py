@@ -17,7 +17,9 @@ run -- is carried in its header (``kind``) while every consumer
 (the canary's replays, golden decision traces) reads both
 identically.  ``load_stream`` re-verifies the digest and
 the structure, so a truncated or hand-edited capture is rejected at
-the door rather than silently replaying garbage.
+the door rather than silently replaying garbage.  The digest is
+checked over the ``tuples`` and ``packets`` fields exactly as read,
+which are the bytes ``save_stream`` hashed.
 """
 
 from __future__ import annotations
@@ -166,15 +168,6 @@ def record_tpca_stream(
 # -- the capture file format -------------------------------------------
 
 
-def _tuple_payload(tup: FourTuple) -> List[object]:
-    return [
-        str(tup.local_addr),
-        tup.local_port,
-        str(tup.remote_addr),
-        tup.remote_port,
-    ]
-
-
 def _stream_payload(stream: RecordedStream) -> Dict[str, Any]:
     """The digestable body: tuples plus index-compressed packets."""
     index = {tup: position for position, tup in enumerate(stream.tuples)}
@@ -184,13 +177,19 @@ def _stream_payload(stream: RecordedStream) -> Dict[str, Any]:
         if slot is None:
             # A packet for a never-installed connection (live strays);
             # carried inline so replay sees the same miss.
-            packets.append([_tuple_payload(tup), kind.value])
+            packets.append([tup.to_wire(), kind.value])
         else:
             packets.append([slot, kind.value])
     return {
-        "tuples": [_tuple_payload(tup) for tup in stream.tuples],
+        "tuples": [tup.to_wire() for tup in stream.tuples],
         "packets": packets,
     }
+
+
+def _payload_digest(payload: Dict[str, Any]) -> str:
+    """SHA-256 over a payload's canonical JSON."""
+    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def stream_digest(stream: RecordedStream) -> str:
@@ -200,10 +199,7 @@ def stream_digest(stream: RecordedStream) -> str:
     structure -- the byte-identity check the record/replay determinism
     tests (and ``record-info``) rely on.
     """
-    body = json.dumps(
-        _stream_payload(stream), separators=(",", ":"), sort_keys=True
-    )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return _payload_digest(_stream_payload(stream))
 
 
 def save_stream(stream: RecordedStream, path: str) -> str:
@@ -231,7 +227,11 @@ def _require(condition: bool, message: str) -> None:
         raise CaptureFormatError(message)
 
 
-def _parse_capture(document: Any, *, source: str) -> RecordedStream:
+def _parse_capture(
+    document: Any, *, source: str
+) -> Tuple[RecordedStream, str]:
+    """The stream a capture document holds, and the digest of its
+    ``tuples`` and ``packets`` fields as read."""
     _require(isinstance(document, dict), f"{source}: not a JSON object")
     fmt = document.get("format")
     _require(
@@ -323,24 +323,21 @@ def _parse_capture(document: Any, *, source: str) -> RecordedStream:
             f"{source}: header says {declared_count} packets,"
             f" body has {len(packets)}",
         )
+    actual = _payload_digest(
+        {"tuples": document["tuples"], "packets": document["packets"]}
+    )
     declared_digest = document.get("digest")
     if declared_digest is not None:
-        actual = stream_digest(stream)
         _require(
             actual == declared_digest,
             f"{source}: content digest mismatch"
             f" (header {declared_digest[:12]}..., body {actual[:12]}...)"
             " -- the capture was truncated or edited",
         )
-    return stream
+    return stream, actual
 
 
-def load_stream(path: str) -> RecordedStream:
-    """Read and validate a capture file written by :func:`save_stream`.
-
-    Raises :class:`CaptureFormatError` for anything that is not a
-    well-formed, digest-clean capture of a supported version.
-    """
+def _read_capture(path: str) -> Tuple[RecordedStream, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -349,16 +346,26 @@ def load_stream(path: str) -> RecordedStream:
     return _parse_capture(document, source=path)
 
 
+def load_stream(path: str) -> RecordedStream:
+    """Read and validate a capture file written by :func:`save_stream`.
+
+    Raises :class:`CaptureFormatError` for anything that is not a
+    well-formed, digest-clean capture of a supported version.
+    """
+    return _read_capture(path)[0]
+
+
 def stream_info(path: str) -> Dict[str, Any]:
-    """Validated header facts of a capture (the ``record-info`` view)."""
-    stream = load_stream(path)
+    """Validated header facts of a capture (the ``record-info`` view),
+    with the digest it verified."""
+    stream, digest = _read_capture(path)
     return {
         "path": path,
         "format": CAPTURE_FORMAT,
         "version": CAPTURE_VERSION,
         "kind": stream.kind,
         "seed": stream.seed,
-        "digest": stream_digest(stream),
+        "digest": digest,
         "connections": len(stream.tuples),
         "packet_count": len(stream.packets),
         "duration": stream.duration,

@@ -248,6 +248,22 @@ class TestLifecycleFlags:
         assert "reaped:" in out
         assert "leak-audit" in out
 
+    def test_reaper_flow_output_is_pinned(self, capsys):
+        """The reaper's timer decisions, end to end: reordering or early
+        expiries would move these counts."""
+        code = main(
+            ["simulate", "--algorithm", "fast-sequent:h=19", "--users", "80",
+             "--duration", "40", "--seed", "3", "--idle-timeout", "20",
+             "--time-wait", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert (
+            "  reaped: idle=53 time-wait=0 spurious-wakeups=140 timers=220\n"
+            in out
+        )
+        assert "  transactions: 163," in out
+
     def test_idle_timeout_implies_full_stack(self):
         parser = build_parser()
         args = parser.parse_args(

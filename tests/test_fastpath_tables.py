@@ -2,8 +2,8 @@
 
 The golden and differential suites prove the assembled structures are
 decision-identical; these tests pin the pieces those suites build on --
-key interning, flat slot tables, single-entry cache slots, the batch
-mixin's counters and hook fallback, and the metrics exporter -- plus
+key interning, flat slot tables, single-entry cache slots, the fast
+structures' batch counters and hooks, and the metrics exporter -- plus
 the base-class default ``lookup_batch`` every reference algorithm
 inherits.
 """
@@ -16,7 +16,6 @@ from repro.core.linear import LinearDemux
 from repro.core.pcb import PCB
 from repro.core.stats import PacketKind
 from repro.fastpath.algorithms import FastBSDDemux, FastSequentDemux
-from repro.fastpath.batch import as_packets
 from repro.fastpath.keycache import FastpathCounters, KeyCache
 from repro.fastpath.tables import CachedSlot, MTFSlotTable, SlotTable
 from repro.obs.metrics import MetricsRegistry
@@ -24,6 +23,11 @@ from repro.obs.profile import LookupProfiler
 from repro.obs.trace import RingBufferSink, Tracer
 
 from conftest import make_tuple
+
+
+def data_packets(tuples):
+    """DATA packets for ``tuples``, the batch API's input."""
+    return [(tup, PacketKind.DATA) for tup in tuples]
 
 
 class TestKeyCache:
@@ -193,7 +197,7 @@ class TestBatchMixin:
 
     def test_counters_track_batches(self):
         demux = self.build()
-        packets = as_packets([make_tuple(i) for i in range(6)])
+        packets = data_packets([make_tuple(i) for i in range(6)])
         demux.lookup_batch(packets)
         demux.lookup_batch(packets[:2])
         assert demux.fastpath_counters.batch_calls == 2
@@ -201,7 +205,7 @@ class TestBatchMixin:
         assert demux.stats.lookups == 8
 
     def test_tracer_rides_the_batched_path(self):
-        packets = as_packets([make_tuple(i) for i in range(4)])
+        packets = data_packets([make_tuple(i) for i in range(4)])
         sinks = []
         for batched in (False, True):
             demux = self.build()
@@ -224,11 +228,11 @@ class TestBatchMixin:
     def test_disabled_tracer_keeps_fast_path(self):
         demux = self.build()
         demux.tracer = Tracer(enabled=False)
-        demux.lookup_batch(as_packets([make_tuple(0)]))
+        demux.lookup_batch(data_packets([make_tuple(0)]))
         assert demux.fastpath_counters.batch_calls == 1
 
     def test_profiler_rides_the_batched_path(self):
-        packets = as_packets([make_tuple(i) for i in range(3)])
+        packets = data_packets([make_tuple(i) for i in range(3)])
         per_call = self.build()
         reference = LookupProfiler(sample_every=2).attach(per_call)
         for tup, kind in packets:
@@ -243,14 +247,9 @@ class TestBatchMixin:
         # ...in one amortized batch.
         assert demux.fastpath_counters.batch_calls == 1
         profiler.detach(demux)
-        demux.lookup_batch(as_packets([make_tuple(0)]))
+        demux.lookup_batch(data_packets([make_tuple(0)]))
         assert demux.fastpath_counters.batch_calls == 2
         assert profiler.lookups == 3
-
-    def test_as_packets_passes_pairs_through(self):
-        tup = make_tuple(0)
-        packets = as_packets([tup, (tup, PacketKind.ACK)])
-        assert packets == [(tup, PacketKind.DATA), (tup, PacketKind.ACK)]
 
 
 class TestDefaultLookupBatch:
@@ -270,7 +269,7 @@ class TestPublishFastpath:
     def test_exports_counters_as_gauges(self):
         demux = FastBSDDemux()
         demux.insert(PCB(make_tuple(0)))
-        demux.lookup_batch(as_packets([make_tuple(0), make_tuple(0)]))
+        demux.lookup_batch(data_packets([make_tuple(0), make_tuple(0)]))
         registry = MetricsRegistry()
         registry.publish(demux)
         gauge = registry.gauge("fastpath_counters")
@@ -289,7 +288,7 @@ class TestPublishFastpath:
         demux = make_algorithm("sharded-fast-sequent:shards=2,h=5")
         for i in range(4):
             demux.insert(PCB(make_tuple(i)))
-        demux.lookup_batch(as_packets([make_tuple(i) for i in range(4)]))
+        demux.lookup_batch(data_packets([make_tuple(i) for i in range(4)]))
         registry = MetricsRegistry()
         registry.publish(demux)
         shards = {

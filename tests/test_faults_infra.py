@@ -9,7 +9,7 @@ from repro.faults import (
     ShardCrash,
     ShardStall,
     SnapshotCorruption,
-    parse_infra_spec,
+    parse_fault_spec,
     parse_mixed_spec,
 )
 
@@ -112,7 +112,10 @@ class TestSnapshotCorruption:
 
 class TestInfraSpec:
     def test_parse_all_terms(self):
-        faults = parse_infra_spec("crash=2:500,stall=1:300:25,snapcorrupt=0.2:3")
+        link, faults = parse_mixed_spec(
+            "crash=2:500,stall=1:300:25,snapcorrupt=0.2:3"
+        )
+        assert link == []
         crash, stall, corrupt = faults
         assert isinstance(crash, ShardCrash)
         assert (crash.count, crash.window) == (2, 500)
@@ -122,23 +125,19 @@ class TestInfraSpec:
         assert (corrupt.probability, corrupt.bits) == (0.2, 3)
 
     def test_defaults(self):
-        crash, = parse_infra_spec("crash=1")
+        _, (crash,) = parse_mixed_spec("crash=1")
         assert crash.window == 1000
-        stall, = parse_infra_spec("stall=1")
+        _, (stall,) = parse_mixed_spec("stall=1")
         assert (stall.window, stall.duration) == (1000, 100)
-        corrupt, = parse_infra_spec("snapcorrupt=0.5")
+        _, (corrupt,) = parse_mixed_spec("snapcorrupt=0.5")
         assert corrupt.bits == 1
 
-    def test_link_terms_rejected_here(self):
-        with pytest.raises(FaultSpecError, match="unknown infrastructure"):
-            parse_infra_spec("loss=0.1")
-
     def test_empty_spec(self):
-        assert parse_infra_spec("") == []
+        assert parse_mixed_spec(" , ,") == ([], [])
 
     def test_missing_values_rejected(self):
         with pytest.raises(FaultSpecError, match="=values"):
-            parse_infra_spec("crash")
+            parse_mixed_spec("crash")
 
 
 class TestMixedSpec:
@@ -164,7 +163,18 @@ class TestMixedSpec:
     def test_unknown_term_lists_both_vocabularies(self):
         with pytest.raises(FaultSpecError) as err:
             parse_mixed_spec("loss=0.1,warp=9")
-        assert "crash" in str(err.value) and "loss" in str(err.value)
+        assert str(err.value) == (
+            "unknown fault 'warp'; known: blackhole, corrupt, crash, dup,"
+            " flap, ge, loss, reorder, snapcorrupt, stall"
+        )
+
+    def test_link_grammar_lists_only_link_terms(self):
+        with pytest.raises(FaultSpecError) as err:
+            parse_fault_spec("crash=1")
+        assert str(err.value) == (
+            "unknown fault 'crash'; known: blackhole, corrupt, dup, flap,"
+            " ge, loss, reorder"
+        )
 
     def test_empty(self):
         assert parse_mixed_spec("") == ([], [])

@@ -14,6 +14,7 @@ from repro.hashing.functions import (
     crc32_hash,
     get_hash_function,
     multiplicative,
+    python_builtin,
     remote_port_only,
     xor_fold,
 )
@@ -132,6 +133,26 @@ class TestCRC16Tables:
         packed = tup.key_bits().to_bytes(12, "big")
         for nbuckets in self.MODULI:
             assert crc16_hash(tup, nbuckets) == crc16_ccitt(packed) % nbuckets
+
+
+class TestPythonBuiltin:
+    """``python_builtin`` hashes the tuple itself; an address hashes as
+    its integer, so that is the hash of the four-int form."""
+
+    @given(
+        local_addr=st.integers(min_value=0, max_value=0xFFFFFFFF),
+        local_port=st.integers(min_value=0, max_value=0xFFFF),
+        remote_addr=st.integers(min_value=0, max_value=0xFFFFFFFF),
+        remote_port=st.integers(min_value=0, max_value=0xFFFF),
+        nbuckets=st.integers(min_value=1, max_value=1 << 40),
+    )
+    @settings(max_examples=300)
+    def test_equals_the_four_int_hash(
+        self, local_addr, local_port, remote_addr, remote_port, nbuckets
+    ):
+        tup = FourTuple(local_addr, local_port, remote_addr, remote_port)
+        four_ints = (local_addr, local_port, remote_addr, remote_port)
+        assert python_builtin(tup, nbuckets) == hash(four_ints) % nbuckets
 
 
 class TestSpecificFunctions:

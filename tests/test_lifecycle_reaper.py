@@ -173,7 +173,7 @@ class TestClockAndWheel:
         assert reaper.advance(19.5) == 1
 
     def test_custom_wheel_is_used(self):
-        wheel = TimerWheel(tick=0.5, slots=4, levels=2)
+        wheel = TimerWheel(tick=0.5)
         algorithm = make_algorithm("linear")
         reaper = ConnectionReaper(algorithm, idle_timeout=3.0, wheel=wheel)
         assert reaper.wheel is wheel

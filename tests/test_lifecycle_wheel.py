@@ -1,24 +1,22 @@
-"""Unit tests for the hierarchical timer wheel."""
+"""Unit tests for the reaper's timer store (``TimerWheel``)."""
 
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from repro.lifecycle.wheel import TimerWheel
 
 
-def make_wheel(**kwargs):
-    defaults = dict(tick=0.1, slots=8, levels=3)
-    defaults.update(kwargs)
-    return TimerWheel(**defaults)
+def make_wheel():
+    return TimerWheel(tick=0.1)
 
 
 class TestConstruction:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             TimerWheel(tick=0.0)
-        with pytest.raises(ValueError):
-            TimerWheel(slots=1)
-        with pytest.raises(ValueError):
-            TimerWheel(levels=0)
 
     def test_starts_empty_at_time_zero(self):
         wheel = make_wheel()
@@ -84,8 +82,10 @@ class TestScheduling:
 
 
 class TestHierarchy:
+    """Deadlines orders of magnitude apart each fire in their own
+    advance, never early."""
+
     def test_cascade_preserves_far_deadlines(self):
-        # 8 slots, tick 0.1: level 0 covers 0.8s, level 1 covers 6.4s.
         wheel = make_wheel()
         wheel.schedule("near", 0.3)
         wheel.schedule("mid", 3.0)
@@ -97,7 +97,6 @@ class TestHierarchy:
         assert wheel.advance(41.0) == ["far"]
 
     def test_beyond_horizon_parks_and_still_fires(self):
-        # Max horizon with 8 slots x 3 levels is 8**3 * 0.1 = 51.2s.
         wheel = make_wheel()
         wheel.schedule("parked", 500.0)
         assert wheel.advance(51.2) == []
@@ -140,3 +139,91 @@ class TestAdvance:
         fired = wheel.advance(0.35)
         assert fired == keys  # FIFO among equal deadlines
         assert len(wheel) == 0
+
+
+# -- the timer against a brute-force oracle ----------------------------
+
+#: One step of a walk: ("schedule", key, offset from now),
+#: ("cancel", key) or ("advance", step forward).
+_KEYS = st.sampled_from("abcdefgh")
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("schedule"), _KEYS,
+            st.floats(min_value=-3.0, max_value=60.0),
+        ),
+        st.tuples(st.just("cancel"), _KEYS),
+        st.tuples(
+            st.just("advance"),
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=2.0),
+                st.floats(min_value=0.0, max_value=80.0),
+            ),
+        ),
+    ),
+    max_size=80,
+)
+
+
+class OracleTimer:
+    """The timer contract, checked by brute force.
+
+    A key fires on the first ``advance`` whose ``floor(now / tick)``
+    reaches ``max(ceil(when / tick), cursor at schedule)``; the cursor
+    is one past the last tick an advance covered.  A batch is ordered
+    by ``(when, schedule order)``.
+    """
+
+    def __init__(self, tick):
+        self.tick = tick
+        self.cursor = 0
+        self.order = 0
+        self.timers = {}  # key -> (deadline tick, when, order)
+
+    def schedule(self, key, when):
+        due = max(math.ceil(when / self.tick), self.cursor)
+        self.timers[key] = (due, when, self.order)
+        self.order += 1
+
+    def cancel(self, key):
+        return self.timers.pop(key, None) is not None
+
+    def advance(self, now):
+        target = int(now / self.tick)
+        fired = sorted(
+            (when, order, key)
+            for key, (due, when, order) in self.timers.items()
+            if due <= target
+        )
+        for _, _, key in fired:
+            del self.timers[key]
+        self.cursor = max(self.cursor, target + 1)
+        return [key for _, _, key in fired]
+
+
+@given(
+    tick=st.sampled_from([0.01, 0.1, 0.25, 1.0]),
+    steps=_STEPS,
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_brute_force_oracle(tick, steps):
+    wheel = TimerWheel(tick=tick)
+    oracle = OracleTimer(tick)
+    now = 0.0
+    for step in steps:
+        if step[0] == "schedule":
+            _, key, offset = step
+            wheel.schedule(key, now + offset)
+            oracle.schedule(key, now + offset)
+        elif step[0] == "cancel":
+            assert wheel.cancel(step[1]) == oracle.cancel(step[1])
+        else:
+            now += step[1]
+            fired = wheel.advance(now)
+            assert fired == oracle.advance(now)
+        assert len(wheel) == len(oracle.timers)
+        for key, (_, when, _) in oracle.timers.items():
+            assert wheel.deadline_of(key) == when
+        # Stale entries never outnumber live timers.
+        assert len(wheel._heap) <= 2 * len(wheel)

@@ -46,19 +46,13 @@ class TestTelemetryServer:
         assert 'le="+Inf"' in text
 
     def test_serves_snapshot_json(self, registry):
-        extra = {"algorithm": "bsd", "virtual_time": 12.0}
-        server = TelemetryServer(
-            registry, watchdog=HealthWatchdog(default_rules())
-        )
-        server.register_section("run", lambda: dict(extra))
-        with server:
+        with TelemetryServer(registry) as server:
             status, headers, body = _get(server.url("/snapshot.json"))
         assert status == 200
         assert headers["Content-Type"].startswith("application/json")
         data = json.loads(body)
-        assert list(data) == ["metrics", "health", "run"]
-        assert data["run"] == extra
-        assert data["health"]["state"] == "ok"
+        # No watchdog, no health section.
+        assert list(data) == ["metrics"]
         assert data["metrics"]["packets_received_total"]["type"] == "counter"
 
     def test_healthz_ok(self, registry):
@@ -130,51 +124,30 @@ class TestTelemetryServer:
 
 
 class TestSnapshotSections:
-    def test_registered_section_appears_in_snapshot(self, registry):
-        server = TelemetryServer(registry)
-        server.register_section(
-            "serve", lambda: {"active_sessions": 3, "accepted": 9}
-        )
-        with server:
-            _, _, body = _get(server.url("/snapshot.json"))
-        data = json.loads(body)
-        assert data["serve"] == {"active_sessions": 3, "accepted": 9}
+    """``/snapshot.json`` holds the registry and the health report;
+    run facts reach it as published samples."""
 
     def test_sections_render_under_the_publisher_lock(self, registry):
         server = TelemetryServer(registry)
         held = {}
 
-        def provider():
-            # The handler holds server.lock while rendering, so the
-            # provider must see it taken.
-            held["locked"] = server.lock.locked()
-            return {}
+        class ProbeWatchdog:
+            def evaluate(self, snapshot, now):
+                # The handler holds server.lock while rendering, so the
+                # health section must see it taken.
+                held["locked"] = server.lock.locked()
+                return HealthWatchdog(default_rules()).evaluate(
+                    snapshot, now=now
+                )
 
-        server.register_section("probe", provider)
+        server.watchdog = ProbeWatchdog()
         with server:
             _get(server.url("/snapshot.json"))
         assert held["locked"] is True
 
-    def test_reserved_names_rejected(self, registry):
-        server = TelemetryServer(registry)
-        for name in ("metrics", "health"):
-            with pytest.raises(ValueError, match="reserved"):
-                server.register_section(name, dict)
-
-    def test_duplicate_name_rejected(self, registry):
-        server = TelemetryServer(registry)
-        server.register_section("serve", dict)
-        with pytest.raises(ValueError, match="already"):
-            server.register_section("serve", dict)
-
-    def test_non_callable_rejected(self, registry):
-        server = TelemetryServer(registry)
-        with pytest.raises(TypeError):
-            server.register_section("serve", {"not": "callable"})
-
     def test_snapshot_unchanged_when_no_sections_registered(self, registry):
-        """Regression: with no sections registered, /snapshot.json is
-        the server's own sections -- metrics, health, nothing else."""
+        """/snapshot.json is the server's own sections -- metrics,
+        health, nothing else."""
         server = TelemetryServer(
             registry, watchdog=HealthWatchdog(default_rules())
         )
@@ -182,6 +155,7 @@ class TestSnapshotSections:
             _, _, body = _get(server.url("/snapshot.json"))
         data = json.loads(body)
         assert list(data) == ["metrics", "health"]
+        assert data["health"]["state"] == "ok"
         assert data["metrics"]["packets_received_total"]["type"] == "counter"
 
 
@@ -292,8 +266,13 @@ class TestServeMetricsCLI:
             assert "traffic_skew" in body.decode()
             assert _get(f"{base}/healthz")[0] == 200
             snapshot = json.loads(_get(f"{base}/snapshot.json")[2])
-            assert list(snapshot) == ["metrics", "health", "run"]
+            assert list(snapshot) == ["metrics", "health"]
             assert snapshot["health"]["state"] == "ok"
+            run = {
+                sample["labels"]["name"]: sample["value"]
+                for sample in snapshot["metrics"]["sim_run"]["samples"]
+            }
+            assert run["transactions"] > 0
         finally:
             process.terminate()
             stdout, _ = process.communicate(timeout=30)

@@ -14,9 +14,9 @@ from repro.obs.spans import (
     FlightRecorder,
     SpanCollector,
     diff_spans,
-    read_spans_jsonl,
     write_spans_jsonl,
 )
+from repro.obs.trace import read_jsonl
 from repro.smp.coalesce import BatchCoalescer
 from repro.smp.sharded import ShardedDemux
 from repro.workload.tpca import TPCAConfig, TPCAFullStackSimulation
@@ -263,7 +263,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / name
         count = collector.to_jsonl(path)
         assert count == 8
-        records = read_spans_jsonl(path)
+        records = read_jsonl(path)
         if mutate:
             mutate(records)
         return records
@@ -320,4 +320,4 @@ class TestJsonlRoundTrip:
         records = self._recorded(tmp_path)
         path = tmp_path / "copy.jsonl"
         assert write_spans_jsonl(records, path) == len(records)
-        assert read_spans_jsonl(path) == records
+        assert read_jsonl(path) == records

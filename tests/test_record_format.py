@@ -154,6 +154,21 @@ class TestValidation:
         with pytest.raises(CaptureFormatError, match="digest"):
             load_stream(path)
 
+    def test_digest_covers_the_bytes_read(self, stream, tmp_path):
+        """An edit that parses to the same stream still breaks the
+        digest: it is taken over the fields as read, not re-derived
+        from the parsed stream."""
+        path = str(tmp_path / "cap.json")
+        save_stream(stream, path)
+
+        def inline_first_packet(document):
+            index, kind = document["packets"][0]
+            document["packets"][0] = [document["tuples"][index], kind]
+
+        _rewrite(path, inline_first_packet)
+        with pytest.raises(CaptureFormatError, match="digest"):
+            load_stream(path)
+
     def test_rejects_wrong_packet_count(self, stream, tmp_path):
         path = str(tmp_path / "cap.json")
         save_stream(stream, path)

@@ -12,6 +12,8 @@ import pytest
 from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
 from repro.fastpath.conformance import replay, stream_ops
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.watchdog import gauge_max
 from repro.serve.clock import WallClockAdapter
 from repro.serve.loadgen import LoadConfig, LoadGenerator, frame_plan
 from repro.serve.protocol import (
@@ -220,24 +222,34 @@ class TestEndToEnd:
         assert server.sessions.closed == 1
 
     def test_snapshot_section_shape(self):
-        report_holder = {}
+        """The serve facts as /snapshot.json's ``metrics`` section
+        carries them: published samples."""
+        registry = MetricsRegistry()
 
         async def scenario():
+            algorithm = make_algorithm("fast-sequent:h=19")
             server = DemuxServer(
-                make_algorithm("fast-sequent:h=19"),
+                algorithm,
+                config=ServeConfig(max_sessions=8),
                 recorder=RecorderTap(seed=5),
             )
             await server.start()
-            report_holder["snapshot"] = server.snapshot()
+            registry.publish(algorithm)
+            registry.publish(server)
             await server.stop()
 
         asyncio.run(scenario())
-        snapshot = report_holder["snapshot"]
-        assert snapshot["algorithm"] == "fast-sequent"
-        assert snapshot["recording"] is True
-        assert snapshot["recorded_packets"] == 0
-        assert {"active_sessions", "accepted", "uptime_seconds"} <= set(
-            snapshot
+        snapshot = registry.snapshot()
+        assert gauge_max(snapshot, "serve_sessions", state="limit") == 8
+        assert gauge_max(snapshot, "serve_sessions", state="active") == 0
+        for what in ("accepted", "rejected_capacity", "rejected_duplicate",
+                     "protocol_errors", "handler_failures",
+                     "recorded_packets"):
+            assert gauge_max(snapshot, "serve_totals", what=what) == 0
+        assert gauge_max(snapshot, "serve_uptime_seconds") >= 0.0
+        assert (
+            snapshot["demux_lookups_total"]["samples"][0]["labels"]
+            ["algorithm"] == "fast-sequent"
         )
 
 
@@ -274,8 +286,8 @@ class TestConcurrencySmoke:
         status, health = scraped["healthz"]
         assert status == 200
         assert health["state"] in ("ok", "degraded")
-        serve_section = scraped["snapshot"]["serve"]
-        assert serve_section["accepted"] == 120
+        metrics = scraped["snapshot"]["metrics"]
+        assert gauge_max(metrics, "serve_totals", what="accepted") == 120
         assert report.health["state"] == "ok"
 
 

@@ -7,7 +7,7 @@ from repro.core.pcb import PCB
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
 from repro.packet.addresses import FourTuple, IPv4Address
-from repro.smp import BatchCoalescer, measure_coalescing
+from repro.smp import BatchCoalescer
 
 SERVER = IPv4Address("10.0.0.1")
 
@@ -53,15 +53,6 @@ class TestBatchCoalescer:
             == direct.stats.combined().histogram
         )
 
-    def test_unsorted_batches_match_direct_delivery(self):
-        packets = interleaved_pairs(12)
-        direct = populated(BSDDemux, 12)
-        for tup, kind in packets:
-            direct.lookup(tup, kind)
-        batched = populated(BSDDemux, 12)
-        BatchCoalescer(batched, 8, sort=False).replay(packets)
-        assert batched.stats.mean_examined == direct.stats.mean_examined
-
     def test_sorting_counts_train_followers(self):
         demux = populated(BSDDemux, 6)
         coalescer = BatchCoalescer(demux, batch_size=12)
@@ -101,36 +92,20 @@ class TestBatchCoalescer:
 
 
 class TestMeasureCoalescing:
+    """The paired comparison ``smp-sweep``'s batch-1 and top-batch cells
+    make: one stream, unbatched and sorted into batches."""
+
     @pytest.mark.parametrize(
         "factory", [BSDDemux, lambda: SequentDemux(5)]
     )
     def test_sorted_batches_strictly_reduce_examined(self, factory):
-        tuples = [tuple_for(i) for i in range(40)]
-        comparison = measure_coalescing(
-            factory, tuples, interleaved_pairs(40), batch_size=16
-        )
-        assert comparison.batched_mean_examined < (
-            comparison.unbatched_mean_examined
-        )
-        assert comparison.reduction > 0
-        assert comparison.train_followers > 0
-        assert comparison.batched_hit_rate > comparison.unbatched_hit_rate
-        assert "->" in comparison.summary()
-
-    def test_unsorted_batching_changes_nothing(self):
-        tuples = [tuple_for(i) for i in range(10)]
-        comparison = measure_coalescing(
-            BSDDemux, tuples, interleaved_pairs(10), batch_size=4, sort=False
-        )
-        assert comparison.reduction == 0.0
-
-    def test_as_dict_round_numbers(self):
-        tuples = [tuple_for(i) for i in range(6)]
-        payload = measure_coalescing(
-            BSDDemux, tuples, interleaved_pairs(6), batch_size=12
-        ).as_dict()
-        assert payload["algorithm"] == "bsd"
-        assert payload["packets"] == 12
-        assert payload["batched_mean_examined"] < (
-            payload["unbatched_mean_examined"]
-        )
+        packets = interleaved_pairs(40)
+        unbatched = populated(factory, 40)
+        for tup, kind in packets:
+            unbatched.lookup(tup, kind)
+        batched = populated(factory, 40)
+        coalescer = BatchCoalescer(batched, batch_size=16)
+        coalescer.replay(packets)
+        assert batched.stats.mean_examined < unbatched.stats.mean_examined
+        assert coalescer.train_followers > 0
+        assert batched.stats.hit_rate > unbatched.stats.hit_rate

@@ -11,7 +11,6 @@ from repro.smp import (
     ParallelTaskError,
     RetryLog,
     Task,
-    attempt_seed,
     run_tasks,
     task_seed,
 )
@@ -204,10 +203,6 @@ class TestRetries:
         with pytest.raises(ValueError, match="retries"):
             run_tasks(tasks_for([1]), jobs=1, retries=-1)
 
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="backoff"):
-            run_tasks(tasks_for([1]), jobs=1, backoff=-0.5)
-
     def test_retry_log_as_dict(self):
         log = RetryLog()
         log.record("a")
@@ -217,21 +212,6 @@ class TestRetries:
             "total": 3,
             "by_task": {"a": 2, "b": 1},
         }
-
-
-class TestAttemptSeeds:
-    def test_attempt_zero_is_task_seed(self):
-        assert attempt_seed(7, "cell", 0) == task_seed(7, "cell")
-
-    def test_later_attempts_differ_and_are_stable(self):
-        first = attempt_seed(7, "cell", 1)
-        assert first != task_seed(7, "cell")
-        assert first == attempt_seed(7, "cell", 1)
-        assert first != attempt_seed(7, "cell", 2)
-
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            attempt_seed(7, "cell", -1)
 
 
 class TestTaskSeeds:

@@ -4,14 +4,18 @@ import pytest
 
 from repro.core.bsd import BSDDemux
 from repro.core.sequent import SequentDemux
+from repro.core.stats import PacketKind
+from repro.fastpath.conformance import walk_ops
 from repro.faults.audit import audit_stack
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.sim.rng import RngRegistry
 from repro.tcpstack.stack import HostStack
 from repro.workload.adversarial import (
     ChurnStormWorkload,
     MalformedStreamWorkload,
     SynFloodWorkload,
+    churn_walk,
 )
 
 
@@ -92,6 +96,29 @@ class TestChurnStorm:
                                     seed=1).run()
         assert probed.removes == 0
         assert probed.lookups > 900
+
+    @pytest.mark.parametrize("grow_bias", [0.0, 0.3, 0.5, 1.0])
+    def test_applies_the_shared_churn_walk(self, grow_bias):
+        applied = []
+
+        class Recording(BSDDemux):
+            def insert(self, pcb):
+                applied.append(("insert", pcb.four_tuple))
+                super().insert(pcb)
+
+            def remove(self, tup):
+                applied.append(("remove", tup))
+                return super().remove(tup)
+
+            def lookup(self, tup, kind=PacketKind.DATA):
+                applied.append(("lookup", tup, kind))
+                return super().lookup(tup, kind)
+
+        ChurnStormWorkload(
+            Recording(), steps=1500, grow_bias=grow_bias, seed=4
+        ).run()
+        walk = churn_walk(RngRegistry(4).stream("churnstorm"), 1500, grow_bias)
+        assert applied == walk_ops(list(walk))
 
     def test_validation(self):
         with pytest.raises(ValueError):
