@@ -211,7 +211,7 @@ def test_full_tracing_cost_reported():
     _, inst_alg = _measure(
         "bsd", full_tracing, "bsd_n512_full_tracing",
     )
-    sink = inst_alg.tracer._sinks[0]
+    sink = inst_alg.tracer.sink
     assert sink.total_emitted == (ROUNDS + 1) * LOOKUPS_PER_ROUND
 
 

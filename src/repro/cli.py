@@ -650,7 +650,7 @@ class _SimRun:
 
 
 def _cmd_simulate(args) -> int:
-    from .obs.metrics import DEFAULT_EXPORT_BUCKETS, MetricsRegistry
+    from .obs.metrics import MetricsRegistry
     from .obs.profile import LookupProfiler
     from .obs.trace import JsonlSink, Tracer
     from .workload.thinktime import make_think_model
@@ -923,9 +923,7 @@ def _cmd_simulate(args) -> int:
         print(f"  {count} spans written to {args.spans_out}")
     if args.metrics_out:
         if args.metrics_out.endswith(".prom"):
-            text = registry.to_prometheus(
-                histogram_buckets=DEFAULT_EXPORT_BUCKETS
-            )
+            text = registry.to_prometheus()
         else:
             text = registry.to_json() + "\n"
         with open(args.metrics_out, "w", encoding="utf-8") as handle:

@@ -147,10 +147,9 @@ class FaultyLink(Link):
     """A :class:`~repro.sim.network.Link` whose deliveries pass through
     a :class:`FaultInjector`.
 
-    Link-level loss/jitter (the base class's physical model) applies
-    first; surviving packets are then judged by the injector pipeline.
-    Reorder spikes bypass the FIFO clamp so successors overtake the
-    held packet; corrupted copies are delivered as raw bytes.
+    Every packet is judged by the injector pipeline.  A delay spike
+    holds one packet while its successors overtake it; corrupted
+    copies are delivered as raw bytes.
     """
 
     def __init__(
@@ -159,14 +158,10 @@ class FaultyLink(Link):
         delay: float,
         *,
         injector: FaultInjector,
-        jitter: float = 0.0,
-        loss_rate: float = 0.0,
-        rng=None,
     ):
-        super().__init__(
-            sim, delay, jitter=jitter, loss_rate=loss_rate, rng=rng
-        )
+        super().__init__(sim, delay)
         self._injector = injector
+        self.packets_dropped = 0
         # Corruption needs dice at materialization time; reuse the
         # first Corrupt model's stream, or a dedicated one if a plan
         # ever carries corrupt_bits without such a model (defensive).
@@ -182,9 +177,6 @@ class FaultyLink(Link):
 
     def transmit(self, packet, deliver: Callable) -> None:
         self.packets_sent += 1
-        if self._drops_packet():  # physical-layer loss, if configured
-            self.packets_dropped += 1
-            return
         plan = self._injector.judge(packet)
         if plan.drop:
             self.packets_dropped += 1
@@ -195,9 +187,4 @@ class FaultyLink(Link):
                 packet, plan.corrupt_bits, self._corrupt_rng
             )
         for _ in range(1 + plan.duplicates):
-            if plan.extra_delay > 0.0:
-                self._schedule_delivery(
-                    payload, deliver, extra_delay=plan.extra_delay, fifo=False
-                )
-            else:
-                self._schedule_delivery(payload, deliver)
+            self._schedule_delivery(payload, deliver, plan.extra_delay)

@@ -44,8 +44,7 @@ class FaultPlan:
     The injector materializes the plan after every model has spoken:
     ``drop`` wins over everything; otherwise the packet is delivered
     ``1 + duplicates`` times, held ``extra_delay`` seconds past the
-    link latency (bypassing the FIFO clamp, so successors overtake it),
-    and -- if ``corrupt_bits`` is nonzero -- serialized to bytes with
+    link latency (so the packets sent after it overtake it), and -- if ``corrupt_bits`` is nonzero -- serialized to bytes with
     that many random bit flips, forcing the receiver down its
     checksum-rejection path.
     """
@@ -203,10 +202,10 @@ class Reorder(FaultModel):
     """Delay-spike reordering: hold a packet so successors overtake it.
 
     With probability ``rate``, the packet's delivery is scheduled
-    ``spike`` seconds late *outside* the link's FIFO clamp.  Any packet
-    sent within the spike window arrives first, producing genuine
-    out-of-order delivery at the receiver (which must re-ack, not
-    crash -- the Wu et al. hazard).
+    ``spike`` seconds past the link delay.  Any packet sent within the
+    spike window arrives first, producing genuine out-of-order delivery
+    at the receiver (which must re-ack, not crash -- the Wu et al.
+    hazard).
     """
 
     name = "reorder"

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 __all__ = ["TimerWheel"]
 
@@ -85,12 +85,6 @@ class TimerWheel:
     def deadline_of(self, key: Hashable) -> float:
         """The scheduled deadline for ``key`` (KeyError if absent)."""
         return self._live[key][0]
-
-    def next_deadline(self) -> Optional[float]:
-        """Earliest scheduled deadline, or ``None`` when empty (O(n))."""
-        if not self._live:
-            return None
-        return min(timer[0] for timer in self._live.values())
 
     # -- scheduling --------------------------------------------------------
 

@@ -9,17 +9,17 @@ checks keys against ``repro.packet.addresses.FourTuple`` for its
 train detector's shortcut.)  The modules:
 
 * :mod:`repro.obs.trace` -- per-event tracing (lookups, inserts,
-  removes, simulator dispatch) through pluggable sinks: in-memory ring
-  buffer, JSONL file, callback.
+  removes, simulator dispatch) into one sink: an in-memory ring
+  buffer or a JSONL file.
 * :mod:`repro.obs.metrics` -- named counters/gauges/histograms with
-  JSON and Prometheus-text export (fixed-boundary histogram buckets
+  JSON and Prometheus-text export (histograms on fixed bucket edges
   for scrape stability), and ``MetricsRegistry.publish``, which folds
   in any component's ``metrics()`` families.
 * :mod:`repro.obs.profile` -- sampled ``perf_counter_ns`` timing of
-  the lookup hot path and a ``tracemalloc`` memory probe.
+  the lookup hot path.
 * :mod:`repro.obs.spans` -- causal per-packet spans across layers
   (steer -> coalesce -> lookup -> deliver/drop, plus reaps), with a
-  per-connection flight recorder and JSONL replay/diff.
+  per-connection flight recorder and JSONL dumps.
 * :mod:`repro.obs.sketch` -- streaming traffic characterization in
   fixed memory: P² quantiles, Space-Saving heavy
   hitters with a zipf-ness estimate, a packet-train detector, and
@@ -45,9 +45,7 @@ from .metrics import (
 from .profile import (
     DEFAULT_SAMPLE_EVERY,
     LookupProfiler,
-    MemoryProbe,
     ProfileReport,
-    measure_build,
 )
 from .sketch import (
     HyperLogLog,
@@ -63,11 +61,9 @@ from .spans import (
     PacketSpan,
     SpanCollector,
     SpanStage,
-    diff_spans,
     write_spans_jsonl,
 )
 from .trace import (
-    CallbackSink,
     JsonlSink,
     RingBufferSink,
     TraceEvent,
@@ -85,7 +81,6 @@ from .watchdog import (
 )
 
 __all__ = [
-    "CallbackSink",
     "Counter",
     "DEFAULT_EXPORT_BUCKETS",
     "DEFAULT_SAMPLE_EVERY",
@@ -98,7 +93,6 @@ __all__ = [
     "HyperLogLog",
     "JsonlSink",
     "LookupProfiler",
-    "MemoryProbe",
     "MetricsRegistry",
     "P2Quantile",
     "PacketSpan",
@@ -117,8 +111,6 @@ __all__ = [
     "TrainDetector",
     "WorkingSetEstimator",
     "default_rules",
-    "diff_spans",
-    "measure_build",
     "parse_slo_spec",
     "read_jsonl",
     "write_spans_jsonl",

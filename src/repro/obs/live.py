@@ -5,9 +5,9 @@ thread beside any simulation (``simulate --serve-metrics PORT`` wires
 it up from the CLI), exposing:
 
 ``/metrics``
-    Prometheus text format, histograms rendered with *fixed* bucket
-    boundaries (:data:`~repro.obs.metrics.DEFAULT_EXPORT_BUCKETS` by
-    default) so scraped series never drift between scrapes.
+    Prometheus text format, histograms rendered on the *fixed* bucket
+    boundaries :data:`~repro.obs.metrics.DEFAULT_EXPORT_BUCKETS`, so
+    scraped series never drift between scrapes.
 ``/snapshot.json``
     The full exact-count registry snapshot (``metrics``) plus the
     watchdog's latest health report (``health``).  Run facts reach it
@@ -31,10 +31,10 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-from .metrics import DEFAULT_EXPORT_BUCKETS, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = ["TelemetryServer"]
 
@@ -49,14 +49,12 @@ class TelemetryServer:
         watchdog: Optional[object] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        histogram_buckets: Sequence[float] = DEFAULT_EXPORT_BUCKETS,
         clock: Optional[Callable[[], float]] = None,
     ):
         self.registry = registry
         self.watchdog = watchdog
         self.host = host
         self.port = port
-        self.histogram_buckets = tuple(histogram_buckets)
         self.clock = clock
         #: Publishers must hold this around registry writes; the
         #: handler holds it around rendering.
@@ -123,9 +121,7 @@ class TelemetryServer:
         return clock() if clock is not None else 0.0
 
     def render_metrics(self) -> str:
-        return self.registry.to_prometheus(
-            histogram_buckets=self.histogram_buckets
-        )
+        return self.registry.to_prometheus()
 
     def render_snapshot(self) -> Dict[str, Any]:
         snapshot: Dict[str, Any] = {"metrics": self.registry.snapshot()}

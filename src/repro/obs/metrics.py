@@ -12,8 +12,8 @@ Histograms record *exact* integer-valued observations (a dict from
 value to count) rather than pre-binned buckets: probe-length
 distributions are small integers and the paper's argument lives in
 their tails, so no precision is given away.  The Prometheus rendering
-synthesizes the cumulative ``_bucket{le=...}`` series from the exact
-counts.
+folds the exact counts into cumulative ``_bucket{le=...}`` series on
+the fixed :data:`DEFAULT_EXPORT_BUCKETS` edges.
 
 Components export their numbers through one protocol: a *source* has
 a ``metrics()`` method returning its metric families as plain data,
@@ -29,9 +29,8 @@ layering.
 from __future__ import annotations
 
 import json
-import math
 import re
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "Counter",
@@ -45,35 +44,10 @@ __all__ = [
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Stable power-of-two edges used for every HTTP-exported histogram:
+#: The power-of-two edges every Prometheus histogram renders on:
 #: probe lengths are small integers, so these cover 1..1024 examined
 #: PCBs with scrape-to-scrape-identical series.
 DEFAULT_EXPORT_BUCKETS = tuple(float(2 ** i) for i in range(11))
-
-
-def _validate_buckets(
-    buckets: Optional[Sequence[float]],
-) -> Optional[Tuple[float, ...]]:
-    if buckets is None:
-        return None
-    edges = tuple(float(edge) for edge in buckets)
-    if not edges:
-        raise ValueError("bucket edges must be non-empty")
-    for edge in edges:
-        if not math.isfinite(edge):
-            raise ValueError(
-                "bucket edges must be finite (+Inf is implicit)"
-            )
-    if list(edges) != sorted(set(edges)):
-        raise ValueError(
-            f"bucket edges must be strictly increasing, got {edges}"
-        )
-    return edges
-
-
-def _format_edge(edge: float) -> str:
-    """Render a bucket edge the way Prometheus clients expect."""
-    return f"{int(edge)}" if edge == int(edge) else f"{edge:g}"
 
 #: Canonical form of one label set: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -91,12 +65,6 @@ def _label_key(labels: Dict[str, Any]) -> LabelKey:
         if not _LABEL_RE.match(name):
             raise ValueError(f"invalid label name {name!r}")
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _parse_observed(value: str):
-    """A snapshot's stringified observation key back to a number."""
-    number = float(value)
-    return int(number) if number.is_integer() else number
 
 
 def _escape_label_value(value: str) -> str:
@@ -126,8 +94,8 @@ class _Metric:
         self.name = name
         self.help = help
 
-    # Subclasses provide: samples() -> iterable used by the exporters,
-    # snapshot() -> JSON-ready dict, prometheus_lines() -> List[str].
+    # Subclasses provide snapshot() -> JSON-ready dict and
+    # prometheus_lines() -> List[str].
 
     def _header_lines(self) -> List[str]:
         lines = []
@@ -137,20 +105,12 @@ class _Metric:
         return lines
 
 
-class Counter(_Metric):
-    """Monotonically increasing count, optionally labelled."""
-
-    metric_type = "counter"
+class _Scalar(_Metric):
+    """One number per label set: what counters and gauges share."""
 
     def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._values: Dict[LabelKey, float] = {}
-
-    def inc(self, amount: float = 1, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up (inc by {amount})")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0)
@@ -172,14 +132,22 @@ class Counter(_Metric):
         return lines
 
 
-class Gauge(_Metric):
+class Counter(_Scalar):
+    """Monotonically increasing count, optionally labelled."""
+
+    metric_type = "counter"
+
+    def inc(self, amount: float = 1, **labels: Any) -> None:
+        if amount < 0:
+            raise ValueError(f"counters only go up (inc by {amount})")
+        key = _label_key(labels)
+        self._values[key] = self._values.get(key, 0) + amount
+
+
+class Gauge(_Scalar):
     """A value that can go up and down (table sizes, maxima, config)."""
 
     metric_type = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        super().__init__(name, help)
-        self._values: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
         self._values[_label_key(labels)] = value
@@ -188,45 +156,19 @@ class Gauge(_Metric):
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0) + amount
 
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0)
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "type": self.metric_type,
-            "help": self.help,
-            "samples": [
-                {"labels": dict(key), "value": value}
-                for key, value in sorted(self._values.items())
-            ],
-        }
-
-    def prometheus_lines(self) -> List[str]:
-        lines = self._header_lines()
-        for key, value in sorted(self._values.items()):
-            lines.append(f"{self.name}{_render_labels(key)} {value:g}")
-        return lines
-
 
 class Histogram(_Metric):
     """Distribution of integer-valued observations, exact counts.
 
-    ``observe(value)`` increments the count for that exact value;
-    ``observe_bulk`` folds in a pre-counted ``{value: count}`` mapping.
+    ``observe(value)`` increments the count for that exact value.
     """
 
     metric_type = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Sequence[float]] = None,
-    ):
+    def __init__(self, name: str, help: str = ""):
         super().__init__(name, help)
         self._counts: Dict[LabelKey, Dict[int, int]] = {}
         self._sums: Dict[LabelKey, float] = {}
-        self.buckets = _validate_buckets(buckets)
 
     def observe(self, value: int, count: int = 1, **labels: Any) -> None:
         if count < 0:
@@ -237,10 +179,6 @@ class Histogram(_Metric):
         bucket = self._counts.setdefault(key, {})
         bucket[value] = bucket.get(value, 0) + count
         self._sums[key] = self._sums.get(key, 0) + value * count
-
-    def observe_bulk(self, counts: Dict[int, int], **labels: Any) -> None:
-        for value, count in counts.items():
-            self.observe(value, count, **labels)
 
     def counts(self, **labels: Any) -> Dict[int, int]:
         """Exact value -> count mapping for one label set (a copy)."""
@@ -268,63 +206,33 @@ class Histogram(_Metric):
                     "counts": {str(v): c for v, c in sorted(counts.items())},
                 }
             )
-        snapshot = {
+        return {
             "type": self.metric_type,
             "help": self.help,
             "samples": samples,
         }
-        if self.buckets is not None:
-            # Configured export boundaries survive the round trip, so
-            # a registry rebuilt via from_snapshot renders the same
-            # Prometheus series as the live one.
-            snapshot["buckets"] = list(self.buckets)
-        return snapshot
 
-    def prometheus_lines(
-        self, *, default_buckets: Optional[Sequence[float]] = None
-    ) -> List[str]:
-        """Prometheus rendering; fixed boundaries when configured.
-
-        Historically the ``le`` labels were the exact observed values,
-        which made bucket boundaries drift between scrapes -- two
-        scrapes of the same histogram disagreed about which series
-        exist, breaking Prometheus's cumulative-histogram model (rate()
-        and quantile() need stable series).  When this histogram has
-        ``buckets`` (or the caller supplies ``default_buckets``, as
-        HTTP export does), the boundaries are those fixed edges plus
-        ``+Inf`` -- identical on every scrape.  Without either, the
-        exact-value rendering is kept for backward compatibility.
-        JSON snapshots always carry the exact counts regardless.
-        """
-        bounds = self.buckets
-        if bounds is None:
-            bounds = _validate_buckets(default_buckets)
+    def prometheus_lines(self) -> List[str]:
+        """Prometheus rendering on :data:`DEFAULT_EXPORT_BUCKETS` plus
+        ``+Inf``: the same ``le`` series on every scrape, which
+        Prometheus's cumulative-histogram model (rate(), quantile())
+        needs.  JSON snapshots keep the exact counts."""
         lines = self._header_lines()
         for key in sorted(self._counts):
             counts = self._counts[key]
-            if bounds is None:
-                cumulative = 0
-                for value in sorted(counts):
-                    cumulative += counts[value]
-                    lines.append(
-                        f"{self.name}_bucket"
-                        f"{_render_labels(key, ('le', str(value)))}"
-                        f" {cumulative}"
-                    )
-            else:
-                cumulative = 0
-                ordered = sorted(counts.items())
-                index = 0
-                for edge in bounds:
-                    while index < len(ordered) and ordered[index][0] <= edge:
-                        cumulative += ordered[index][1]
-                        index += 1
-                    lines.append(
-                        f"{self.name}_bucket"
-                        f"{_render_labels(key, ('le', _format_edge(edge)))}"
-                        f" {cumulative}"
-                    )
-                cumulative = sum(counts.values())
+            ordered = sorted(counts.items())
+            cumulative = 0
+            index = 0
+            for edge in DEFAULT_EXPORT_BUCKETS:
+                while index < len(ordered) and ordered[index][0] <= edge:
+                    cumulative += ordered[index][1]
+                    index += 1
+                lines.append(
+                    f"{self.name}_bucket"
+                    f"{_render_labels(key, ('le', str(int(edge))))}"
+                    f" {cumulative}"
+                )
+            cumulative = sum(counts.values())
             lines.append(
                 f"{self.name}_bucket"
                 f"{_render_labels(key, ('le', '+Inf'))} {cumulative}"
@@ -385,22 +293,8 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Sequence[float]] = None,
-    ) -> Histogram:
-        histogram = self._get_or_create(Histogram, name, help)
-        if buckets is not None:
-            edges = _validate_buckets(buckets)
-            if histogram.buckets is not None and histogram.buckets != edges:
-                raise ValueError(
-                    f"histogram {name!r} already has buckets"
-                    f" {histogram.buckets}, not {edges}"
-                )
-            histogram.buckets = edges
-        return histogram
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(Histogram, name, help)
 
     def publish(self, source: Any, **labels: Any) -> None:
         """Fold ``source.metrics()`` (a list of :data:`MetricFamily`) in.
@@ -471,66 +365,9 @@ class MetricsRegistry:
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=False)
 
-    def to_prometheus(
-        self, *, histogram_buckets: Optional[Sequence[float]] = None
-    ) -> str:
-        """Prometheus text exposition format (version 0.0.4).
-
-        ``histogram_buckets`` supplies fixed ``le`` boundaries for any
-        histogram that has none of its own -- the HTTP endpoint passes
-        :data:`DEFAULT_EXPORT_BUCKETS` so scraped series never drift.
-        """
+    def to_prometheus(self) -> str:
+        """Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
         for metric in self._metrics.values():
-            if isinstance(metric, Histogram):
-                lines.extend(
-                    metric.prometheus_lines(
-                        default_buckets=histogram_buckets
-                    )
-                )
-            else:
-                lines.extend(metric.prometheus_lines())
+            lines.extend(metric.prometheus_lines())
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`snapshot` dict.
-
-        The inverse of ``snapshot()`` (and of a metrics.json file on
-        disk): counters/gauges restore their sample values, histograms
-        their exact counts, so watchdog rules and reports can run
-        against recorded runs exactly as against live ones.
-        """
-        registry = cls()
-        for name, data in snapshot.items():
-            mtype = data.get("type")
-            help_text = data.get("help", "")
-            if mtype == "counter":
-                counter = registry.counter(name, help_text)
-                for sample in data.get("samples", []):
-                    counter.inc(sample["value"], **sample["labels"])
-            elif mtype == "gauge":
-                gauge = registry.gauge(name, help_text)
-                for sample in data.get("samples", []):
-                    gauge.set(sample["value"], **sample["labels"])
-            elif mtype == "histogram":
-                buckets = data.get("buckets")
-                histogram = registry.histogram(
-                    name, help_text, buckets=buckets
-                )
-                for sample in data.get("samples", []):
-                    # JSON stringifies the value keys; restore ints
-                    # (the documented observation type) but tolerate a
-                    # float key rather than crash on "2.5".
-                    histogram.observe_bulk(
-                        {
-                            _parse_observed(value): count
-                            for value, count in sample["counts"].items()
-                        },
-                        **sample["labels"],
-                    )
-            else:
-                raise ValueError(
-                    f"metric {name!r} has unknown type {mtype!r}"
-                )
-        return registry

@@ -17,26 +17,18 @@ through, and whole ``_lookup_batch`` calls through
 sample point and attributes its time evenly to its packets.  Profiling
 never changes results, statistics, or RNG state -- it only reads the
 clock.
-
-:class:`MemoryProbe` is the matching space probe: a ``tracemalloc``
-context manager measuring the Python-heap footprint of whatever is
-allocated inside the ``with`` block (e.g. building a PCB table), with
-:func:`measure_build` as the one-shot convenience.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-import tracemalloc
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List
 
 __all__ = [
     "DEFAULT_SAMPLE_EVERY",
     "ProfileReport",
     "LookupProfiler",
-    "MemoryProbe",
-    "measure_build",
 ]
 
 #: Default sampling period: time one lookup in every 64.
@@ -202,49 +194,3 @@ class LookupProfiler:
              ({"stat": "p95"}, report.p95_ns),
              ({"stat": "samples"}, report.samples)],
         )]
-
-
-class MemoryProbe:
-    """``tracemalloc`` probe for the footprint of a code block.
-
-    Measures Python-heap bytes allocated between ``__enter__`` and
-    ``__exit__``: ``current_bytes`` is what remained allocated,
-    ``peak_bytes`` the high-water mark above the entry baseline.  Safe
-    to nest: if tracemalloc is already tracing, the probe leaves it
-    running on exit.
-    """
-
-    def __init__(self) -> None:
-        self.current_bytes = 0
-        self.peak_bytes = 0
-        self._baseline = 0
-        self._started_here = False
-
-    def __enter__(self) -> "MemoryProbe":
-        self._started_here = not tracemalloc.is_tracing()
-        if self._started_here:
-            tracemalloc.start()
-        self._baseline = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        current, peak = tracemalloc.get_traced_memory()
-        self.current_bytes = max(0, current - self._baseline)
-        self.peak_bytes = max(0, peak - self._baseline)
-        if self._started_here:
-            tracemalloc.stop()
-
-
-def measure_build(build: Callable[[], Any]) -> Tuple[Any, MemoryProbe]:
-    """Run ``build()`` under a :class:`MemoryProbe`.
-
-    Returns ``(built_object, probe)``; ``probe.current_bytes`` is the
-    object's retained Python-heap footprint -- e.g. pass a closure that
-    constructs a fully populated PCB table to measure what N
-    connections cost in memory.
-    """
-    probe = MemoryProbe()
-    with probe:
-        obj = build()
-    return obj, probe

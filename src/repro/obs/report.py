@@ -21,7 +21,7 @@ from collections import Counter as TallyCounter
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..experiments.ascii_plot import ascii_plot
-from .watchdog import HealthWatchdog, default_rules
+from .watchdog import HealthWatchdog, _samples, default_rules
 
 __all__ = ["load_metrics_snapshot", "render_dashboard"]
 
@@ -30,7 +30,7 @@ def load_metrics_snapshot(path: object) -> Dict[str, Any]:
     """Read a metrics.json written by ``simulate --metrics-out``.
 
     Also accepts a saved ``/snapshot.json`` body (which nests the
-    registry under a ``metrics`` key next to ``health``/``run``).
+    registry under a ``metrics`` key next to ``health``).
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -51,17 +51,11 @@ def _section(title: str) -> List[str]:
 
 
 def _gauge_samples(snapshot, name):
-    metric = snapshot.get(name)
-    if not metric or metric.get("type") != "gauge":
-        return []
-    return metric.get("samples", [])
+    return _samples(snapshot, name, "gauge") or []
 
 
 def _counter_samples(snapshot, name):
-    metric = snapshot.get(name)
-    if not metric or metric.get("type") != "counter":
-        return []
-    return metric.get("samples", [])
+    return _samples(snapshot, name, "counter") or []
 
 
 def _render_header(snapshot: Dict[str, Any]) -> List[str]:

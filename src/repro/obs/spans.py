@@ -65,7 +65,6 @@ __all__ = [
     "PacketSpan",
     "SpanCollector",
     "SpanStage",
-    "diff_spans",
     "write_spans_jsonl",
 ]
 
@@ -325,7 +324,7 @@ class SpanCollector:
         self._owner = ""
         self._current = None
         if span is not None:
-            self._finish_span(span)
+            self._finish_span(span, self.now())
         return span
 
     def _start_span(self, four_tuple: object, kind: object) -> PacketSpan:
@@ -345,8 +344,8 @@ class SpanCollector:
         if outcome is not None:
             span.outcome = outcome
 
-    def _finish_span(self, span: PacketSpan) -> None:
-        span.end = self.now()
+    def _finish_span(self, span: PacketSpan, end: float) -> None:
+        span.end = end
         self.spans_finished += 1
         self.recorder.record(span)
         for observer in self._span_observers:
@@ -412,7 +411,7 @@ class SpanCollector:
                 name, data = lead(position)
                 self._append_stage(span, name, data)
             self._lookup_stage(span, algorithm, results[position])
-            self._finish_span(span)
+            self._finish_span(span, self.now())
 
     def _lookup_stage(
         self, span: PacketSpan, algorithm: str, result: Any
@@ -432,23 +431,10 @@ class SpanCollector:
 
         Reaps are rare and diagnostic gold, so every one is recorded.
         """
-        now = self.now()
-        span = PacketSpan(
-            span_id=next(self._next_id),
-            four_tuple=four_tuple,
-            kind="",
-            start=now,
-        )
-        span.stages.append(SpanStage("reap", now, {"reason": reason}))
-        span.outcome = "reaped"
-        span.end = now
-        self.spans_started += 1
-        self.spans_finished += 1
         self.reaps_recorded += 1
-        self.recorder.record(span)
-        for observer in self._span_observers:
-            observer(span)
-        return span
+        return self._standalone_span(
+            four_tuple, "reap", {"reason": reason}, "reaped"
+        )
 
     def note_recovery(
         self, shard: int, mode: str, **data: object
@@ -459,23 +445,27 @@ class SpanCollector:
         shard, which ladder rung -- warm/resteer/cold -- MTTR, packets
         dropped), so every one is recorded regardless of sampling.
         """
+        return self._standalone_span(
+            None, "recover", {"shard": shard, "mode": mode, **data},
+            "recovered",
+        )
+
+    def _standalone_span(
+        self, four_tuple: object, stage: str, data: Dict[str, Any],
+        outcome: str,
+    ) -> PacketSpan:
+        """A one-stage span, stamped with one clock reading."""
         now = self.now()
         span = PacketSpan(
             span_id=next(self._next_id),
-            four_tuple=None,
+            four_tuple=four_tuple,
             kind="",
             start=now,
         )
-        span.stages.append(
-            SpanStage("recover", now, {"shard": shard, "mode": mode, **data})
-        )
-        span.outcome = "recovered"
-        span.end = now
+        span.stages.append(SpanStage(stage, now, data))
+        span.outcome = outcome
         self.spans_started += 1
-        self.spans_finished += 1
-        self.recorder.record(span)
-        for observer in self._span_observers:
-            observer(span)
+        self._finish_span(span, now)
         return span
 
     # -- output --------------------------------------------------------
@@ -513,70 +503,3 @@ def write_spans_jsonl(
             count += 1
     return count
 
-
-def _normalize(record: Dict[str, Any],
-               ignore: Sequence[str]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in record.items():
-        if key in ignore:
-            continue
-        if key == "stages":
-            value = [
-                {k: v for k, v in stage.items() if k not in ignore}
-                for stage in value
-            ]
-        out[key] = value
-    return out
-
-
-def diff_spans(
-    left: Sequence[Dict[str, Any]],
-    right: Sequence[Dict[str, Any]],
-    *,
-    ignore: Sequence[str] = ("span_id", "start", "end", "time"),
-) -> List[str]:
-    """Compare two span dumps for replay/diff; [] means equivalent.
-
-    Spans are paired per connection in recorded order, with span ids
-    and absolute times ignored by default (two replays of the same
-    stream assign both differently).  Each returned string describes
-    one divergence -- a missing connection, a count mismatch, or a
-    span whose stages/outcome differ.
-    """
-
-    def by_connection(records):
-        groups: "OrderedDict[Tuple, List[Dict[str, Any]]]" = OrderedDict()
-        for record in records:
-            key = tuple(record.get("four_tuple") or ())
-            groups.setdefault(key, []).append(record)
-        return groups
-
-    left_groups = by_connection(left)
-    right_groups = by_connection(right)
-    problems: List[str] = []
-    for key in left_groups.keys() | right_groups.keys():
-        label = ":".join(str(part) for part in key) or "<no-tuple>"
-        a = left_groups.get(key, [])
-        b = right_groups.get(key, [])
-        if len(a) != len(b):
-            problems.append(
-                f"{label}: {len(a)} spans vs {len(b)} spans"
-            )
-        for index, (ra, rb) in enumerate(zip(a, b)):
-            na, nb = _normalize(ra, ignore), _normalize(rb, ignore)
-            if na == nb:
-                continue
-            stages_a = [s.get("name") for s in ra.get("stages", [])]
-            stages_b = [s.get("name") for s in rb.get("stages", [])]
-            if stages_a != stages_b:
-                problems.append(
-                    f"{label}[{index}]: stages {stages_a} vs {stages_b}"
-                )
-            elif ra.get("outcome") != rb.get("outcome"):
-                problems.append(
-                    f"{label}[{index}]: outcome {ra.get('outcome')!r}"
-                    f" vs {rb.get('outcome')!r}"
-                )
-            else:
-                problems.append(f"{label}[{index}]: details differ")
-    return sorted(problems)

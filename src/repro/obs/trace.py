@@ -2,12 +2,11 @@
 
 A :class:`Tracer` is an observer the rest of the stack emits
 :class:`TraceEvent` records into -- one per lookup, insert, remove,
-send-note, or simulator event dispatch.  Events fan out to pluggable
-*sinks*: a bounded :class:`RingBufferSink` for keeping the last K
-events in memory, a :class:`JsonlSink` for machine-readable traces on
-disk, or a :class:`CallbackSink` for ad-hoc wiring.  With the JSONL
-sink attached, any figure run can be replayed or diffed lookup by
-lookup (``read_jsonl`` loads a trace back as dictionaries).
+send-note, or simulator event dispatch.  Events go to the tracer's
+one *sink*: a bounded :class:`RingBufferSink` keeps the last K events
+in memory, a :class:`JsonlSink` writes machine-readable traces to
+disk.  With the JSONL sink, any figure run can be replayed or diffed
+lookup by lookup (``read_jsonl`` loads a trace back as dictionaries).
 
 Overhead contract: a structure with no tracer attached pays one
 ``is None`` check per operation; a disabled tracer pays one extra
@@ -46,7 +45,6 @@ __all__ = [
     "TraceSink",
     "RingBufferSink",
     "JsonlSink",
-    "CallbackSink",
     "Tracer",
     "read_jsonl",
 ]
@@ -191,16 +189,6 @@ class JsonlSink(TraceSink):
         self.close()
 
 
-class CallbackSink(TraceSink):
-    """Forwards every event to ``callback`` (tests, ad-hoc plumbing)."""
-
-    def __init__(self, callback: Callable[[TraceEvent], None]):
-        self._callback = callback
-
-    def emit(self, event: TraceEvent) -> None:
-        self._callback(event)
-
-
 def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
     """Load a JSONL dump -- a trace, or a span dump -- back as a list
     of dicts (for replay/diff)."""
@@ -227,7 +215,7 @@ def _lookup_event(time: float, algorithm: str, four_tuple, result) -> TraceEvent
 
 
 class Tracer:
-    """Fans trace events out to attached sinks.
+    """Writes trace events to one sink.
 
     ``clock`` is any zero-argument callable returning the current time
     in seconds; unbound tracers stamp 0.0.  ``enabled`` is the master
@@ -236,36 +224,22 @@ class Tracer:
 
     def __init__(
         self,
-        *sinks: TraceSink,
+        sink: TraceSink,
+        *,
         clock: Optional[Callable[[], float]] = None,
         enabled: bool = True,
     ):
-        self._sinks: List[TraceSink] = list(sinks)
+        self.sink = sink
         self.clock = clock
         self.enabled = enabled
 
-    # -- sink management -------------------------------------------------
-
-    @property
-    def sinks(self) -> List[TraceSink]:
-        return list(self._sinks)
-
-    def attach(self, sink: TraceSink) -> TraceSink:
-        self._sinks.append(sink)
-        return sink
-
-    def detach(self, sink: TraceSink) -> None:
-        self._sinks.remove(sink)
-
     def flush(self) -> None:
-        """Flush every sink without closing it."""
-        for sink in self._sinks:
-            sink.flush()
+        """Flush the sink without closing it."""
+        self.sink.flush()
 
     def close(self) -> None:
-        """Close every sink (flushes JSONL files)."""
-        for sink in self._sinks:
-            sink.close()
+        """Close the sink (flushes a JSONL file)."""
+        self.sink.close()
 
     def __enter__(self) -> "Tracer":
         return self
@@ -280,10 +254,8 @@ class Tracer:
         return clock() if clock is not None else 0.0
 
     def emit(self, event: TraceEvent) -> None:
-        if not self.enabled:
-            return
-        for sink in self._sinks:
-            sink.emit(event)
+        if self.enabled:
+            self.sink.emit(event)
 
     def emit_lookup(self, algorithm: str, four_tuple, result) -> None:
         """Trace one cost-accounted lookup (``result`` is a LookupResult)."""
@@ -331,7 +303,7 @@ class Tracer:
 
         Installs a dispatch probe (see ``Simulator.probe``) that emits
         a ``sim.event`` record, carrying the callback's name, for every
-        event the simulator runs.  Also wraps ``sim.run`` so sinks are
+        event the simulator runs.  Also wraps ``sim.run`` so the sink is
         *closed* when a run drains the event heap (the sim completed)
         and *flushed* otherwise -- a crashed or paused run still leaves
         a readable trace, and a finished one needs no manual close.
@@ -360,7 +332,7 @@ class Tracer:
                 raise
             # Periodic events (lifecycle reaping, live publishing) keep
             # the heap non-empty forever; only a drained heap means the
-            # simulation is truly over and the sinks can be closed.
+            # simulation is truly over and the sink can be closed.
             if sim.pending == 0:
                 self.close()
             else:

@@ -3,10 +3,11 @@
 The paper's model needs exactly one network property -- the round-trip
 time ``D`` between clients and the server (it enters the Partridge/Pink
 analysis, Eqs. 8-16) -- so the network is a star of point-to-point
-links with configurable one-way delay, optional jitter, and optional
-loss (off by default; the paper assumes "negligible loss rates").
-Packets are delivered in FIFO order per link even under jitter, as on
-a real LAN segment.
+links with a configurable one-way delay.  A fixed delay delivers every
+link's packets in FIFO order, as on a real LAN segment.  Links lose
+nothing (the paper assumes "negligible loss rates"); loss, reordering
+and corruption come from the fault injector's
+:class:`~repro.faults.injector.FaultyLink`.
 """
 
 from __future__ import annotations
@@ -34,81 +35,34 @@ class Host(Protocol):
 
 
 class Link:
-    """A point-to-point link with one-way delay and FIFO ordering.
+    """A point-to-point link with a fixed one-way delay."""
 
-    ``loss_rate == 1.0`` is a blackhole: every packet is counted and
-    dropped, and no rng is required (total loss needs no dice).  Rates
-    strictly between 0 and 1 draw from ``rng`` per packet.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        delay: float,
-        *,
-        jitter: float = 0.0,
-        loss_rate: float = 0.0,
-        rng=None,
-    ):
+    def __init__(self, sim: Simulator, delay: float):
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {jitter}")
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss rate must be in [0, 1], got {loss_rate}")
-        if (jitter > 0.0 or 0.0 < loss_rate < 1.0) and rng is None:
-            raise ValueError("jitter/loss need an rng stream")
         self._sim = sim
         self._delay = delay
-        self._jitter = jitter
-        self._loss_rate = loss_rate
-        self._rng = rng
-        self._last_arrival = 0.0
         self.packets_sent = 0
-        self.packets_dropped = 0
 
     @property
     def delay(self) -> float:
         return self._delay
 
-    def _drops_packet(self) -> bool:
-        """Per-packet link-level loss decision."""
-        if not self._loss_rate:
-            return False
-        if self._loss_rate >= 1.0:  # blackhole
-            return True
-        return self._rng.random() < self._loss_rate
-
     def _schedule_delivery(
         self,
         packet,
         deliver: Callable[[Packet], None],
-        *,
         extra_delay: float = 0.0,
-        fifo: bool = True,
     ) -> None:
-        """Schedule one delivery after the link latency (plus jitter).
-
-        ``fifo=False`` exempts this delivery from the FIFO clamp -- the
-        fault injector uses it for delay-spike reordering, where a held
-        packet is meant to be overtaken by its successors.
-        """
+        """Schedule one delivery after the link delay plus
+        ``extra_delay`` (the fault injector's delay spikes, which the
+        packets sent after a held one overtake)."""
         latency = self._delay + extra_delay
-        if self._jitter:
-            latency += self._rng.uniform(0.0, self._jitter)
-        arrival = self._sim.now + latency
-        if fifo:
-            # FIFO: a jittered packet never overtakes its predecessor.
-            arrival = max(arrival, self._last_arrival)
-            self._last_arrival = arrival
-        self._sim.schedule_at(arrival, deliver, packet)
+        self._sim.schedule_at(self._sim.now + latency, deliver, packet)
 
     def transmit(self, packet: Packet, deliver: Callable[[Packet], None]) -> None:
         """Schedule delivery of ``packet`` after the link delay."""
         self.packets_sent += 1
-        if self._drops_packet():
-            self.packets_dropped += 1
-            return
         self._schedule_delivery(packet, deliver)
 
 

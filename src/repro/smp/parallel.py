@@ -101,9 +101,6 @@ class RetryLog:
     def record(self, task_name: str) -> None:
         self.by_task[task_name] = self.by_task.get(task_name, 0) + 1
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {"total": self.total, "by_task": dict(self.by_task)}
-
 
 def _probe() -> None:
     """No-op worker task used to check whether a pool is still alive."""

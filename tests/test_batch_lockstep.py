@@ -94,9 +94,8 @@ def observed_replay(spec, stream, mode, batched):
     characterizer = TrafficCharacterizer().attach(collector)
     finished = []
     collector.add_span_observer(lambda span: finished.append(span.to_dict()))
-    tracer = Tracer(clock=clock)
-    sink = tracer.attach(RingBufferSink(capacity=1 << 20))
-    algorithm.tracer = tracer
+    sink = RingBufferSink(capacity=1 << 20)
+    algorithm.tracer = Tracer(sink, clock=clock)
     reaper = RecordingReaper(algorithm, idle_timeout=1e9, clock=clock)
     profiler = LookupProfiler(sample_every=3).attach(algorithm)
     replay(algorithm, ops(stream), chunk=mode.chunk, batched=batched, tick=clock.tick)

@@ -184,6 +184,15 @@ class TestObservabilityFlags:
         assert "# TYPE demux_lookups_total counter" in text
         assert 'demux_lookups_total{algorithm="bsd",kind="data"}' in text
         assert "demux_examined_bucket" in text
+        # Every series renders on the twelve fixed export edges.
+        les = [
+            line.split('le="')[1].split('"')[0]
+            for line in text.splitlines()
+            if line.startswith("demux_examined_bucket")
+        ]
+        twelve = ["1", "2", "4", "8", "16", "32", "64", "128", "256",
+                  "512", "1024", "+Inf"]
+        assert les and les == twelve * (len(les) // len(twelve))
 
     def test_simulate_profile(self, capsys):
         code = main(
@@ -206,6 +215,21 @@ class TestObservabilityFlags:
         ) == 0
         instrumented = capsys.readouterr().out.splitlines()[0]
         assert instrumented == bare
+
+    def test_seeded_span_and_trace_dumps_are_byte_identical(self, tmp_path):
+        dumps = []
+        for run in ("a", "b"):
+            spans, trace = tmp_path / f"{run}.spans", tmp_path / f"{run}.trace"
+            assert main(
+                ["simulate", "--algorithm", "fast-sequent:h=19",
+                 "--users", "30", "--duration", "15", "--seed", "5",
+                 "--idle-timeout", "10", "--sketch",
+                 "--spans-out", str(spans), "--trace-out", str(trace)]
+            ) == 0
+            dumps.append((spans.read_bytes(), trace.read_bytes()))
+        assert dumps[0][0] and dumps[0][1]
+        assert b'"reap"' in dumps[0][0]
+        assert dumps[0] == dumps[1]
 
     def test_simulate_fast_spec_exports_fastpath_metrics(self, tmp_path):
         import json

@@ -7,9 +7,10 @@ endpoints' behaviour -- handshakes, data, retransmission, close.
 import pytest
 
 from repro.core.bsd import BSDDemux
+from repro.faults.injector import FaultInjector, FaultyLink
+from repro.faults.models import IIDLoss
 from repro.sim.engine import Simulator
-from repro.sim.network import Link, Network
-from repro.sim.rng import RngRegistry
+from repro.sim.network import Network
 from repro.tcpstack.stack import HostStack
 from repro.tcpstack.states import TCPState
 
@@ -20,7 +21,6 @@ class Pair:
     def __init__(self, *, loss_rate=0.0, delay=0.0005, seed=1):
         self.sim = Simulator()
         self.net = Network(self.sim, default_delay=delay)
-        self.rngs = RngRegistry(seed)
         self.server = HostStack(self.sim, self.net, "10.0.0.1", BSDDemux())
         if loss_rate:
             # Lossy path toward the client only (acks/data to client drop).
@@ -29,10 +29,8 @@ class Pair:
                 self.client, self.sim, self.net, "10.0.1.1", BSDDemux()
             )
             self.net.detach("10.0.1.1")
-            lossy = Link(
-                self.sim, delay, loss_rate=loss_rate,
-                rng=self.rngs.stream("loss"),
-            )
+            injector = FaultInjector(self.sim, [IIDLoss(loss_rate)], seed=seed)
+            lossy = FaultyLink(self.sim, delay, injector=injector)
             self.net.attach(self.client, lossy)
         else:
             self.client = HostStack(self.sim, self.net, "10.0.1.1", BSDDemux())

@@ -209,9 +209,8 @@ class TestBatchMixin:
         sinks = []
         for batched in (False, True):
             demux = self.build()
-            tracer = Tracer()
-            sinks.append(tracer.attach(RingBufferSink()))
-            demux.tracer = tracer
+            sinks.append(RingBufferSink())
+            demux.tracer = Tracer(sinks[-1])
             if batched:
                 results = demux.lookup_batch(packets)
             else:
@@ -227,7 +226,7 @@ class TestBatchMixin:
 
     def test_disabled_tracer_keeps_fast_path(self):
         demux = self.build()
-        demux.tracer = Tracer(enabled=False)
+        demux.tracer = Tracer(RingBufferSink(), enabled=False)
         demux.lookup_batch(data_packets([make_tuple(0)]))
         assert demux.fastpath_counters.batch_calls == 1
 

@@ -1,4 +1,4 @@
-"""Tests for the fault injector, FaultyLink, and the blackhole link."""
+"""Tests for the fault injector and FaultyLink."""
 
 import pytest
 
@@ -9,36 +9,12 @@ from repro.packet.addresses import FourTuple
 from repro.packet.builder import make_data, parse_packet
 from repro.packet.ip import PacketError
 from repro.sim.engine import Simulator
-from repro.sim.network import Link
 
 TUP = FourTuple.create("10.0.0.1", 80, "10.0.1.1", 45000)
 
 
 def packet(n=0):
     return make_data(TUP, b"payload", seq=n, ack=1)
-
-
-class TestBlackholeLink:
-    """Satellite: Link must accept loss_rate == 1.0 with no rng."""
-
-    def test_loss_rate_one_needs_no_rng(self):
-        sim = Simulator()
-        link = Link(sim, 0.001, loss_rate=1.0)
-        delivered = []
-        for n in range(5):
-            link.transmit(packet(n), delivered.append)
-        sim.run(until=1.0)
-        assert delivered == []
-        assert link.packets_sent == 5
-        assert link.packets_dropped == 5
-
-    def test_partial_loss_still_needs_rng(self):
-        with pytest.raises(ValueError):
-            Link(Simulator(), 0.001, loss_rate=0.5)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Link(Simulator(), 0.001, loss_rate=1.1)
 
 
 class TestInjectorPipeline:

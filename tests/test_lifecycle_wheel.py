@@ -22,7 +22,6 @@ class TestConstruction:
         wheel = make_wheel()
         assert len(wheel) == 0
         assert wheel.now == 0.0
-        assert wheel.next_deadline() is None
 
 
 class TestScheduling:
@@ -78,7 +77,6 @@ class TestScheduling:
         assert wheel.deadline_of("a") == pytest.approx(0.45)  # raw, not rounded
         with pytest.raises(KeyError):
             wheel.deadline_of("missing")
-        assert wheel.next_deadline() == pytest.approx(0.45)
 
 
 class TestHierarchy:

@@ -70,12 +70,6 @@ class TestHistogram:
         assert histogram.sum() == 12
         assert histogram.mean() == 3.0
 
-    def test_observe_bulk(self):
-        histogram = MetricsRegistry().histogram("lengths")
-        histogram.observe_bulk({2: 5, 9: 1}, kind="data")
-        assert histogram.count(kind="data") == 6
-        assert histogram.sum(kind="data") == 19
-
 
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
@@ -135,7 +129,8 @@ class TestPrometheusExport:
         histogram.observe(3, 1)
         lines = registry.to_prometheus().splitlines()
         assert 'lengths_bucket{le="1"} 2' in lines
-        assert 'lengths_bucket{le="3"} 3' in lines
+        assert 'lengths_bucket{le="2"} 2' in lines
+        assert 'lengths_bucket{le="4"} 3' in lines
         assert 'lengths_bucket{le="+Inf"} 3' in lines
         assert "lengths_sum 5" in lines
         assert "lengths_count 3" in lines

@@ -1,20 +1,12 @@
 """Tests for repro.obs.profile: sampling correctness, report shape,
-attach/detach semantics, non-perturbation, and the memory probe."""
-
-import tracemalloc
+attach/detach semantics, and non-perturbation."""
 
 import pytest
 
 from repro.core.bsd import BSDDemux
-from repro.core.pcb import PCB
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
-from repro.obs.profile import (
-    DEFAULT_SAMPLE_EVERY,
-    LookupProfiler,
-    MemoryProbe,
-    measure_build,
-)
+from repro.obs.profile import DEFAULT_SAMPLE_EVERY, LookupProfiler
 
 from conftest import make_pcbs, make_tuple
 
@@ -132,42 +124,3 @@ class TestReport:
         assert profiler.lookups == 0
         assert profiler.samples == 0
 
-
-class TestMemoryProbe:
-    def test_measures_retained_allocation(self):
-        with MemoryProbe() as probe:
-            table = [PCB(make_tuple(i)) for i in range(1000)]
-        assert probe.current_bytes > 0
-        assert probe.peak_bytes >= probe.current_bytes
-        del table
-
-    def test_bigger_tables_cost_more(self):
-        def build(n):
-            def factory():
-                algorithm = SequentDemux(19)
-                for pcb in make_pcbs(n):
-                    algorithm.insert(pcb)
-                return algorithm
-            return factory
-
-        small, small_probe = measure_build(build(100))
-        large, large_probe = measure_build(build(1000))
-        assert len(small) == 100 and len(large) == 1000
-        assert large_probe.current_bytes > small_probe.current_bytes
-
-    def test_nesting_leaves_outer_tracing_running(self):
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            with MemoryProbe():
-                pass
-            assert tracemalloc.is_tracing()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-
-    def test_probe_stops_tracing_it_started(self):
-        assert not tracemalloc.is_tracing()
-        with MemoryProbe():
-            assert tracemalloc.is_tracing()
-        assert not tracemalloc.is_tracing()

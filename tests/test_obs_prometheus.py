@@ -1,19 +1,28 @@
-"""Prometheus-export edge cases: label escaping, empty label sets,
-fixed-boundary histogram rendering (+Inf/sum/count consistency), and
-the snapshot -> registry -> export round trip."""
-
-import json
+"""Prometheus-export edge cases: label escaping, empty label sets and
+fixed-boundary histogram rendering (+Inf/sum/count consistency)."""
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_EXPORT_BUCKETS,
-    MetricsRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
+
+#: The ``le`` labels of every rendered histogram: the power-of-two
+#: export edges, then ``+Inf``.
+EXPORT_LES = [
+    "1", "2", "4", "8", "16", "32", "64", "128", "256", "512", "1024",
+    "+Inf",
+]
 
 
-def _lines(registry, **kwargs):
-    return registry.to_prometheus(**kwargs).splitlines()
+def _lines(registry):
+    return registry.to_prometheus().splitlines()
+
+
+def _les(lines):
+    return [
+        line.split('le="')[1].split('"')[0]
+        for line in lines
+        if "_bucket" in line
+    ]
 
 
 class TestLabelEscaping:
@@ -50,7 +59,7 @@ class TestEmptyLabelSets:
 
     def test_unlabelled_histogram(self):
         registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(1)
+        registry.histogram("h").observe(1)
         lines = _lines(registry)
         assert 'h_bucket{le="1"} 1' in lines
         assert 'h_bucket{le="+Inf"} 1' in lines
@@ -59,33 +68,23 @@ class TestEmptyLabelSets:
 
 
 class TestFixedBucketHistograms:
-    def _histogram_lines(self, values, buckets):
+    def _histogram_lines(self, values):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=buckets)
+        histogram = registry.histogram("h")
         for value in values:
             histogram.observe(value, kind="data")
         return _lines(registry)
 
     def test_boundaries_stable_across_observations(self):
-        # The PR-6 fix: ``le`` labels are the configured edges, not
-        # whatever values happened to be observed, so consecutive
-        # scrapes expose identical series.
-        first = self._histogram_lines([1, 7], buckets=(1.0, 4.0, 16.0))
-        second = self._histogram_lines([2, 3, 900], buckets=(1.0, 4.0, 16.0))
-
-        def les(lines):
-            return [
-                line.split('le="')[1].split('"')[0]
-                for line in lines
-                if "_bucket" in line
-            ]
-
-        assert les(first) == les(second) == ["1", "4", "16", "+Inf"]
+        # ``le`` labels are the fixed export edges, not whatever values
+        # happened to be observed, so consecutive scrapes expose
+        # identical series.
+        first = self._histogram_lines([1, 7])
+        second = self._histogram_lines([2, 3, 900])
+        assert _les(first) == _les(second) == EXPORT_LES
 
     def test_cumulative_counts_and_inf_consistency(self):
-        lines = self._histogram_lines(
-            [1, 2, 5, 17, 1000], buckets=(1.0, 4.0, 16.0)
-        )
+        lines = self._histogram_lines([1, 2, 5, 17, 1000])
         assert 'h_bucket{kind="data",le="1"} 1' in lines
         assert 'h_bucket{kind="data",le="4"} 2' in lines
         assert 'h_bucket{kind="data",le="16"} 3' in lines
@@ -96,107 +95,17 @@ class TestFixedBucketHistograms:
     def test_default_buckets_supplied_at_export(self):
         registry = MetricsRegistry()
         registry.histogram("h").observe(3, kind="data")
-        lines = _lines(
-            registry, histogram_buckets=DEFAULT_EXPORT_BUCKETS
-        )
-        les = [
-            line.split('le="')[1].split('"')[0]
-            for line in lines
-            if "_bucket" in line
-        ]
-        assert les == [
-            "1", "2", "4", "8", "16", "32", "64", "128", "256", "512",
-            "1024", "+Inf",
-        ]
-
-    def test_legacy_exact_rendering_without_buckets(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h")
-        histogram.observe(3)
-        histogram.observe(9)
-        lines = _lines(registry)
-        assert 'h_bucket{le="3"} 1' in lines
-        assert 'h_bucket{le="9"} 2' in lines
-        assert 'h_bucket{le="+Inf"} 2' in lines
+        assert _les(_lines(registry)) == EXPORT_LES
 
     def test_json_snapshot_keeps_exact_counts(self):
         # Fixed boundaries are an export concern only; the snapshot
         # must keep per-value resolution for offline analysis.
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(8.0,))
+        histogram = registry.histogram("h")
         histogram.observe(3)
         histogram.observe(5)
         (sample,) = registry.snapshot()["h"]["samples"]
         assert sample["counts"] == {"3": 1, "5": 1}
-
-    def test_bucket_validation(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.histogram("a", buckets=())
-        with pytest.raises(ValueError):
-            registry.histogram("b", buckets=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            registry.histogram("c", buckets=(1.0, float("inf")))
-
-    def test_conflicting_rebucket_rejected(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        registry.histogram("h")  # no buckets: reuses existing
-        registry.histogram("h", buckets=(1.0, 2.0))  # same: fine
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(1.0, 3.0))
-
-
-class TestSnapshotRoundTrip:
-    def _populated(self):
-        registry = MetricsRegistry()
-        registry.counter("lookups_total", "help text").inc(
-            7, kind="data", algorithm="bsd"
-        )
-        registry.gauge("table_size").set(42, host="a")
-        histogram = registry.histogram("examined", buckets=(2.0, 8.0))
-        histogram.observe(1, kind="data")
-        histogram.observe(5, kind="data", count=3)
-        return registry
-
-    def test_snapshot_restores_identically(self):
-        original = self._populated()
-        restored = MetricsRegistry.from_snapshot(original.snapshot())
-        assert restored.snapshot() == original.snapshot()
-
-    def test_restored_export_matches_with_buckets(self):
-        original = self._populated()
-        restored = MetricsRegistry.from_snapshot(original.snapshot())
-        buckets = DEFAULT_EXPORT_BUCKETS
-        assert restored.to_prometheus(
-            histogram_buckets=buckets
-        ) == original.to_prometheus(histogram_buckets=buckets)
-
-    def test_survives_json_serialization(self):
-        original = self._populated()
-        wire = json.loads(json.dumps(original.snapshot()))
-        restored = MetricsRegistry.from_snapshot(wire)
-        assert restored.snapshot() == original.snapshot()
-
-    def test_float_histogram_keys_tolerated(self):
-        snapshot = {
-            "h": {
-                "type": "histogram",
-                "help": "",
-                "samples": [
-                    {"labels": {}, "count": 1, "sum": 2.5,
-                     "counts": {"2.5": 1}},
-                ],
-            }
-        }
-        restored = MetricsRegistry.from_snapshot(snapshot)
-        assert restored.histogram("h").count() == 1
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry.from_snapshot(
-                {"m": {"type": "summary", "samples": []}}
-            )
 
 
 class TestExpositionFormat:

@@ -10,10 +10,10 @@ from repro.core.bsd import BSDDemux
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
 from repro.obs.trace import (
-    CallbackSink,
     JsonlSink,
     RingBufferSink,
     TraceEvent,
+    TraceSink,
     Tracer,
     read_jsonl,
 )
@@ -109,21 +109,26 @@ class TestTracer:
         tracer.emit(TraceEvent(time=0.0, kind="lookup"))
         assert len(sink) == 0
 
-    def test_fan_out_to_multiple_sinks(self):
-        seen = []
-        ring = RingBufferSink(8)
-        tracer = Tracer(ring, CallbackSink(seen.append))
-        tracer.emit(TraceEvent(time=0.0, kind="insert"))
-        assert len(ring) == 1 and len(seen) == 1
+    def test_emit_flush_and_close_act_on_the_sink(self):
+        calls = []
 
-    def test_attach_detach(self):
-        ring = RingBufferSink(8)
-        tracer = Tracer()
-        tracer.attach(ring)
-        tracer.emit(TraceEvent(time=0.0, kind="insert"))
-        tracer.detach(ring)
-        tracer.emit(TraceEvent(time=1.0, kind="insert"))
-        assert len(ring) == 1
+        class Recording(TraceSink):
+            def emit(self, event):
+                calls.append(event.kind)
+
+            def flush(self):
+                calls.append("flush")
+
+            def close(self):
+                calls.append("close")
+
+        sink = Recording()
+        tracer = Tracer(sink)
+        assert tracer.sink is sink
+        tracer.emit_insert("bsd", make_tuple(0))
+        tracer.flush()
+        tracer.close()
+        assert calls == ["insert", "flush", "close"]
 
     def test_clock_stamps_events(self):
         ring = RingBufferSink(8)

@@ -203,16 +203,6 @@ class TestRetries:
         with pytest.raises(ValueError, match="retries"):
             run_tasks(tasks_for([1]), jobs=1, retries=-1)
 
-    def test_retry_log_as_dict(self):
-        log = RetryLog()
-        log.record("a")
-        log.record("a")
-        log.record("b")
-        assert log.as_dict() == {
-            "total": 3,
-            "by_task": {"a": 2, "b": 1},
-        }
-
 
 class TestTaskSeeds:
     def test_stable_across_calls(self):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.bsd import BSDDemux
+from repro.core.registry import make_algorithm
 from repro.core.sequent import SequentDemux
 from repro.core.stats import PacketKind
-from repro.fastpath.conformance import walk_ops
+from repro.fastpath.conformance import churn_ops, replay, walk_ops
 from repro.faults.audit import audit_stack
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -125,6 +126,19 @@ class TestChurnStorm:
             ChurnStormWorkload(BSDDemux(), steps=0)
         with pytest.raises(ValueError):
             ChurnStormWorkload(BSDDemux(), grow_bias=1.5)
+
+    def test_long_conformance_walk_replays(self):
+        # churn_tuple keeps ids distinct far beyond 20,000 steps, so the
+        # conformance walk is uncapped, like the workload's.
+        with pytest.raises(ValueError):
+            churn_ops(1, steps=0)
+        ops = walk_ops(churn_ops(3, steps=30_000))
+        fast, _ = replay(
+            make_algorithm("fast-sequent:h=19"), ops, chunk=64, batched=True
+        )
+        reference, _ = replay(make_algorithm("sequent:h=19"), ops)
+        assert len(fast) > 10_000
+        assert fast == reference
 
     def test_determinism(self):
         a = ChurnStormWorkload(BSDDemux(), steps=2000, seed=9).run()
