@@ -86,12 +86,18 @@ class LookupResult(NamedTuple):
     """Outcome of one PCB lookup.
 
     A named tuple, because the batched fast path builds one per packet
-    and a tuple is the cheapest immutable record Python has: the fast
-    structures build it positionally, ``LookupResult(pcb, examined,
-    False, kind)``, and keyword construction works too.  Fields are
-    read-only (assigning one raises ``AttributeError``).  Being a tuple,
-    a result also iterates, unpacks, and compares equal to a plain
-    tuple of its fields; nothing in the package relies on that.
+    and a tuple is the cheapest immutable record Python has.  Build it
+    as ``LookupResult(pcb, examined, cache_hit, kind)`` (keywords work
+    too).  The hot-loop constructor is ``tuple.__new__(LookupResult,
+    (pcb, examined, cache_hit, kind))``: the one C call the generated
+    ``__new__`` makes, without that method's Python frame, which costs
+    more per packet than a short chain's search.  The fast structures
+    use it, binding ``tuple.__new__`` and ``LookupResult`` to locals in
+    their fused batch loops.  It skips the arity check, so the tuple
+    must hold exactly the four fields, in order.  Fields are read-only
+    (assigning one raises ``AttributeError``).  Being a tuple, a result
+    also iterates, unpacks, and compares equal to a plain tuple of its
+    fields; nothing in the package relies on that.
     """
 
     #: The PCB found, or ``None`` (no such connection -- e.g. a stray
@@ -336,6 +342,15 @@ class DemuxAlgorithm(abc.ABC):
         model, even though it holds PCBs.
         """
         return True
+
+    def reset_stats(self) -> None:
+        """Zero the lookup statistics (a workload's warm-up ends here).
+
+        Structures that keep statistics beyond :attr:`stats` -- the
+        sharded facade's shards, a supervisor's facade -- zero those
+        too, so every counter a run exports restarts together.
+        """
+        self.stats.reset()
 
     def describe(self) -> str:
         """Human-readable one-liner for reports."""

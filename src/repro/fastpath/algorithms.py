@@ -42,6 +42,10 @@ from .tables import CachedSlot, MTFSlotTable, SlotTable
 #: One inbound packet as the batch API consumes it.
 Packet = Tuple[FourTuple, PacketKind]
 
+#: Builds a result in one C call: ``_tuple_new(LookupResult, (pcb,
+#: examined, cache_hit, kind))`` (see :class:`LookupResult`).
+_tuple_new = tuple.__new__
+
 __all__ = [
     "FastLinearDemux",
     "FastBSDDemux",
@@ -187,6 +191,8 @@ class _FastDemux(_FastDemuxBase):
         tables = self._tables
         caches = self._caches
         bisect = bisect_left
+        new = tuple.__new__
+        Result = LookupResult
         results: List[LookupResult] = []
         append = results.append
         for (key, chain), (_, kind) in zip(entries, packets):
@@ -194,7 +200,7 @@ class _FastDemux(_FastDemuxBase):
             examined = 0
             if cache.key is not None:
                 if cache.key == key:
-                    append(LookupResult(cache.pcb, 1, True, kind))
+                    append(new(Result, (cache.pcb, 1, True, kind)))
                     continue
                 examined = 1
             table = tables[chain]
@@ -204,9 +210,9 @@ class _FastDemux(_FastDemuxBase):
                 pcb = table.pcbs[index]
                 cache.key = key
                 cache.pcb = pcb
-                append(LookupResult(pcb, examined + index + 1, False, kind))
+                append(new(Result, (pcb, examined + index + 1, False, kind)))
             else:
-                append(LookupResult(None, examined + len(keys), False, kind))
+                append(new(Result, (None, examined + len(keys), False, kind)))
         return results
 
     def __iter__(self) -> Iterator[PCB]:
@@ -224,7 +230,7 @@ class FastLinearDemux(_FastDemux):
         table = self._tables[0]
         index, examined = table.scan(key)
         pcb = table.pcbs[index] if index >= 0 else None
-        return LookupResult(pcb, examined, False, kind)
+        return _tuple_new(LookupResult, (pcb, examined, False, kind))
 
 
 class FastBSDDemux(_FastDemux):
@@ -247,15 +253,15 @@ class FastBSDDemux(_FastDemux):
         if cache.key is not None:
             examined = 1
             if cache.key == key:
-                return LookupResult(cache.pcb, examined, True, kind)
+                return _tuple_new(LookupResult, (cache.pcb, examined, True, kind))
         table = self._tables[0]
         index, scanned = table.scan(key)
         examined += scanned
         if index >= 0:
             pcb = table.pcbs[index]
             cache.set(key, pcb)
-            return LookupResult(pcb, examined, False, kind)
-        return LookupResult(None, examined, False, kind)
+            return _tuple_new(LookupResult, (pcb, examined, False, kind))
+        return _tuple_new(LookupResult, (None, examined, False, kind))
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
@@ -276,8 +282,8 @@ class FastMTFDemux(_FastDemux):
         if index >= 0:
             pcb = table.pcbs[index]
             table.move_to_front(index)
-            return LookupResult(pcb, examined, False, kind)
-        return LookupResult(None, examined, False, kind)
+            return _tuple_new(LookupResult, (pcb, examined, False, kind))
+        return _tuple_new(LookupResult, (None, examined, False, kind))
 
     def position_of(self, tup: FourTuple) -> int:
         """Current 0-based list position (no stats, no MTF)."""
@@ -364,15 +370,15 @@ class FastSequentDemux(_FastChained):
         if cache.key is not None:
             examined = 1
             if cache.key == key:
-                return LookupResult(cache.pcb, examined, True, kind)
+                return _tuple_new(LookupResult, (cache.pcb, examined, True, kind))
         table = self._tables[chain]
         index, scanned = table.scan(key)
         examined += scanned
         if index >= 0:
             pcb = table.pcbs[index]
             cache.set(key, pcb)
-            return LookupResult(pcb, examined, False, kind)
-        return LookupResult(None, examined, False, kind)
+            return _tuple_new(LookupResult, (pcb, examined, False, kind))
+        return _tuple_new(LookupResult, (None, examined, False, kind))
 
     def _lookup_batch(
         self, packets: Sequence[Packet]
@@ -411,7 +417,7 @@ class FastHashedMTFDemux(_FastChained):
         if self._per_chain_cache and cache.key is not None:
             examined = 1
             if cache.key == key:
-                return LookupResult(cache.pcb, examined, True, kind)
+                return _tuple_new(LookupResult, (cache.pcb, examined, True, kind))
         table = self._tables[chain]
         index, scanned = table.scan(key)
         examined += scanned
@@ -420,8 +426,8 @@ class FastHashedMTFDemux(_FastChained):
             table.move_to_front(index)
             if self._per_chain_cache:
                 cache.set(key, pcb)
-            return LookupResult(pcb, examined, False, kind)
-        return LookupResult(None, examined, False, kind)
+            return _tuple_new(LookupResult, (pcb, examined, False, kind))
+        return _tuple_new(LookupResult, (None, examined, False, kind))
 
     def describe(self) -> str:
         cache = "cached" if self._per_chain_cache else "uncached"

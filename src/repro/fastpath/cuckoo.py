@@ -56,7 +56,7 @@ from ..core.base import LookupResult
 from ..core.pcb import PCB
 from ..core.stats import PacketKind
 from ..packet.addresses import FourTuple
-from .algorithms import _FastDemuxBase
+from .algorithms import _FastDemuxBase, _tuple_new
 from .keycache import KeyCache
 
 __all__ = ["CuckooCounters", "FastCuckooDemux"]
@@ -333,9 +333,9 @@ class FastCuckooDemux(_FastDemuxBase):
             if fps[index] == fp:
                 examined += 1
                 if keys[index] == key:
-                    return LookupResult(
+                    return _tuple_new(LookupResult, (
                         self._slot_pcbs[index], examined, False, kind
-                    )
+                    ))
         # Primary bucket missed: the pre-filter proves whether the
         # secondary bucket can possibly hold this key.
         if self._prefilter[b1].get(fp):
@@ -345,9 +345,9 @@ class FastCuckooDemux(_FastDemuxBase):
                 if fps[index] == fp:
                     examined += 1
                     if keys[index] == key:
-                        return LookupResult(
+                        return _tuple_new(LookupResult, (
                             self._slot_pcbs[index], examined, False, kind
-                        )
+                        ))
         else:
             self.cuckoo_counters.prefilter_skips += 1
         if self._stash:
@@ -355,8 +355,10 @@ class FastCuckooDemux(_FastDemuxBase):
                 if stash_fp == fp:
                     examined += 1
                     if stash_key == key:
-                        return LookupResult(stash_pcb, examined, False, kind)
-        return LookupResult(None, examined, False, kind)
+                        return _tuple_new(
+                            LookupResult, (stash_pcb, examined, False, kind)
+                        )
+        return _tuple_new(LookupResult, (None, examined, False, kind))
 
     def _lookup_batch(
         self, packets: Sequence[Tuple[FourTuple, PacketKind]]
@@ -378,6 +380,8 @@ class FastCuckooDemux(_FastDemuxBase):
         slots = self._bucket_size
         nb = self._nbuckets
         passes = skips = 0
+        new = tuple.__new__
+        Result = LookupResult
         results: List[LookupResult] = []
         append = results.append
         for (key, h), (_, kind) in zip(entries, packets):
@@ -411,7 +415,7 @@ class FastCuckooDemux(_FastDemuxBase):
                             if stash_key == key:
                                 pcb = stash_pcb
                                 break
-            append(LookupResult(pcb, examined, False, kind))
+            append(new(Result, (pcb, examined, False, kind)))
         counters = self.cuckoo_counters
         counters.prefilter_passes += passes
         counters.prefilter_skips += skips

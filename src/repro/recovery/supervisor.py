@@ -601,6 +601,13 @@ class ShardSupervisor(DemuxAlgorithm):
 
     # -- reporting ---------------------------------------------------------
 
+    def reset_stats(self) -> None:
+        """Zero this supervisor's statistics and the facade's, shards
+        and migration counters included; recovery counters keep
+        counting."""
+        super().reset_stats()
+        self._sharded.reset_stats()
+
     def recovery_summary(self) -> Dict[str, Any]:
         """JSON-ready recovery record for artifacts and the CLI."""
         modes: Dict[str, int] = {}

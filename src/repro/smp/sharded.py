@@ -325,9 +325,9 @@ class ShardedDemux(DemuxAlgorithm):
 
     def reset_stats(self) -> None:
         """Zero the facade's and every shard's counters together."""
-        self.stats.reset()
+        super().reset_stats()
         for shard in self._shards:
-            shard.stats.reset()
+            shard.reset_stats()
         self.flow_migrations = 0
         self._migration_relookups = [0] * self.nshards
 

@@ -152,7 +152,7 @@ class ChurnWorkload:
         self._start()
         if cfg.warmup:
             self.sim.run(until=cfg.warmup)
-            self.algorithm.stats.reset()
+            self.algorithm.reset_stats()
             self.transactions_completed = 0
             self.sessions_completed = 0
         self.sim.run(until=cfg.warmup + cfg.duration)

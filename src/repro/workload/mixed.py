@@ -149,7 +149,7 @@ class MixedWorkload:
         self._start()
         if cfg.warmup:
             self.sim.run(until=cfg.warmup)
-            self.algorithm.stats.reset()
+            self.algorithm.reset_stats()
             self.oltp_transactions = 0
             self.bulk_segments = 0
         self.sim.run(until=cfg.warmup + cfg.duration)

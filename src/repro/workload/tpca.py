@@ -187,7 +187,7 @@ class TPCADemuxSimulation:
         self._schedule_first_arrivals()
         if cfg.warmup:
             self.sim.run(until=cfg.warmup)
-            self.algorithm.stats.reset()
+            self.algorithm.reset_stats()
             self.transactions_completed = 0
         self.sim.run(until=cfg.warmup + cfg.duration)
         return WorkloadResult.from_algorithm(
@@ -372,7 +372,7 @@ class TPCAFullStackSimulation:
         # packets would otherwise pollute the steady-state statistics.
         settle = max(2.0, cfg.warmup)
         self.sim.run(until=settle)
-        self.algorithm.stats.reset()
+        self.algorithm.reset_stats()
         self.transactions_completed = 0
         self.transactions_by_user = [0] * cfg.n_users
         self.response_times.clear()

@@ -11,8 +11,10 @@ import pytest
 
 from repro.core.base import DuplicateConnectionError, LookupResult
 from repro.core.pcb import PCB
+from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
 
+from conformance_matrix import ops
 from conftest import make_pcbs, make_tuple
 
 
@@ -57,6 +59,57 @@ class TestLookupResult:
         assert (restored.examined, restored.cache_hit, restored.kind) == (
             1, True, PacketKind.DATA
         )
+
+
+class TestFastResultConstruction:
+    """The fast structures build each result in one C call,
+    ``tuple.__new__(LookupResult, ...)``, never through the generated
+    ``__new__``; the results keep the record's type, arity and values.
+    Seed-202 golden TPC/A stream, stray misses included."""
+
+    @pytest.mark.parametrize("spec", [
+        "fast-sequent:h=19",
+        "fast-bsd",
+        "fast-cuckoo",
+        "sharded-fast-sequent:shards=4,steer=hash,h=19",
+    ])
+    def test_batched_replay_makes_no_python_level_new_call(
+        self, spec, monkeypatch
+    ):
+        stream = ops("tpca_seed202")
+        pcbs = [PCB(op[1]) for op in stream if op[0] == "insert"]
+        packets = [(op[1], op[2]) for op in stream if op[0] == "lookup"]
+        assert len(pcbs) + len(packets) == len(stream)
+
+        def populated():
+            algorithm = make_algorithm(spec)
+            for pcb in pcbs:
+                algorithm.insert(pcb)
+            return algorithm
+
+        algorithm = populated()
+        per_call = [algorithm.lookup(tup, kind) for tup, kind in packets]
+
+        calls = []
+        generated_new = LookupResult.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls.append(args)
+            return generated_new(cls, *args, **kwargs)
+
+        algorithm = populated()
+        monkeypatch.setattr(LookupResult, "__new__", counting_new)
+        batched = []
+        for start in range(0, len(packets), 256):
+            batched.extend(algorithm.lookup_batch(packets[start:start + 256]))
+        monkeypatch.undo()
+
+        assert len(calls) == 0
+        assert all(
+            type(result) is LookupResult and len(result) == 4
+            for result in batched
+        )
+        assert batched == per_call
 
 
 class TestContainerBehaviour:

@@ -8,6 +8,7 @@ from repro.core.registry import make_algorithm
 from repro.core.stats import PacketKind
 from repro.obs.metrics import MetricsRegistry
 from repro.packet.addresses import FourTuple, IPv4Address
+from repro.recovery import ShardSupervisor
 from repro.smp import (
     HashSteering,
     RoundRobinSteering,
@@ -17,6 +18,7 @@ from repro.smp import (
     make_steering,
 )
 from repro.core.sequent import SequentDemux
+from repro.workload.tpca import TPCAConfig, TPCADemuxSimulation
 
 SERVER = IPv4Address("10.0.0.1")
 
@@ -365,3 +367,33 @@ class TestMigrationAttribution:
         snapshot = registry.snapshot()
         samples = snapshot["smp_shard_migration_relookups"]["samples"]
         assert sum(s["value"] for s in samples) == demux.flow_migrations
+
+
+class TestWarmupReset:
+    """A workload's warm-up reset reaches the shards: after a TPC/A run
+    with warm-up, steered plus migration loads sum to the facade's
+    post-warm-up lookups -- what the summary line and
+    ``demux_lookups_total`` report, and what ``smp_shard_lookups``, the
+    imbalance factor and the watchdog's ``shard-imbalance`` rule read."""
+
+    SPEC = "sharded-fast-sequent:shards=4,steer=hash,h=19"
+    CONFIG = TPCAConfig(n_users=50, duration=30.0, warmup=20.0, seed=3)
+
+    @staticmethod
+    def served(facade) -> int:
+        return sum(facade.shard_loads()) + sum(facade.migration_loads())
+
+    def test_sharded_facade(self):
+        facade = make_algorithm(self.SPEC)
+        TPCADemuxSimulation(self.CONFIG, facade).run()
+        assert facade.stats.lookups > 0
+        assert self.served(facade) == facade.stats.lookups
+
+    def test_supervised_facade_without_crash(self):
+        supervisor = ShardSupervisor(make_algorithm(self.SPEC))
+        TPCADemuxSimulation(self.CONFIG, supervisor).run()
+        facade = supervisor.sharded
+        assert supervisor.crashes_injected == 0
+        assert supervisor.stats.lookups > 0
+        assert facade.stats.lookups == supervisor.stats.lookups
+        assert self.served(facade) == facade.stats.lookups
